@@ -8,7 +8,7 @@ multi-pattern budget.
 """
 
 from repro.eval import Runner
-from repro.verify import catalog_specs
+from repro.verify import VerificationCampaign, catalog_specs
 from repro.circuits import CATALOG
 
 from conftest import run_once
@@ -27,7 +27,7 @@ def _verify_small(scale: str, effort: str):
         patterns=128,
         seed=0,
     )
-    return Runner(jobs=1, cache=None).verify(specs)
+    return Runner(jobs=1, cache=None).campaign(VerificationCampaign(specs))
 
 
 def test_fast_catalog_verify(benchmark, scale, effort):

@@ -73,7 +73,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("=== 4. Campaign over several circuits (the `repro verify` engine) ===")
     specs = catalog_specs(circuits=["ctrl", "int2float", "s27"], patterns=64, seed=0)
-    report = repro.Runner(jobs=2, cache=None).verify(specs)
+    report = repro.Runner(jobs=2, cache=None).campaign(repro.VerificationCampaign(specs))
     print(render_verification_table(report.records))
     print(f"all equivalent    : {report.all_equivalent} "
           f"({report.total_patterns()} patterns in {report.elapsed_s:.2f}s)")

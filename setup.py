@@ -1,4 +1,4 @@
-"""Packaging for the xSFQ reproduction (src layout, numpy as the only dep).
+"""Packaging for the xSFQ reproduction (src layout, numpy + scipy).
 
 Kept as a plain ``setup.py`` so editable installs work in offline
 environments that lack the ``wheel`` package (``python setup.py develop``
@@ -38,7 +38,10 @@ setup(
     # numpy backs the word-parallel AIG sweep and the SoA pulse kernel
     # (repro.aig.simulate / repro.sim.pulse.soa).  The scalar kernels keep
     # working without it — see repro._compat.load_numpy for the fallback.
-    install_requires=["numpy>=1.21"],
+    # scipy backs the analog RCSJ integrator (repro.sim.analog.rcsj imports
+    # solve_ivp at module top); ROADMAP item 3 replaces it with a batched
+    # numpy RK4 and removes this dependency.
+    install_requires=["numpy>=1.21", "scipy>=1.5"],
     entry_points={
         "console_scripts": [
             "repro=repro.eval.cli:main",

@@ -113,6 +113,7 @@ from .perf import (  # noqa: E402
 )
 from .verify import (  # noqa: E402  - also registers the 'verify' stage
     StimulusSuite,
+    VerificationCampaign,
     VerificationSpec,
     VerificationVerdict,
     stimulus_suite,
@@ -210,6 +211,7 @@ __all__ = [
     # Verification
     "StimulusSuite",
     "stimulus_suite",
+    "VerificationCampaign",
     "VerificationSpec",
     "VerificationVerdict",
     "verify_result",

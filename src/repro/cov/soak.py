@@ -23,8 +23,8 @@ The determinism contract, and how each piece honours it:
 * checkpoints are written atomically (temp file + rename): a kill
   mid-write leaves the previous batch's checkpoint intact.
 
-Scheduling rides on :meth:`repro.eval.runner.Runner.fuzz`, so cached
-verdicts replay for free and worker pools apply per batch.  The CLI
+Scheduling rides on :meth:`repro.eval.runner.Runner.campaign`, so cached
+verdicts replay for free and worker processes apply per batch.  The CLI
 surface is ``repro fuzz --soak --checkpoint DIR [--shards N
 [--shard-index I]] [--merge]``; see ``docs/fuzzing.md``.
 """
@@ -277,7 +277,7 @@ def run_soak(
     Args:
         campaign: The shard's identity.
         runner: A :class:`repro.eval.runner.Runner` — scheduling, result
-            caching and worker pools are its concern; soak adds batching,
+            caching and worker processes are its concern; soak adds batching,
             coverage folding and the durable cursor.
         checkpoint_dir: Directory holding the shard checkpoints.
         max_batches: Stop after this many batches *this call* (the
@@ -314,8 +314,8 @@ def run_soak(
         if max_batches is not None and batches_this_call >= max_batches:
             break
         chunk = units[state.units_done : state.units_done + campaign.batch_size]
-        report = runner.fuzz(
-            campaign.fuzz, units=[unit for _, unit in chunk], shrink=False
+        report = runner.campaign(
+            campaign.fuzz.batch([unit for _, unit in chunk])
         )
         new_count = 0
         for (global_index, unit), record in zip(chunk, report.records):

@@ -3,12 +3,17 @@
 Seven subcommands::
 
     repro list                 # what can be reproduced, and with what
-    repro run table4 --jobs 4  # reproduce artefacts on a worker pool
+    repro run table4 --jobs 4  # reproduce artefacts on 4 worker processes
     repro verify --catalog     # pulse-level equivalence campaign
     repro fuzz --budget 200    # differential fuzzing on generated circuits
     repro faults --catalog     # fault injection + robustness margins
     repro bench --suite smoke  # performance benchmarks + regression gate
     repro report results/      # re-render previously saved run reports
+
+``repro run``, ``verify``, ``fuzz`` and ``faults`` share the campaign
+flags ``-j/--jobs``, ``--unit-timeout``, ``--cache-dir``, ``--no-cache``
+and ``-q``: one job without a unit timeout runs in-process, anything
+else on supervised worker processes (see ``docs/cli.md``).
 
 ``repro run`` accepts one or more experiment names (or ``all``), executes
 their synthesis jobs through the parallel runner with the shared
@@ -53,11 +58,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from ..exec import EXECUTOR_NAMES
 from .engine import ResultCache
 from .runner import (
     EXPERIMENTS,
@@ -85,18 +90,39 @@ def _positive_jobs(value: str) -> int:
     return jobs
 
 
-def _add_executor_args(cmd: argparse.ArgumentParser) -> None:
-    """The execution-backend flags shared by every campaign subcommand."""
-    cmd.add_argument("--executor", choices=EXECUTOR_NAMES, default="pool",
-                     help="execution backend: 'serial' stays in-process, "
-                          "'pool' is a throwaway multiprocessing pool "
-                          "(default), 'workers' supervises long-lived worker "
-                          "processes with crash isolation and retries")
-    cmd.add_argument("--unit-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-unit wall-clock budget enforced by the "
-                          "'workers' backend; an overrunning unit is killed "
-                          "and recorded with status=error")
+def _positive_seconds(value: str) -> float:
+    """argparse type for ``--unit-timeout``: a positive, finite float."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise argparse.ArgumentTypeError(
+            f"unit timeout must be a positive finite number of seconds, got {value!r}"
+        )
+    return seconds
+
+
+def _campaign_flags() -> argparse.ArgumentParser:
+    """Parent parser of the flags ``run``/``verify``/``fuzz``/``faults`` share."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("-j", "--jobs", type=_positive_jobs, default=1, metavar="N",
+                       help="worker processes (default: 1, in-process); more "
+                            "than one runs units on supervised workers")
+    flags.add_argument("--unit-timeout", type=_positive_seconds, default=None,
+                       metavar="SECONDS",
+                       help="per-unit wall-clock budget; runs units on "
+                            "supervised workers (even with -j 1), and an "
+                            "overrunning unit is killed and recorded with "
+                            "status=error")
+    flags.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="result cache directory (default: REPRO_CACHE_DIR "
+                            "or ~/.cache/repro-xsfq)")
+    flags.add_argument("--no-cache", action="store_true",
+                       help="disable the on-disk result cache")
+    flags.add_argument("-q", "--quiet", action="store_true",
+                       help="suppress per-unit progress lines")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the xSFQ paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    campaign_flags = _campaign_flags()
 
     list_cmd = sub.add_parser("list", help="list reproducible experiments")
     list_cmd.add_argument(
@@ -112,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also list the catalogued benchmark circuits",
     )
 
-    run_cmd = sub.add_parser("run", help="reproduce one or more experiments")
+    run_cmd = sub.add_parser("run", parents=[campaign_flags],
+                             help="reproduce one or more experiments")
     run_cmd.add_argument(
         "experiments", nargs="+", metavar="EXPERIMENT",
         help=f"experiment name(s) or 'all'; one of: {', '.join(sorted(EXPERIMENTS))}",
@@ -121,27 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="benchmark circuit scale (default: quick)")
     run_cmd.add_argument("--effort", choices=EFFORTS, default=None,
                          help="AIG optimisation effort (default: per experiment)")
-    run_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                         metavar="N",
-                         help="worker processes for synthesis jobs (default: 1)")
-    _add_executor_args(run_cmd)
     run_cmd.add_argument("--circuits", nargs="+", metavar="NAME", default=None,
                          help="restrict table4/table6 to these circuits")
-    run_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result cache directory (default: REPRO_CACHE_DIR "
-                              "or ~/.cache/repro-xsfq)")
-    run_cmd.add_argument("--no-cache", action="store_true",
-                         help="disable the on-disk result cache")
     run_cmd.add_argument("--save", default=None, metavar="DIR",
                          help="also write <experiment>-<scale>.json/.csv into DIR")
     run_cmd.add_argument("--stage-timing", action="store_true",
                          help="print the per-stage observer timing table "
                               "(frontend, aig-opt, polarity, map, ...)")
-    run_cmd.add_argument("-q", "--quiet", action="store_true",
-                         help="suppress per-job progress lines")
 
     verify_cmd = sub.add_parser(
-        "verify", help="pulse-level equivalence campaign over the circuit catalog",
+        "verify", parents=[campaign_flags],
+        help="pulse-level equivalence campaign over the circuit catalog",
     )
     scope = verify_cmd.add_mutually_exclusive_group()
     scope.add_argument("--catalog", action="store_true",
@@ -160,25 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="benchmark circuit scale (default: quick)")
     verify_cmd.add_argument("--effort", choices=EFFORTS, default="medium",
                             help="AIG optimisation effort of the verified flow")
-    verify_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                            metavar="N",
-                            help="worker processes (default: 1)")
-    _add_executor_args(verify_cmd)
-    verify_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="result cache directory (default: REPRO_CACHE_DIR "
-                                 "or ~/.cache/repro-xsfq)")
-    verify_cmd.add_argument("--no-cache", action="store_true",
-                            help="disable the on-disk verdict cache")
     verify_cmd.add_argument("--save", default=None, metavar="DIR",
                             help="also write verify-<scale>.json into DIR")
-    verify_cmd.add_argument("-q", "--quiet", action="store_true",
-                            help="suppress per-circuit progress lines")
 
     from ..core import flow_variant_names
     from ..gen import DEFAULT_FLOWS, FAMILIES
 
     fuzz_cmd = sub.add_parser(
-        "fuzz",
+        "fuzz", parents=[campaign_flags],
         help="differential fuzzing: generated circuits x flow variants",
     )
     fuzz_cmd.add_argument("--budget", type=int, default=100, metavar="N",
@@ -241,25 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     cov_group.add_argument("--merge", action="store_true",
                            help="merge the shard checkpoints in --checkpoint "
                                 "into soak-merged.json instead of running")
-    fuzz_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                          metavar="N",
-                          help="worker processes (default: 1)")
-    _add_executor_args(fuzz_cmd)
-    fuzz_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                          help="result cache directory (default: REPRO_CACHE_DIR "
-                               "or ~/.cache/repro-xsfq)")
-    fuzz_cmd.add_argument("--no-cache", action="store_true",
-                          help="disable the on-disk verdict cache")
     fuzz_cmd.add_argument("--save", default=None, metavar="DIR",
                           help="also write fuzz-<seed>.json (records, shrunk "
                                "reproducers) into DIR")
-    fuzz_cmd.add_argument("-q", "--quiet", action="store_true",
-                          help="suppress per-unit progress lines")
 
     from ..faults import DEFAULT_FAULT_KINDS, fault_kind_names
 
     faults_cmd = sub.add_parser(
-        "faults",
+        "faults", parents=[campaign_flags],
         help="fault injection + robustness margins over the circuit catalog",
     )
     fscope = faults_cmd.add_mutually_exclusive_group()
@@ -298,21 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "circuits (default: 8)")
     faults_cmd.add_argument("--scale", choices=SCALES, default="quick",
                             help="benchmark circuit scale (default: quick)")
-    faults_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                            metavar="N",
-                            help="worker processes (default: 1)")
-    _add_executor_args(faults_cmd)
-    faults_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="result cache directory (default: "
-                                 "REPRO_CACHE_DIR or ~/.cache/repro-xsfq)")
-    faults_cmd.add_argument("--no-cache", action="store_true",
-                            help="disable the on-disk record cache")
     faults_cmd.add_argument("--report", nargs="?", metavar="PATH",
                             const="repro-faults.json", default=None,
                             help="write the repro-faults/1 JSON report "
                                  "(default path: repro-faults.json)")
-    faults_cmd.add_argument("-q", "--quiet", action="store_true",
-                            help="suppress per-unit progress lines")
 
     from ..perf import suite_names
 
@@ -428,17 +413,40 @@ def _validate_circuits(circuits: Optional[Sequence[str]]) -> None:
         )
 
 
-def _cmd_run(args: argparse.Namespace, out) -> int:
-    names = _resolve_experiments(args.experiments)
-    _validate_circuits(args.circuits)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+def _progress(args: argparse.Namespace, out) -> Callable[[str], None]:
+    """Progress callback writing to ``out`` unless ``-q`` was given."""
 
     def progress(line: str) -> None:
         if not args.quiet:
             out.write(line + "\n")
 
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
+    return progress
+
+
+def _runner(args: argparse.Namespace, out) -> Runner:
+    """The runner a campaign subcommand builds from the shared flags."""
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return Runner(jobs=args.jobs, cache=cache, progress=_progress(args, out),
+                  unit_timeout=args.unit_timeout)
+
+
+def _report_errors(report, out) -> bool:
+    """Print the units that raised, crashed or timed out; True if any did."""
+    from ..verify import error_detail
+
+    for record in report.errors:
+        flow = f" flow={record['flow_variant']}" if record.get("flow_variant") else ""
+        out.write(f"ERROR {record.get('circuit')}{flow}: {error_detail(record)}\n")
+    if report.errors:
+        out.write(f"FAILED: {len(report.errors)} unit(s) did not complete\n")
+    return bool(report.errors)
+
+
+def _cmd_run(args: argparse.Namespace, out) -> int:
+    names = _resolve_experiments(args.experiments)
+    _validate_circuits(args.circuits)
+    runner = _runner(args, out)
+    cache = runner.cache
 
     failures: List[str] = []
     for name in names:
@@ -506,15 +514,13 @@ def _save_report_json(data, path: Path, out) -> None:
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     from ..core import Flow, FlowOptions
-    from ..verify import catalog_specs, render_verification_table
+    from ..verify import (
+        VerificationCampaign,
+        catalog_specs,
+        render_verification_table,
+    )
 
     _validate_circuits(args.circuit)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     flow = Flow.from_options(FlowOptions(effort=args.effort))
     specs = catalog_specs(
         circuits=args.circuit,
@@ -529,25 +535,24 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         f"=== verify: {scope} ({len(specs)} circuits, "
         f"{args.patterns} patterns, seed {args.seed}) ===\n"
     )
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
-    report = runner.verify(specs)
+    report = _runner(args, out).campaign(VerificationCampaign(specs))
     out.write(render_verification_table(report.records) + "\n")
     _print_summary_dict(report.to_dict()["summary"], out)
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
         f"({report.cached}/{len(specs)} verdicts cached, "
-        f"{report.computed} verified, {report.jobs} workers)\n"
+        f"{report.computed - len(report.errors)} verified, {report.jobs} workers)\n"
     )
     if args.save:
         _save_report_json(
             report.to_dict(), Path(args.save) / f"verify-{args.scale}.json", out
         )
-    if not report.all_equivalent:
-        failed = ", ".join(str(r.get("circuit")) for r in report.failures)
-        out.write(f"FAILED equivalence: {failed}\n")
-        return 1
-    return 0
+    failed = _report_errors(report, out)
+    if report.failures:
+        names = ", ".join(str(r.get("circuit")) for r in report.failures)
+        out.write(f"FAILED equivalence: {names}\n")
+        failed = True
+    return 1 if failed else 0
 
 
 def _report_coverage(units, records):
@@ -583,18 +588,13 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         load_state,
         merge_states,
         merged_path,
+        run_soak,
         shard_paths,
         write_state,
     )
     from ..gen import replay_line
 
     directory = Path(args.checkpoint)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = _fuzz_campaign(args)
     states = []
     if args.merge:
@@ -609,8 +609,7 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"repro: cannot load shard checkpoint: {exc}")
     else:
-        runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
+        runner = _runner(args, out)
         indices = (
             [args.shard_index]
             if args.shard_index is not None
@@ -633,7 +632,7 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
             )
             try:
                 states.append(
-                    runner.soak(soak, directory, max_batches=args.max_batches)
+                    run_soak(soak, runner, directory, max_batches=args.max_batches)
                 )
             except ValueError as exc:
                 raise SystemExit(f"repro: {exc}")
@@ -705,12 +704,6 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     if args.shard_index is not None or args.shards != 1:
         raise SystemExit("repro: --shards/--shard-index require --soak")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = _fuzz_campaign(args)
     units = None
     if args.replay is not None:
@@ -735,17 +728,17 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
             f"flows {', '.join(campaign.flows)} ===\n"
         )
 
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
-    report = runner.fuzz(campaign, units=units, shrink=not args.no_shrink)
+    runner = _runner(args, out)
+    batch = campaign.batch(units)
+    report = runner.campaign(batch)
+    if not args.no_shrink:
+        batch.shrink_failures(report, runner.progress)
     out.write(report.table() + "\n")
     _print_summary_dict(report.summary(), out)
     if args.coverage_report:
         from ..cov import render_coverage_report
 
-        coverage = _report_coverage(
-            units if units is not None else campaign.units(), report.records
-        )
+        coverage = _report_coverage(batch.units, report.records)
         out.write(
             render_coverage_report(
                 coverage,
@@ -756,12 +749,15 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
         )
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached} verdicts cached, {report.computed} verified, "
+        f"({report.cached} verdicts cached, "
+        f"{report.computed - len(report.errors)} verified, "
         f"{report.jobs} workers)\n"
     )
     if args.save:
         _save_report_json(report.to_dict(), Path(args.save) / f"fuzz-{args.seed}.json", out)
-    if not report.all_equivalent:
+    failed = _report_errors(report, out)
+    if report.failures:
+        failed = True
         out.write("FAILED equivalence on:\n")
         for record in report.failures:
             out.write(f"  {replay_line(record)}\n")
@@ -774,8 +770,7 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
                 )
                 for line in str(shrunk["bench"]).rstrip().splitlines():
                     out.write(f"      {line}\n")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def _parse_fault_kinds(raw: str):
@@ -818,12 +813,6 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
     _validate_circuits(args.circuit)
     kinds = _parse_fault_kinds(args.kinds)
     magnitudes = _parse_fault_magnitudes(args.magnitude)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = FaultCampaign(
         circuits=tuple(args.circuit or ()),
         kinds=kinds,
@@ -846,26 +835,25 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         f"=== faults: {scope} ({len(units)} units, kinds {', '.join(kinds)}, "
         f"{mode}, seed {args.seed}) ===\n"
     )
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
-    report = runner.faults(campaign, units=units)
+    report = _runner(args, out).campaign(campaign.batch(units))
     out.write(render_fault_table(report.records) + "\n")
     _print_summary_dict(report.summary(), out)
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
         f"({report.cached}/{len(units)} records cached, "
-        f"{report.computed} probed, {report.jobs} workers)\n"
+        f"{report.computed - len(report.errors)} probed, {report.jobs} workers)\n"
     )
     if args.report:
         _save_report_json(report.to_dict(), Path(args.report), out)
+    failed = _report_errors(report, out)
     if report.failures:
-        failed = ", ".join(
+        names = ", ".join(
             f"{r.get('circuit')} flow={r.get('flow_variant')}"
             for r in report.failures
         )
-        out.write(f"FAILED nominal equivalence: {failed}\n")
-        return 1
-    return 0
+        out.write(f"FAILED nominal equivalence: {names}\n")
+        failed = True
+    return 1 if failed else 0
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
@@ -891,14 +879,10 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             raise SystemExit(f"repro: cannot load baseline {args.compare}: {exc}")
 
     specs = suite_specs(args.suite)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     out.write(f"=== bench: suite {args.suite} ({len(specs)} benchmarks) ===\n")
     report = run_suite(
-        args.suite, specs, repeat=args.repeat, warmup=args.warmup, progress=progress
+        args.suite, specs, repeat=args.repeat, warmup=args.warmup,
+        progress=_progress(args, out),
     )
     out.write(render_results_table(report) + "\n")
     path = report.write(Path(args.out))
@@ -957,24 +941,20 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
+COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "verify": _cmd_verify,
+    "fuzz": _cmd_fuzz,
+    "faults": _cmd_faults,
+    "bench": _cmd_bench,
+    "report": _cmd_report,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
-    out = sys.stdout
-    if args.command == "list":
-        return _cmd_list(args, out)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "verify":
-        return _cmd_verify(args, out)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args, out)
-    if args.command == "faults":
-        return _cmd_faults(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return COMMANDS[args.command](args, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ of the ablation and table-sweep wall clock.
 The :class:`SynthesisEngine` is the seam between the experiment
 assemblers in :mod:`repro.eval.experiments` and the scheduler in
 :mod:`repro.eval.runner`: assemblers ask the engine for records, and the
-runner pre-populates the engine's cache from a multiprocessing pool so
+runner pre-populates the engine's cache from worker processes so
 the assembly step never synthesises anything itself.  A module-level
 default engine lets long-running hosts (the benchmark harness, the CLI)
 install a shared cache once and have every experiment pick it up.
@@ -47,6 +47,7 @@ from ..schema import (
     quarantine,
     schema_tag,
 )
+from ..verify.campaign import _package_version
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +56,6 @@ logger = logging.getLogger(__name__)
 #: timings.  3: records are stamped with the ``repro.schema`` envelope on
 #: disk (untagged v2 documents still load, via migration).
 RECORD_SCHEMA = 3
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 #: A flow signature entry as stored on a job: (stage name, merged options).
@@ -237,21 +232,6 @@ def synthesis_record(job: SynthesisJob) -> Dict[str, object]:
         record["baseline_jj"] = baseline.jj_count(include_clock_tree=False)
         record["baseline_jj_clocked"] = baseline.jj_count_with_clock_overhead()
     return record
-
-
-def timed_synthesis_record(
-    job: SynthesisJob,
-) -> Tuple[SynthesisJob, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
-
-    Compatibility shim: the runner now schedules bare
-    :func:`synthesis_record` through :mod:`repro.exec`, which times
-    every unit itself; this wrapper remains for external callers that
-    used it as a pool worker function.
-    """
-    start = time.perf_counter()
-    record = synthesis_record(job)
-    return job, record, time.perf_counter() - start
 
 
 class ResultCache:

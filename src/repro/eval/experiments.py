@@ -13,7 +13,7 @@ for the corresponding metric records.  The default engine computes
 serially with no disk cache (though it memoises repeated jobs
 in-process; pass ``SynthesisEngine(memoize=False)`` to time every
 synthesis from scratch), while the parallel runner (:mod:`repro.eval.runner`)
-pre-populates a shared content-addressed cache from a worker pool so the
+pre-populates a shared content-addressed cache from worker processes so the
 assembly step here never synthesises anything itself.
 
 The measured numbers are not expected to match the paper's absolute values

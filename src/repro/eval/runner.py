@@ -1,4 +1,4 @@
-"""Parallel experiment orchestration: specs, worker pool, cache, reports.
+"""Parallel experiment orchestration: specs, workers, cache, reports.
 
 This is the operator-facing engine behind the ``repro`` CLI.  Every table
 and figure of the paper's evaluation is registered here as a declarative
@@ -6,15 +6,16 @@ and figure of the paper's evaluation is registered here as a declarative
 from :mod:`repro.eval.experiments`, and an enumerator of the
 :class:`~repro.eval.engine.SynthesisJob` units the assembler will need.
 
-The :class:`Runner` schedules those jobs across a ``multiprocessing``
-worker pool, memoises every record in a content-addressed
+The :class:`Runner` schedules those jobs across worker processes,
+memoises every record in a content-addressed
 :class:`~repro.eval.engine.ResultCache`, then hands the pre-populated
 cache to the assembler — so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
 rather than the sum of all of them.  :class:`RunReport` carries the
 assembled :class:`~repro.eval.experiments.ExperimentResult` together
 with per-job timings and cache statistics, and can be emitted as JSON or
-CSV for downstream tooling.
+CSV for downstream tooling.  :meth:`Runner.campaign` runs verify, fuzz
+and faults campaigns through the same scheduling and cache.
 """
 
 from __future__ import annotations
@@ -24,17 +25,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from . import experiments
-from ..exec import ExecEvent, render_event, run_units, spec_units
-from ..gen.fuzz import FuzzCampaign, FuzzReport, FuzzUnit, shrink_unit
+from ..exec import ExecEvent, SpecUnit, render_event, run_units, spec_units
 from ..schema import atomic_write_json, canonical_json
-from ..verify.campaign import (
-    VerificationReport,
-    VerificationSpec,
-    verification_record,
-)
 from .engine import (
     ResultCache,
     SynthesisEngine,
@@ -173,7 +168,7 @@ class RunReport:
         result: The assembled experiment result.
         scale: Circuit scale used.
         effort: AIG effort used.
-        jobs: Worker-pool width.
+        jobs: Worker-process count.
         total_jobs: Synthesis jobs the experiment needed.
         computed_jobs: Jobs actually synthesised this run (cache misses).
         cached_jobs: Jobs served from the result cache.
@@ -280,26 +275,46 @@ def _job_label(job: SynthesisJob) -> str:
     return f"{job.circuit}@{job.scale}{suffix}"
 
 
-class Runner:
-    """Schedules an experiment's synthesis jobs across an executor backend.
+class Campaign(Protocol):
+    """What :meth:`Runner.campaign` needs from a verify, fuzz or faults run.
 
-    All scheduling is delegated to :func:`repro.exec.run_units`; the
-    runner only adapts campaign specs into work units, assembles the
-    reports, and renders :class:`~repro.exec.ExecEvent`\\ s onto the
+    Implemented by :class:`~repro.verify.VerificationCampaign`,
+    :class:`~repro.gen.FuzzBatch` and :class:`~repro.faults.FaultBatch`.
+    """
+
+    #: Past-tense verb of the per-unit progress lines.
+    verb: str
+
+    def work_units(self) -> List[SpecUnit]:
+        """Work units in campaign order, each with its compute function
+        and progress description."""
+
+    def report(self, records: List[Dict[str, object]], **stats):
+        """The campaign report over ``records`` (one per work unit, in
+        order); ``stats`` are ``jobs``/``computed``/``cached``/``elapsed_s``."""
+
+    def summary_line(self, report) -> str:
+        """The ``[name] done in ...`` progress line."""
+
+
+class Runner:
+    """Schedules experiments and campaigns through :mod:`repro.exec`.
+
+    All scheduling is delegated to :func:`repro.exec.run_units`, which
+    picks the backend per batch: in-process for one job (or one pending
+    unit) without a unit timeout, supervised worker processes
+    otherwise.  The runner only adapts specs into work units, assembles
+    the reports, and renders :class:`~repro.exec.ExecEvent`\\ s onto the
     ``progress`` callback.
 
     Args:
-        jobs: Worker processes; 1 runs everything in-process (for the
-            default ``pool`` backend).
+        jobs: Worker processes; 1 runs everything in-process.
         cache: Shared result cache (a fresh default-directory cache when
             omitted; pass ``cache=None`` explicitly via ``use_cache=False``
             on the CLI to disable persistence).
         progress: Callback receiving one line per scheduling event.
-        executor: Backend name — ``"serial"``, ``"pool"`` (historical
-            semantics, the default) or ``"workers"`` (supervised
-            long-lived workers with crash isolation and timeouts).
-        unit_timeout: Per-unit wall-clock budget in seconds, enforced by
-            the ``workers`` backend (ignored by the others).
+        unit_timeout: Per-unit wall-clock budget in seconds; runs even a
+            single job on a supervised worker so the budget holds.
     """
 
     def __init__(
@@ -307,13 +322,11 @@ class Runner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressFn] = None,
-        executor: str = "pool",
         unit_timeout: Optional[float] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.progress = progress or (lambda line: None)
-        self.executor = executor
         self.unit_timeout = unit_timeout
 
     def emit(self, event: ExecEvent) -> None:
@@ -368,206 +381,37 @@ class Runner:
         )
         return report
 
-    def _run_verification_specs(
-        self,
-        specs: Sequence[VerificationSpec],
-        describe: Callable[[VerificationSpec], str],
-        verb: str = "verified",
-        compute: Callable = verification_record,
-    ) -> Tuple[Dict[str, Dict[str, object]], int, int]:
-        """Shared campaign scheduler for ``verify``, ``fuzz`` and ``faults``.
+    def campaign(self, campaign: Campaign):
+        """Run a verify, fuzz or faults campaign; return its report.
 
-        Thin adapter over :func:`repro.exec.run_units`: specs become
-        :class:`~repro.exec.SpecUnit`\\ s around the module-level
-        ``compute`` function, and the shared lifecycle handles dedupe,
-        cache replay, executor fan-out and cache writes.  A unit whose
-        worker raises (or crashes, on the ``workers`` backend) resolves
-        to a ``status: "error"`` record instead of aborting the
+        Units whose content-addressed key is already in the result cache
+        replay for free, the rest are computed (on workers when
+        parallel) and cached.  A unit that raises, crashes or times out
+        resolves to a ``status: "error"`` record instead of aborting the
         campaign; error records are never cached, so a rerun recomputes
-        exactly the failed units.
-
-        Returns ``(records by spec key, computed count, cached count)``.
+        exactly the failed units.  Records reach ``report`` in unit
+        order.
         """
+        started = time.perf_counter()
+        units = campaign.work_units()
         outcome = run_units(
-            spec_units(specs, compute, describe),
+            units,
             cache=self.cache,
-            executor=self.executor,
             jobs=self.jobs,
             emit=self.emit,
-            verb=verb,
+            verb=campaign.verb,
             noun="verification",
             unit_timeout=self.unit_timeout,
         )
-        return outcome.records, outcome.computed, outcome.cached
-
-    def verify(self, specs: Sequence[VerificationSpec]) -> VerificationReport:
-        """Run a verification campaign over the worker pool.
-
-        Mirrors :meth:`run` for :class:`~repro.verify.campaign.VerificationSpec`
-        units: specs whose content-addressed key is already in the shared
-        result cache are replayed for free, the rest are computed on the
-        pool (synthesis + batched pulse verification per spec) and cached.
-        Records come back in spec order.
-        """
-        started = time.perf_counter()
-        records, computed, cached = self._run_verification_specs(
-            specs, lambda spec: spec.label()
-        )
-        report = VerificationReport(
-            records=[records[spec.key()] for spec in specs],
-            scale=specs[0].scale if specs else "quick",
-            patterns=specs[0].patterns if specs else 0,
-            seed=specs[0].seed if specs else 0,
+        report = campaign.report(
+            [outcome.records[unit.key()] for unit in units],
             jobs=self.jobs,
-            computed=computed,
-            cached=cached,
+            computed=outcome.computed,
+            cached=outcome.cached,
             elapsed_s=time.perf_counter() - started,
         )
-        self.progress(
-            f"[verify] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} verified)"
-        )
+        self.progress(campaign.summary_line(report))
         return report
-
-    def fuzz(
-        self,
-        campaign: FuzzCampaign,
-        units: Optional[Sequence[FuzzUnit]] = None,
-        shrink: bool = True,
-    ) -> FuzzReport:
-        """Run a differential fuzzing campaign over the worker pool.
-
-        Every :class:`~repro.gen.fuzz.FuzzUnit` — one generated circuit
-        under one flow variant — is a
-        :class:`~repro.verify.campaign.VerificationSpec`, so scheduling,
-        caching and worker-process execution are exactly the ``verify``
-        path: cached verdicts replay for free, the rest fan out across
-        the pool.  Generated circuits are rebuilt in workers from their
-        self-describing names (no registry state is shipped).  Failing
-        units are then shrunk **in-process** to 1-minimal reproducers
-        (``shrink=False`` skips that, e.g. for pure triage runs).
-
-        Args:
-            campaign: The campaign identity (also determines the units
-                when ``units`` is omitted).
-            units: Pre-built unit list overriding ``campaign.units()``
-                (used by ``repro fuzz --replay``).
-            shrink: Minimise failing circuits after the campaign.
-        """
-        started = time.perf_counter()
-        unit_list = list(units) if units is not None else campaign.units()
-        by_key: Dict[str, FuzzUnit] = {}
-        for unit in unit_list:
-            by_key.setdefault(unit.spec.key(), unit)
-        records, computed, cached = self._run_verification_specs(
-            [unit.spec for unit in unit_list],
-            lambda spec: f"{spec.label()} flow={by_key[spec.key()].flow_name}",
-            verb="fuzzed",
-        )
-        report = FuzzReport(
-            campaign=campaign,
-            records=[
-                unit.annotate(records[unit.spec.key()]) for unit in unit_list
-            ],
-            jobs=self.jobs,
-            computed=computed,
-            cached=cached,
-        )
-        if shrink:
-            for record in report.failures:
-                # Find the unit that produced this record (records keep
-                # unit order, so match on circuit + flow variant).
-                unit = next(
-                    u
-                    for u in unit_list
-                    if u.spec.circuit == record.get("circuit")
-                    and u.flow_name == record.get("flow_variant")
-                )
-                self.progress(
-                    f"  shrinking {unit.spec.circuit} flow={unit.flow_name} ..."
-                )
-                result = shrink_unit(
-                    unit.gen,
-                    unit.flow_name,
-                    patterns=unit.spec.patterns,
-                    stimulus_seed=unit.spec.seed,
-                    sequence_length=unit.spec.sequence_length,
-                )
-                if result is not None:
-                    report.attach_shrink(record, result)
-                    self.progress(f"    {result.summary()}")
-        report.elapsed_s = time.perf_counter() - started
-        self.progress(
-            f"[fuzz] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} verified, "
-            f"{len(report.failures)} failures)"
-        )
-        return report
-
-    def faults(self, campaign, units=None):
-        """Run a fault-injection / robustness campaign over the worker pool.
-
-        Every :class:`~repro.faults.FaultUnit` — one circuit under one
-        flow variant with one fault scenario (optionally margin-swept) —
-        rides the same scheduler as ``verify`` and ``fuzz``: records
-        whose content-addressed key is already cached replay for free,
-        the rest fan out across the pool via
-        :func:`repro.faults.campaign.timed_fault_record` and are cached.
-
-        Args:
-            campaign: A :class:`repro.faults.FaultCampaign`.
-            units: Pre-built unit list overriding ``campaign.units()``.
-
-        Returns:
-            A :class:`repro.faults.FaultReport`, records in unit order.
-        """
-        from ..faults.campaign import FaultReport, FaultUnit, fault_record
-
-        started = time.perf_counter()
-        unit_list = list(units) if units is not None else campaign.units()
-        by_key: Dict[str, FaultUnit] = {}
-        for unit in unit_list:
-            by_key.setdefault(unit.spec.key(), unit)
-        records, computed, cached = self._run_verification_specs(
-            [unit.spec for unit in unit_list],
-            lambda spec: f"{spec.label()} flow={by_key[spec.key()].flow_name}",
-            verb="probed",
-            compute=fault_record,
-        )
-        report = FaultReport(
-            campaign=campaign,
-            records=[unit.annotate(records[unit.spec.key()]) for unit in unit_list],
-            jobs=self.jobs,
-            computed=computed,
-            cached=cached,
-            elapsed_s=time.perf_counter() - started,
-        )
-        self.progress(
-            f"[faults] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} probed, "
-            f"{len(report.miscompares)} miscompares, "
-            f"{len(report.failures)} nominal failures)"
-        )
-        return report
-
-    def soak(self, campaign, checkpoint_dir, max_batches: Optional[int] = None):
-        """Run (or resume) one shard of a checkpointed soak campaign.
-
-        Thin delegation to :func:`repro.cov.soak.run_soak` with this
-        runner supplying scheduling, caching and progress; see
-        :mod:`repro.cov.soak` for the determinism contract.
-
-        Args:
-            campaign: A :class:`repro.cov.soak.SoakCampaign`.
-            checkpoint_dir: Directory the shard checkpoint lives in.
-            max_batches: Stop (resumably) after this many batches.
-
-        Returns:
-            The shard's final :class:`repro.cov.soak.SoakState`.
-        """
-        from ..cov.soak import run_soak
-
-        return run_soak(campaign, self, checkpoint_dir, max_batches=max_batches)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -580,42 +424,26 @@ class Runner:
         Returns per-job wall times and the cache keys of the jobs actually
         synthesised this run (vs replayed from the result cache).
         """
-        timings: Dict[str, float] = {}
-        computed_keys: set = set()
-        if not job_list:
-            return timings, computed_keys
-
-        label_by_key: Dict[str, str] = {}
-        job_by_key: Dict[str, SynthesisJob] = {}
-        for job in job_list:
-            key = job.key()
-            if key not in job_by_key:
-                job_by_key[key] = job
-                label_by_key[key] = _job_label(job)
         units = spec_units(job_list, synthesis_record, _job_label)
-        # The lifecycle replays cache hits and writes fresh records back
-        # (so cache hit/miss/put statistics match the historical path);
+        # The lifecycle replays cache hits and writes fresh records back;
         # priming below only fills the engine's in-process memory.
         outcome = run_units(
             units,
             cache=self.cache,
-            executor=self.executor,
             jobs=self.jobs,
             emit=self.emit,
             verb="synthesised",
             noun="synthesis",
             unit_timeout=self.unit_timeout,
         )
+        by_key = {unit.key(): unit for unit in units}
         for key, record in outcome.records.items():
-            if record.get("status") == "error":
-                # Leave the engine cold for this job: the assembler will
-                # recompute it serially and surface the real exception.
-                continue
-            engine.prime(job_by_key[key], record, persist=False)
-        for key, seconds in outcome.seconds.items():
-            timings[label_by_key[key]] = seconds
-            computed_keys.add(key)
-        return timings, computed_keys
+            # An errored job stays cold: the assembler recomputes it
+            # serially and surfaces the real exception.
+            if record.get("status") != "error":
+                engine.prime(by_key[key].spec, record, persist=False)
+        timings = {by_key[key].describe(): t for key, t in outcome.seconds.items()}
+        return timings, set(outcome.seconds)
 
 
 def run_experiment(
@@ -627,21 +455,16 @@ def run_experiment(
     use_cache: bool = True,
     circuits: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
-    executor: str = "pool",
     unit_timeout: Optional[float] = None,
 ) -> RunReport:
     """One-call convenience wrapper around :class:`Runner`.
 
-    ``repro.run_experiment("table4", jobs=4)`` reproduces Table 4 on a
-    4-process pool, reusing (and growing) the on-disk result cache.
+    ``repro.run_experiment("table4", jobs=4)`` reproduces Table 4 on 4
+    worker processes, reusing (and growing) the on-disk result cache.
     """
     cache = ResultCache(cache_dir) if use_cache else None
     runner = Runner(
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        executor=executor,
-        unit_timeout=unit_timeout,
+        jobs=jobs, cache=cache, progress=progress, unit_timeout=unit_timeout
     )
     return runner.run(experiment, scale=scale, effort=effort, circuits=circuits)
 

@@ -1,24 +1,23 @@
 """repro.exec — unified execution core for every campaign path.
 
 One :class:`WorkUnit` lifecycle (dedupe → cache replay → execute →
-schema-validate → cache put) over three pluggable executor backends
-(serial, throwaway pool, supervised persistent workers), emitting
+schema-validate → cache put) over two executor backends — in-process
+serial and supervised persistent workers, picked per batch from the
+job count, the pending-unit count and the per-unit timeout — emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
-f-strings.  ``Runner.run`` / ``verify`` / ``fuzz`` / ``faults`` /
-``soak`` and the perf harness are thin compositions over this package;
-the future ``repro serve`` daemon plugs into the same substrate.
+f-strings.  ``Runner.run`` / ``campaign`` / ``soak`` and the perf
+harness are thin compositions over this package.
 """
 
 from .events import EmitFn, ExecEvent, render_event
 from .executors import (
     Executor,
     PersistentWorkerExecutor,
-    PoolExecutor,
     SerialExecutor,
     UnitResult,
     execute_unit,
 )
-from .lifecycle import EXECUTOR_NAMES, ExecOutcome, resolve_executor, run_units
+from .lifecycle import ExecOutcome, resolve_executor, run_units
 from .units import CallableUnit, ProbeUnit, SpecUnit, WorkUnit, spec_units
 
 __all__ = [
@@ -32,12 +31,10 @@ __all__ = [
     "spec_units",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentWorkerExecutor",
     "UnitResult",
     "execute_unit",
     "ExecOutcome",
-    "EXECUTOR_NAMES",
     "resolve_executor",
     "run_units",
 ]

@@ -1,6 +1,6 @@
-"""Executor backends: serial, throwaway pool, persistent workers.
+"""Executor backends: in-process serial and supervised persistent workers.
 
-All three backends share one contract — ``map(units)`` yields a
+Both backends share one contract — ``map(units)`` yields a
 :class:`UnitResult` per unit **in submission order**, and ``close()``
 (or leaving the ``with`` block, on *any* exit path including
 ``KeyboardInterrupt``) terminates and joins every worker process.
@@ -9,50 +9,61 @@ out, or takes its worker down with it resolves to a result whose
 ``error`` field is populated, so a campaign always runs to completion
 and reports per-unit outcomes instead of aborting mid-flight.
 
-Backends:
+Backends (:func:`repro.exec.resolve_executor` picks one from ``jobs``,
+the pending-unit count and the per-unit timeout):
 
 :class:`SerialExecutor`
     In-process loop.  The only backend that accepts unpicklable units
     (perf-harness closures); exceptions are still captured as error
     results for lifecycle uniformity.
 
-:class:`PoolExecutor`
-    ``multiprocessing.Pool`` + ``imap``, matching the historical
-    campaign scheduling byte for byte — except that worker exceptions
-    now come back as error results instead of propagating out of
-    ``imap`` and discarding all in-flight progress.
-
 :class:`PersistentWorkerExecutor`
     Long-lived worker processes with per-unit timeouts and crash
     isolation: a worker that dies mid-unit is respawned and the unit
     retried with bounded backoff; on exhaustion (or timeout, which is
     never retried — the same unit would just time out again) the unit
-    resolves to an error result.  This is the supervised backend the
-    future ``repro serve`` daemon builds on.
+    resolves to an error result.  Each worker owns one duplex pipe.
+    While units are short it holds up to :data:`QUEUE_DEPTH` units —
+    the running one plus one queued ahead — so it never idles while the
+    parent records a result.  Workers write each result synchronously
+    before starting the next unit, so a later crash cannot lose an
+    earlier result.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
-import os
-import queue
 import signal
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .events import EmitFn, ExecEvent
 from .units import WorkUnit
+
+if TYPE_CHECKING:  # imported lazily: it costs every CLI start a few ms
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "UnitResult",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentWorkerExecutor",
+    "QUEUE_AHEAD_BELOW_S",
+    "QUEUE_DEPTH",
     "execute_unit",
 ]
+
+#: Units outstanding per worker: the running one plus one queued ahead.
+QUEUE_DEPTH = 2
+#: Queue ahead only while the units finished so far average under this
+#: many seconds.  For such units the parent's per-result work (cache
+#: write, progress line) would idle a worker for a noticeable share of
+#: each unit; a unit queued behind a long one would instead wait while
+#: another worker idles, which costs more than it saves.
+QUEUE_AHEAD_BELOW_S = 0.1
 
 
 @dataclass
@@ -65,9 +76,8 @@ class UnitResult:
         record: The computed record, or ``None`` on failure.
         seconds: Wall-clock seconds spent executing (includes the failed
             attempt for errors; excludes queueing/backoff).
-        cpu_s: Process CPU seconds for the same span (serial backend
-            only measures meaningfully; worker backends report the
-            worker's own measurement).
+        cpu_s: Process CPU seconds for the same span (worker backends
+            report the worker's own measurement).
         error: ``None`` on success, else ``{"type", "message",
             "traceback"}`` describing why the unit failed.
         attempts: Execution attempts consumed (> 1 after crash retries).
@@ -91,9 +101,9 @@ def execute_unit(
 ) -> Tuple[Optional[Dict[str, object]], float, float, Optional[Dict[str, str]]]:
     """Run one unit, capturing any exception as structured error info.
 
-    This is the single execution wrapper every backend funnels through
-    (in-process for serial, inside the worker for pool/persistent), so
-    timing and error capture are identical everywhere.
+    This is the single execution wrapper both backends funnel through
+    (in-process for serial, inside the worker for persistent workers),
+    so timing and error capture are identical everywhere.
     """
     start = time.perf_counter()
     cpu_start = time.process_time()
@@ -110,20 +120,6 @@ def execute_unit(
             "traceback": traceback.format_exc(),
         }
     return record, time.perf_counter() - start, time.process_time() - cpu_start, error
-
-
-def _ignore_sigint() -> None:
-    """Worker initializer: leave Ctrl-C handling to the parent process."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _pool_entry(
-    task: Tuple[int, WorkUnit],
-) -> Tuple[int, Optional[Dict[str, object]], float, float, Optional[Dict[str, str]]]:
-    """Pool worker entry: execute and ship the outcome, never raise."""
-    index, unit = task
-    record, seconds, cpu_s, error = execute_unit(unit)
-    return index, record, seconds, cpu_s, error
 
 
 class Executor:
@@ -167,55 +163,37 @@ class SerialExecutor(Executor):
             )
 
 
-class PoolExecutor(Executor):
-    """Throwaway ``multiprocessing.Pool`` per ``map`` — today's semantics.
+def _worker_main(conn: Connection) -> None:
+    """Persistent worker loop: run units off the pipe until ``None``.
 
-    The pool is created when ``map`` first needs it (sized
-    ``min(jobs, len(units))``) and torn down by ``close``; workers
-    ignore ``SIGINT`` so a Ctrl-C interrupts the parent's ``imap`` wait
-    and cleanup runs deterministically from the ``with`` block.
+    Ctrl-C is left to the parent.  ``conn.send`` returns only once the
+    whole result is in the pipe, so it survives the worker crashing on
+    its next unit.
     """
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = max(1, int(jobs))
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-
-    def map(self, units: Sequence[WorkUnit]) -> Iterator[UnitResult]:
-        if not units:
-            return
-        processes = min(self.jobs, len(units))
-        self._pool = multiprocessing.Pool(
-            processes=processes, initializer=_ignore_sigint
-        )
-        tasks = list(enumerate(units))
-        for index, record, seconds, cpu_s, error in self._pool.imap(
-            _pool_entry, tasks
-        ):
-            yield UnitResult(
-                index=index,
-                unit=units[index],
-                record=record,
-                seconds=seconds,
-                cpu_s=cpu_s,
-                error=error,
-            )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-
-def _worker_main(tasks: "multiprocessing.Queue", results: "multiprocessing.Queue") -> None:
-    """Persistent worker loop: pull tasks until the ``None`` sentinel."""
-    _ignore_sigint()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
-        task = tasks.get()
-        if task is None:
+        try:
+            unit = conn.recv()
+        except EOFError:  # the parent is gone
             return
-        index, unit = task
-        results.put((os.getpid(), _pool_entry((index, unit))))
+        if unit is None:
+            return
+        conn.send(execute_unit(unit))
+
+
+@dataclass
+class _Task:
+    """A unit awaiting (or in) execution; ``attempt`` counts crash retries."""
+
+    index: int
+    unit: WorkUnit
+    attempt: int = 1
+
+
+def _failed(task: _Task, kind: str, message: str, seconds: float = 0.0) -> UnitResult:
+    """Error result for a unit its worker could not finish."""
+    error = {"type": kind, "message": message, "traceback": ""}
+    return UnitResult(task.index, task.unit, None, seconds, error=error, attempts=task.attempt)
 
 
 @dataclass
@@ -223,23 +201,11 @@ class _Worker:
     """Parent-side handle for one persistent worker process."""
 
     process: multiprocessing.Process
-    tasks: "multiprocessing.Queue"
-    #: In-flight task, or None when idle: (index, unit, deadline, attempt).
-    busy: Optional[Tuple[int, WorkUnit, Optional[float], int]] = None
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
-@dataclass
-class _Pending:
-    """A unit awaiting dispatch (fresh, or re-enqueued after a crash)."""
-
-    index: int
-    unit: WorkUnit
-    attempt: int = 1
-    spent_s: float = 0.0
+    conn: Connection
+    #: Units sent and not yet answered; the head is the running one.
+    outstanding: List[_Task] = field(default_factory=list)
+    #: When the head unit overruns the per-unit timeout (``None``: never).
+    deadline: Optional[float] = None
 
 
 class PersistentWorkerExecutor(Executor):
@@ -247,17 +213,18 @@ class PersistentWorkerExecutor(Executor):
 
     Args:
         jobs: Worker-process count (capped at the unit count per map).
-        timeout: Per-unit wall-clock budget in seconds; an overrunning
-            unit's worker is killed and the unit resolves to a timeout
-            error **without retry**.  ``None`` disables the deadline.
-        retries: Crash retries per unit.  A unit whose worker dies gets
-            re-enqueued (after ``backoff_s * attempt``) up to this many
-            extra attempts before resolving to a crash error.
+        timeout: Per-unit wall-clock budget in seconds, counted from
+            when the unit starts running (not from when it was queued);
+            an overrunning unit's worker is killed and the unit
+            resolves to a timeout error **without retry**.  ``None``
+            disables the deadline.
+        retries: Crash retries per unit.  When a worker dies, only its
+            running unit is charged an attempt and re-enqueued (after
+            ``backoff_s * attempt``), up to this many extra attempts
+            before it resolves to a crash error; the unit queued behind
+            it is re-enqueued unchanged.
         backoff_s: Base backoff between crash retries.
     """
-
-    #: How long the supervision loop blocks on the result queue per tick.
-    _POLL_S = 0.05
 
     def __init__(
         self,
@@ -271,210 +238,178 @@ class PersistentWorkerExecutor(Executor):
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self._workers: List[_Worker] = []
-        self._results: Optional[multiprocessing.Queue] = None
 
     # -- worker management -------------------------------------------------
     def _spawn_worker(self) -> _Worker:
-        tasks: multiprocessing.Queue = multiprocessing.Queue()
+        conn, child_conn = multiprocessing.Pipe()
         process = multiprocessing.Process(
-            target=_worker_main, args=(tasks, self._results), daemon=True
+            target=_worker_main, args=(child_conn,), daemon=True
         )
         process.start()
-        return _Worker(process=process, tasks=tasks)
+        child_conn.close()
+        return _Worker(process=process, conn=conn)
 
-    def _kill_worker(self, worker: _Worker) -> None:
+    @staticmethod
+    def _kill_worker(worker: _Worker) -> None:
         if worker.process.is_alive():
             worker.process.terminate()
             worker.process.join(timeout=1.0)
             if worker.process.is_alive():  # pragma: no cover - hard hang
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
-        worker.tasks.cancel_join_thread()
-        worker.tasks.close()
+        worker.conn.close()
 
-    def _replace(self, slot: int) -> _Worker:
-        self._kill_worker(self._workers[slot])
+    def _replace(self, slot: int, pending: Deque[_Task]) -> None:
+        """Swap the worker in ``slot`` for a fresh one.
+
+        The units queued behind its running one go back to the front of
+        ``pending`` unchanged; the caller settles the running one.
+        """
+        worker = self._workers[slot]
+        pending.extendleft(reversed(worker.outstanding[1:]))
+        self._kill_worker(worker)
         fresh = self._spawn_worker()
         self._workers[slot] = fresh
         self._note(ExecEvent(kind="respawn", detail=str(fresh.process.pid)))
-        return fresh
+
+    def _deadline(self) -> Optional[float]:
+        return None if self.timeout is None else time.monotonic() + self.timeout
 
     # -- supervision loop ---------------------------------------------------
     def map(self, units: Sequence[WorkUnit]) -> Iterator[UnitResult]:
         if not units:
             return
-        self._results = multiprocessing.Queue()
         count = min(self.jobs, len(units))
         self._workers = [self._spawn_worker() for _ in range(count)]
-
-        pending: List[_Pending] = [
-            _Pending(index=i, unit=u) for i, u in enumerate(units)
-        ]
+        pending: Deque[_Task] = collections.deque(
+            _Task(index, unit) for index, unit in enumerate(units)
+        )
         resolved: Dict[int, UnitResult] = {}
-        done: set = set()
-        next_yield = 0
-        total = len(units)
-
-        def dispatch() -> None:
-            for slot, worker in enumerate(self._workers):
-                if not pending:
-                    return
-                if worker.busy is not None:
-                    continue
-                if not worker.alive:
-                    worker = self._replace(slot)
-                task = pending.pop(0)
-                deadline = (
-                    time.monotonic() + self.timeout
-                    if self.timeout is not None
-                    else None
-                )
-                worker.busy = (task.index, task.unit, deadline, task.attempt)
-                worker.tasks.put((task.index, task.unit))
-
-        def resolve(result: UnitResult) -> None:
-            if result.index in done:
-                return
-            done.add(result.index)
-            resolved[result.index] = result
-
-        def slot_of(index: int) -> Optional[int]:
-            for slot, worker in enumerate(self._workers):
-                if worker.busy is not None and worker.busy[0] == index:
-                    return slot
-            return None
-
-        def drain(block: bool) -> bool:
-            try:
-                _pid, payload = self._results.get(
-                    timeout=self._POLL_S if block else 0
-                )
-            except queue.Empty:
-                return False
-            index, record, seconds, cpu_s, error = payload
-            slot = slot_of(index)
-            attempt = 1
-            if slot is not None:
-                attempt = self._workers[slot].busy[3]
-                self._workers[slot].busy = None
-            resolve(
-                UnitResult(
-                    index=index,
-                    unit=units[index],
-                    record=record,
-                    seconds=seconds,
-                    cpu_s=cpu_s,
-                    error=error,
-                    attempts=attempt,
-                )
-            )
-            return True
-
-        def supervise() -> None:
-            """Handle deadline overruns and crashed workers."""
-            for slot, worker in enumerate(self._workers):
-                if worker.busy is None:
-                    continue
-                index, unit, deadline, attempt = worker.busy
-                if index in done:
-                    # Result already arrived via the queue; free the slot.
-                    worker.busy = None
-                    continue
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    self._note(
-                        ExecEvent(
-                            kind="timeout",
-                            description=unit.describe(),
-                            unit_key=unit.key(),
-                            index=index + 1,
-                            total=total,
-                            seconds=float(self.timeout or 0.0),
-                        )
-                    )
-                    self._replace(slot).busy = None
-                    resolve(
-                        UnitResult(
-                            index=index,
-                            unit=unit,
-                            record=None,
-                            seconds=float(self.timeout or 0.0),
-                            error={
-                                "type": "Timeout",
-                                "message": (
-                                    f"unit exceeded the {self.timeout}s "
-                                    "per-unit timeout and was killed"
-                                ),
-                                "traceback": "",
-                            },
-                            attempts=attempt,
-                        )
-                    )
-                    continue
-                if not worker.alive:
-                    exitcode = worker.process.exitcode
-                    self._replace(slot).busy = None
-                    if attempt <= self.retries:
-                        self._note(
-                            ExecEvent(
-                                kind="retry",
-                                description=unit.describe(),
-                                unit_key=unit.key(),
-                                attempt=attempt + 1,
-                                detail=f"worker died with exit code {exitcode}",
-                            )
-                        )
-                        time.sleep(self.backoff_s * attempt)
-                        pending.insert(
-                            0, _Pending(index=index, unit=unit, attempt=attempt + 1)
-                        )
-                    else:
-                        resolve(
-                            UnitResult(
-                                index=index,
-                                unit=unit,
-                                record=None,
-                                error={
-                                    "type": "WorkerCrash",
-                                    "message": (
-                                        f"worker died with exit code {exitcode} "
-                                        f"({attempt} attempts)"
-                                    ),
-                                    "traceback": "",
-                                },
-                                attempts=attempt,
-                            )
-                        )
-
+        next_yield, finished, spent_s = 0, 0, 0.0
         try:
-            while len(done) < total:
-                dispatch()
-                progressed = drain(block=True)
-                while drain(block=False):
-                    progressed = True
-                if not progressed:
-                    supervise()
+            self._dispatch(pending, 1)
+            while next_yield < len(units):
+                for result in self._collect(pending, len(units)):
+                    resolved[result.index] = result
+                    finished, spent_s = finished + 1, spent_s + result.seconds
+                short = spent_s < QUEUE_AHEAD_BELOW_S * finished
+                # Refill before the caller spends time on the results.
+                self._dispatch(pending, QUEUE_DEPTH if short else 1)
                 while next_yield in resolved:
                     yield resolved.pop(next_yield)
                     next_yield += 1
-            while next_yield in resolved:
-                yield resolved.pop(next_yield)
-                next_yield += 1
         finally:
             self.close()
 
-    def close(self) -> None:
-        for worker in self._workers:
-            if worker.alive:
+    def _dispatch(self, pending: Deque[_Task], depth: int) -> None:
+        """Top every worker up to ``depth`` outstanding units, breadth first."""
+        for level in range(depth):
+            for slot, worker in enumerate(self._workers):
+                if not pending:
+                    return
+                if len(worker.outstanding) > level:
+                    continue
+                if not worker.outstanding:
+                    if not worker.process.is_alive():
+                        self._replace(slot, pending)
+                        worker = self._workers[slot]
+                    worker.deadline = self._deadline()
+                task = pending.popleft()
+                worker.outstanding.append(task)
                 try:
-                    worker.tasks.put_nowait(None)
-                except (queue.Full, ValueError):  # pragma: no cover
-                    pass
+                    worker.conn.send(task.unit)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the worker just died; _collect sees its sentinel
+
+    def _collect(self, pending: Deque[_Task], total: int) -> List[UnitResult]:
+        """Block until a worker answers, dies or overruns; resolve what did."""
+        from multiprocessing.connection import wait
+
+        busy = [w for w in self._workers if w.outstanding]
+        deadlines = [w.deadline for w in busy if w.deadline is not None]
+        timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+        wait([w.conn for w in busy] + [w.process.sentinel for w in busy], timeout)
+        results: List[UnitResult] = []
+        for slot, worker in enumerate(self._workers):
+            results.extend(self._drain(worker))
+            if not worker.outstanding:
+                continue
+            head = worker.outstanding[0]
+            if not worker.process.is_alive():
+                failure = self._crashed(head, worker.process.exitcode)
+            elif worker.deadline is not None and time.monotonic() > worker.deadline:
+                failure = self._timed_out(head, total)
+            else:
+                continue
+            self._replace(slot, pending)
+            if failure is None:
+                pending.appendleft(_Task(head.index, head.unit, head.attempt + 1))
+            else:
+                results.append(failure)
+        return results
+
+    def _drain(self, worker: _Worker) -> List[UnitResult]:
+        """Every result already in ``worker``'s pipe, oldest first."""
+        results: List[UnitResult] = []
+        try:
+            while worker.outstanding and worker.conn.poll():
+                record, seconds, cpu_s, error = worker.conn.recv()
+                task = worker.outstanding.pop(0)
+                worker.deadline = self._deadline()  # the next unit starts now
+                results.append(
+                    UnitResult(task.index, task.unit, record, seconds, cpu_s, error, task.attempt)
+                )
+        except (EOFError, OSError):
+            pass  # the worker died; _collect checks its liveness next
+        return results
+
+    def _crashed(self, head: _Task, exitcode: Optional[int]) -> Optional[UnitResult]:
+        """The crash error for ``head``, or ``None`` (after backoff) to retry it."""
+        if head.attempt <= self.retries:
+            self._note(
+                ExecEvent(
+                    kind="retry",
+                    description=head.unit.describe(),
+                    unit_key=head.unit.key(),
+                    attempt=head.attempt + 1,
+                    detail=f"worker died with exit code {exitcode}",
+                )
+            )
+            time.sleep(self.backoff_s * head.attempt)
+            return None
+        return _failed(
+            head, "WorkerCrash",
+            f"worker died with exit code {exitcode} ({head.attempt} attempts)",
+        )
+
+    def _timed_out(self, head: _Task, total: int) -> UnitResult:
+        """The timeout error for ``head`` (never retried)."""
+        seconds = float(self.timeout or 0.0)
+        self._note(
+            ExecEvent(
+                kind="timeout",
+                description=head.unit.describe(),
+                unit_key=head.unit.key(),
+                index=head.index + 1,
+                total=total,
+                seconds=seconds,
+            )
+        )
+        return _failed(
+            head, "Timeout",
+            f"unit exceeded the {self.timeout}s per-unit timeout and was killed",
+            seconds,
+        )
+
+    def close(self) -> None:
+        # Idle workers exit on the ``None`` sentinel; busy ones (an
+        # interrupted map) are terminated straight away.
         for worker in self._workers:
-            worker.process.join(timeout=0.5)
+            if not worker.outstanding:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+                worker.process.join(timeout=0.5)
             self._kill_worker(worker)
         self._workers = []
-        if self._results is not None:
-            self._results.cancel_join_thread()
-            self._results.close()
-            self._results = None

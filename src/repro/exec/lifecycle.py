@@ -1,8 +1,7 @@
 """The one execution lifecycle every campaign path runs through.
 
-:func:`run_units` is the shared pipeline that used to be re-implemented
-(with small divergences) by ``Runner._prefetch``,
-``Runner._run_verification_specs``, the soak batch loop and the perf
+:func:`run_units` is the shared pipeline behind the runner's synthesis
+prefetch, ``Runner.campaign``, the soak batch loop and the perf
 harness:
 
     dedupe by key → cache replay → execute → cache put
@@ -26,22 +25,13 @@ replaying every healthy record from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from .events import EmitFn, ExecEvent
-from .executors import (
-    Executor,
-    PersistentWorkerExecutor,
-    PoolExecutor,
-    SerialExecutor,
-    UnitResult,
-)
+from .executors import Executor, PersistentWorkerExecutor, SerialExecutor, UnitResult
 from .units import WorkUnit
 
-__all__ = ["ExecOutcome", "EXECUTOR_NAMES", "resolve_executor", "run_units"]
-
-#: Valid ``--executor`` choices, in CLI order.
-EXECUTOR_NAMES = ("serial", "pool", "workers")
+__all__ = ["ExecOutcome", "resolve_executor", "run_units"]
 
 
 @dataclass
@@ -66,31 +56,19 @@ class ExecOutcome:
 
 
 def resolve_executor(
-    executor: str,
-    jobs: int,
-    pending: int,
-    unit_timeout: Optional[float] = None,
+    jobs: int, pending: int, unit_timeout: Optional[float] = None
 ) -> Executor:
     """Pick the backend for a batch of ``pending`` units.
 
-    ``"pool"`` preserves the historical shape exactly: a single job (or
-    a single pending unit) runs in-process, anything else fans out on a
-    throwaway pool.  ``"serial"`` always stays in-process.
-    ``"workers"`` always supervises, even for one unit — that is the
-    point of choosing it (timeouts and crash isolation apply).
+    A single job or a single pending unit runs in-process, unless a
+    per-unit timeout was asked for: only supervised workers can enforce
+    one.  Everything else runs on supervised workers, so timeouts and
+    crash isolation are the default for parallel batches.
     """
-    if executor == "serial":
+    if unit_timeout is None and (jobs == 1 or pending <= 1):
         return SerialExecutor()
-    if executor == "pool":
-        if jobs == 1 or pending <= 1:
-            return SerialExecutor()
-        return PoolExecutor(jobs)
-    if executor == "workers":
-        return PersistentWorkerExecutor(
-            min(max(1, jobs), max(1, pending)), timeout=unit_timeout
-        )
-    raise ValueError(
-        f"unknown executor {executor!r}; choose from {', '.join(EXECUTOR_NAMES)}"
+    return PersistentWorkerExecutor(
+        min(max(1, jobs), max(1, pending)), timeout=unit_timeout
     )
 
 
@@ -110,7 +88,7 @@ def _error_record(result: UnitResult) -> Dict[str, object]:
 def run_units(
     units: Sequence[WorkUnit],
     cache=None,
-    executor: Union[str, Executor] = "pool",
+    executor: Optional[Executor] = None,
     jobs: int = 1,
     emit: Optional[EmitFn] = None,
     verb: str = "verified",
@@ -123,16 +101,18 @@ def run_units(
         units: Work units in campaign order (duplicates by key are
             executed once; every occurrence resolves to the one record).
         cache: Optional :class:`~repro.eval.engine.ResultCache`.
-        executor: Backend name (``serial``/``pool``/``workers``) or a
-            ready :class:`Executor` instance.  Named backends are
-            created per call and closed on every exit path; an instance
-            is used as-is and left open for its owner.
-        jobs: Worker width for named parallel backends.
+        executor: A ready :class:`Executor` instance, used as-is and
+            left open for its owner.  ``None`` (the default) lets
+            :func:`resolve_executor` pick one from ``jobs``, the pending
+            count and ``unit_timeout``; that one is closed on every exit
+            path.
+        jobs: Worker width when the backend is picked here.
         emit: Structured-event sink (``None`` drops events).
         verb: Past-tense verb for per-unit ``computed`` events.
         noun: Job noun for the batch ``schedule`` event
             (``"verification"``, ``"synthesis"``).
-        unit_timeout: Per-unit wall-clock budget (``workers`` only).
+        unit_timeout: Per-unit wall-clock budget in seconds when the
+            backend is picked here (selects supervised workers).
 
     Returns:
         An :class:`ExecOutcome`; ``records`` covers every distinct key.
@@ -162,10 +142,10 @@ def run_units(
     if not pending:
         return outcome
 
-    if isinstance(executor, Executor):
+    if executor is not None:
         backend, owned = executor, False
     else:
-        backend = resolve_executor(executor, jobs, len(pending), unit_timeout)
+        backend = resolve_executor(jobs, len(pending), unit_timeout)
         owned = True
     backend.emit = note
     if not isinstance(backend, SerialExecutor) and len(pending) > 1:

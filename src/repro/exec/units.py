@@ -12,7 +12,7 @@ from it:
   records are packed under ("record", "verify", "fault").
 * ``describe()`` — the human-oriented label progress events carry.
 * ``run()`` — compute the record.  Units must be **picklable** so the
-  pool and persistent-worker backends can ship them to worker
+  persistent-worker backend can ship them to worker
   processes; :class:`SpecUnit` achieves this by holding a module-level
   compute function (pickled by qualified name) next to a frozen spec.
 
@@ -66,7 +66,7 @@ class SpecUnit:
             (``SynthesisJob``, ``VerificationSpec``, ``FaultSpec``).
         compute: **Module-level** function ``spec -> record``; pickled by
             qualified name, so lambdas and closures are rejected by the
-            pool/worker backends exactly as they would be today.
+            worker backend exactly as they would be today.
         description: Pre-rendered progress label (campaign paths decorate
             specs with flow-variant context the spec itself lacks).
     """

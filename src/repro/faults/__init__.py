@@ -18,7 +18,8 @@ decoded-value corruption.  This subpackage measures that robustness:
   tolerated fault magnitude;
 * :mod:`repro.faults.campaign` — :class:`FaultSpec` /
   :class:`FaultCampaign` / :class:`FaultReport`, scheduled by
-  :meth:`repro.eval.runner.Runner.faults` and surfaced as the
+  :meth:`repro.eval.runner.Runner.campaign` (over a
+  :class:`FaultBatch`) and surfaced as the
   ``repro faults`` CLI subcommand with a ``repro-faults/1`` JSON
   report.
 
@@ -31,6 +32,7 @@ from .campaign import (
     DEFAULT_FAULT_FLOWS,
     DEFAULT_FAULT_KINDS,
     FAULTS_SCHEMA,
+    FaultBatch,
     FaultCampaign,
     FaultReport,
     FaultSpec,
@@ -38,7 +40,6 @@ from .campaign import (
     fault_record,
     load_fault_report,
     render_fault_table,
-    timed_fault_record,
 )
 from .margin import MARGIN_ITERATIONS, MarginResult, search_margin
 from .models import DUP_SPACING, FaultModel, stream_seed
@@ -59,6 +60,7 @@ __all__ = [
     "DEFAULT_FAULT_KINDS",
     "DUP_SPACING",
     "FAULTS_SCHEMA",
+    "FaultBatch",
     "FAULT_KINDS",
     "FAULT_PREFIX",
     "FaultCampaign",
@@ -80,5 +82,4 @@ __all__ = [
     "render_fault_table",
     "search_margin",
     "stream_seed",
-    "timed_fault_record",
 ]

@@ -5,9 +5,9 @@ A :class:`FaultSpec` is the fault analogue of
 picklable unit — circuit, scale, canonical flow signature, canonical
 fault-scenario name, stimulus identity, and whether to sweep the margin
 — whose content-addressed :meth:`~FaultSpec.key` lets verdict records
-ride the shared :class:`repro.eval.engine.ResultCache` and the
-``multiprocessing`` scheduler of
-:meth:`repro.eval.runner.Runner.faults` unchanged.
+ride the shared :class:`repro.eval.engine.ResultCache` and the worker
+processes of :meth:`repro.eval.runner.Runner.campaign` unchanged
+(:meth:`FaultCampaign.batch` gives the :class:`FaultBatch` it runs).
 
 :func:`fault_record` is the worker-process entry point.  Per unit it:
 
@@ -32,7 +32,6 @@ reports, which is an acceptance criterion pinned by ``tests/faults``.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -45,7 +44,14 @@ from ..core.report import format_table
 from ..core.flowgraph import flow_variant
 from ..schema import content_key, load_document, pack, schema_tag
 from ..sim.pulse import suggest_phase_period
-from ..verify.campaign import StageSignature, _cell_counts
+from ..exec import SpecUnit
+from ..verify.campaign import (
+    CampaignReport,
+    StageSignature,
+    _cell_counts,
+    _package_version,
+    error_detail,
+)
 from ..verify.equivalence import verify_result
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name
@@ -54,6 +60,7 @@ __all__ = [
     "DEFAULT_FAULT_FLOWS",
     "DEFAULT_FAULT_KINDS",
     "FAULTS_SCHEMA",
+    "FaultBatch",
     "FaultCampaign",
     "FaultReport",
     "FaultSpec",
@@ -61,7 +68,6 @@ __all__ = [
     "fault_record",
     "load_fault_report",
     "render_fault_table",
-    "timed_fault_record",
 ]
 
 #: Schema tag of the ``repro faults --report`` JSON document (the
@@ -79,12 +85,6 @@ DEFAULT_FAULT_KINDS: Tuple[str, ...] = ("jitter", "skew")
 
 #: Flow variants a campaign crosses circuits with by default.
 DEFAULT_FAULT_FLOWS: Tuple[str, ...] = ("default",)
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -283,21 +283,6 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
     return record
 
 
-def timed_fault_record(
-    spec: FaultSpec,
-) -> Tuple[FaultSpec, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
-
-    Compatibility shim: the runner now schedules bare
-    :func:`fault_record` through :mod:`repro.exec`, which times every
-    unit itself; this wrapper remains for external callers that used it
-    as a pool worker function.
-    """
-    started = time.perf_counter()
-    record = fault_record(spec)
-    return spec, record, time.perf_counter() - started
-
-
 @dataclass(frozen=True)
 class FaultUnit:
     """One schedulable ``(circuit, flow variant, scenario)`` triple."""
@@ -396,6 +381,10 @@ class FaultCampaign:
             for flow_name in self.flows
         ]
 
+    def batch(self, units: Optional[Sequence[FaultUnit]] = None) -> "FaultBatch":
+        """This campaign's units (or ``units``) to schedule."""
+        return FaultBatch(self, tuple(self.units() if units is None else units))
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "circuits": list(self.circuits),
@@ -412,13 +401,13 @@ class FaultCampaign:
 
 
 @dataclass
-class FaultReport:
+class FaultReport(CampaignReport):
     """Everything one fault campaign produced.
 
     Attributes:
         campaign: The campaign identity that was run.
         records: One annotated record per unit, in unit order.
-        jobs: Worker-pool width.
+        jobs: Worker-process count.
         computed: Units computed this run (cache misses).
         cached: Units replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.  Deliberately
@@ -433,21 +422,18 @@ class FaultReport:
     cached: int = 0
     elapsed_s: float = 0.0
 
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        """Records whose *nominal* verification failed — real flow bugs.
-
-        A ``miscompare`` under an injected fault is campaign data, not a
-        failure: the whole point is measuring where circuits break.
-        """
-        return [r for r in self.records if r.get("status") == "nominal-miscompare"]
+    #: Records whose *nominal* verification failed — real flow bugs.  A
+    #: ``miscompare`` under an injected fault is campaign data, not a
+    #: failure: the whole point is measuring where circuits break.
+    failure_status: ClassVar[str] = "nominal-miscompare"
 
     @property
     def miscompares(self) -> List[Dict[str, object]]:
         return [r for r in self.records if r.get("status") == "miscompare"]
 
     def margins(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("margin") is not None]
+        healthy = (r for r in self.records if r.get("status") != "error")
+        return [r for r in healthy if r.get("margin") is not None]
 
     def table(self) -> str:
         return render_fault_table(self.records)
@@ -457,10 +443,11 @@ class FaultReport:
         return {
             "units": len(self.records),
             "circuits": len({r.get("circuit") for r in self.records}),
-            "tolerated": sum(1 for r in self.records if r.get("status") == "tolerated"),
+            "tolerated": self.count("tolerated"),
             "miscompares": len(self.miscompares),
             "nominal_miscompares": len(self.failures),
-            "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
+            "skipped": self.count("skipped"),
+            "errors": len(self.errors),
             "margins_found": len(margins),
             "margins_saturated": sum(1 for r in margins if r.get("margin_saturated")),
             "margins_positive": sum(
@@ -471,7 +458,7 @@ class FaultReport:
                 for r in self.records
                 for count in (r.get("injections") or {}).values()
             ),
-            "all_nominal_equivalent": not self.failures,
+            "all_nominal_equivalent": self.passed,
         }
 
     def coverage(self):
@@ -511,6 +498,36 @@ class FaultReport:
         )
 
 
+@dataclass(frozen=True)
+class FaultBatch:
+    """Units of one fault run (:meth:`FaultCampaign.batch`) for ``Runner.campaign``."""
+
+    campaign: FaultCampaign
+    units: Tuple[FaultUnit, ...]
+    verb: ClassVar[str] = "probed"
+
+    def work_units(self) -> List[SpecUnit]:
+        return [
+            SpecUnit(u.spec, fault_record, f"{u.spec.label()} flow={u.flow_name}")
+            for u in self.units
+        ]
+
+    def report(self, records: List[Dict[str, object]], **stats) -> FaultReport:
+        return FaultReport(
+            campaign=self.campaign,
+            records=[unit.annotate(r) for unit, r in zip(self.units, records)],
+            **stats,
+        )
+
+    def summary_line(self, report: FaultReport) -> str:
+        return report.done_line(
+            "faults",
+            "probed",
+            f"{len(report.miscompares)} miscompares",
+            f"{len(report.failures)} nominal failures",
+        )
+
+
 def load_fault_report(path: Path) -> Dict[str, object]:
     """Load (and schema-check) a saved ``repro faults --report`` document.
 
@@ -527,7 +544,7 @@ def load_fault_report(path: Path) -> Dict[str, object]:
 
 def _margin_cell(record: Mapping[str, object]) -> str:
     margin = record.get("margin")
-    if margin is None:
+    if margin is None or record.get("status") == "error":
         return "-"
     unit = "" if str(record.get("fault_kind")) in ("drop", "dup") else " ps"
     suffix = "+" if record.get("margin_saturated") else ""
@@ -550,6 +567,8 @@ def _detail_cell(record: Mapping[str, object]) -> str:
         return f"{where}, {out}{suffix}"
     if status == "skipped":
         return str(record.get("reason") or "skipped")
+    if status == "error":
+        return error_detail(record)
     injections = record.get("injections") or {}
     total = sum(int(v) for v in injections.values())
     if record.get("margin") is not None:

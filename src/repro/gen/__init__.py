@@ -19,7 +19,8 @@ turns every flow variant into a property under test:
 * :mod:`repro.gen.shrink` — greedy counterexample shrinking to
   1-minimal failing netlists.
 
-Scheduling: :meth:`repro.eval.runner.Runner.fuzz`.  CLI: ``repro fuzz``.
+Scheduling: :meth:`repro.eval.runner.Runner.campaign` over a
+:class:`FuzzBatch`.  CLI: ``repro fuzz``.
 Documentation: ``docs/fuzzing.md``.
 """
 
@@ -44,6 +45,7 @@ from .spec import (
 from .shrink import ShrinkResult, shrink_network
 from .fuzz import (
     DEFAULT_FLOWS,
+    FuzzBatch,
     FuzzCampaign,
     FuzzReport,
     FuzzUnit,
@@ -69,6 +71,7 @@ __all__ = [
     "ShrinkResult",
     "shrink_network",
     "DEFAULT_FLOWS",
+    "FuzzBatch",
     "FuzzCampaign",
     "FuzzReport",
     "FuzzUnit",

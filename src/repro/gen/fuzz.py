@@ -19,26 +19,30 @@ netlist to a 1-minimal reproducer with
 :func:`repro.gen.shrink.shrink_network` (the oracle re-runs the failing
 flow variant on every candidate).
 
-Scheduling lives in :meth:`repro.eval.runner.Runner.fuzz`; the CLI
-surface is ``repro fuzz`` (see ``docs/fuzzing.md``).
+:meth:`FuzzCampaign.batch` gives the :class:`FuzzBatch` that
+:meth:`repro.eval.runner.Runner.campaign` schedules, and
+:meth:`FuzzBatch.shrink_failures` is the explicit shrinking post-step;
+the CLI surface is ``repro fuzz`` (see ``docs/fuzzing.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.flowgraph import flow_variant
 from ..core.report import format_table
 from ..netlist.bench import write_bench
 from ..netlist.network import LogicNetwork
-from ..verify.campaign import VerificationSpec
+from ..exec import SpecUnit
+from ..verify.campaign import CampaignReport, VerificationSpec, verification_record
 from ..verify.equivalence import verify_result
 from .shrink import ShrinkResult, shrink_network
 from .spec import GenSpec, generate_specs, parse_name
 
 __all__ = [
     "DEFAULT_FLOWS",
+    "FuzzBatch",
     "FuzzCampaign",
     "FuzzReport",
     "FuzzUnit",
@@ -144,6 +148,10 @@ class FuzzCampaign:
             for flow_name in self.flows
         ]
 
+    def batch(self, units: Optional[Sequence[FuzzUnit]] = None) -> "FuzzBatch":
+        """This campaign's units (or ``units``, e.g. a replay) to schedule."""
+        return FuzzBatch(self, tuple(self.units() if units is None else units))
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "budget": self.budget,
@@ -205,7 +213,7 @@ def shrink_unit(
 
 
 @dataclass
-class FuzzReport:
+class FuzzReport(CampaignReport):
     """Everything one campaign produced.
 
     Attributes:
@@ -214,7 +222,7 @@ class FuzzReport:
             unit, in unit order.
         shrunk: Bench text of each minimised reproducer, keyed by
             ``"<circuit>|<flow>"``, plus the shrink statistics.
-        jobs: Worker-pool width.
+        jobs: Worker-process count.
         computed: Units verified this run (cache misses).
         cached: Units replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.
@@ -229,18 +237,11 @@ class FuzzReport:
     elapsed_s: float = 0.0
 
     @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "counterexample"]
-
-    @property
     def all_equivalent(self) -> bool:
-        return not self.failures
+        return self.passed
 
     def circuits_verified(self) -> int:
         return len({r.get("circuit") for r in self.records})
-
-    def total_patterns(self) -> int:
-        return sum(int(r.get("patterns") or 0) for r in self.records)
 
     def attach_shrink(self, record: Mapping[str, object], result: ShrinkResult) -> None:
         key = f"{record.get('circuit')}|{record.get('flow_variant')}"
@@ -259,6 +260,8 @@ class FuzzReport:
             )
             bucket["circuits"] += 1
             status = str(record.get("status"))
+            if status == "error":
+                continue
             if status == "equivalent":
                 bucket["equivalent"] += 1
             elif status == "counterexample":
@@ -287,9 +290,10 @@ class FuzzReport:
             "circuits": self.circuits_verified(),
             "units": len(self.records),
             "flows": len(self.campaign.flows),
-            "equivalent": sum(1 for r in self.records if r.get("status") == "equivalent"),
+            "equivalent": self.count("equivalent"),
             "counterexamples": len(self.failures),
-            "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
+            "skipped": self.count("skipped"),
+            "errors": len(self.errors),
             "total_patterns": self.total_patterns(),
             "all_equivalent": self.all_equivalent,
         }
@@ -307,6 +311,62 @@ class FuzzReport:
             "text": self.table(),
             "summary": self.summary(),
         }
+
+
+@dataclass(frozen=True)
+class FuzzBatch:
+    """Units of one fuzz run (:meth:`FuzzCampaign.batch`) for ``Runner.campaign``.
+
+    Generated circuits are rebuilt in workers from their names.
+    """
+
+    campaign: FuzzCampaign
+    units: Tuple[FuzzUnit, ...]
+    verb: ClassVar[str] = "fuzzed"
+
+    def work_units(self) -> List[SpecUnit]:
+        return [
+            SpecUnit(u.spec, verification_record, f"{u.spec.label()} flow={u.flow_name}")
+            for u in self.units
+        ]
+
+    def report(self, records: List[Dict[str, object]], **stats) -> FuzzReport:
+        return FuzzReport(
+            campaign=self.campaign,
+            records=[unit.annotate(r) for unit, r in zip(self.units, records)],
+            **stats,
+        )
+
+    def summary_line(self, report: FuzzReport) -> str:
+        return report.done_line("fuzz", "verified", f"{len(report.failures)} failures")
+
+    def shrink_failures(
+        self, report: FuzzReport, progress: Callable[[str], None] = lambda line: None
+    ) -> None:
+        """Minimise every failing unit of ``report`` in-process.
+
+        The explicit post-step after ``Runner.campaign``: each reproducer
+        is attached to ``report.shrunk``.
+        """
+        for record in report.failures:
+            # Records keep unit order, so match on circuit + flow variant.
+            unit = next(
+                u
+                for u in self.units
+                if u.spec.circuit == record.get("circuit")
+                and u.flow_name == record.get("flow_variant")
+            )
+            progress(f"  shrinking {unit.spec.circuit} flow={unit.flow_name} ...")
+            result = shrink_unit(
+                unit.gen,
+                unit.flow_name,
+                patterns=unit.spec.patterns,
+                stimulus_seed=unit.spec.seed,
+                sequence_length=unit.spec.sequence_length,
+            )
+            if result is not None:
+                report.attach_shrink(record, result)
+                progress(f"    {result.summary()}")
 
 
 def units_for_replay(

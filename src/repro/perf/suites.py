@@ -37,7 +37,7 @@ def _verify_workload(
     def run() -> Mapping[str, float]:
         from ..core import Flow, FlowOptions
         from ..eval.runner import Runner
-        from ..verify import catalog_specs
+        from ..verify import VerificationCampaign, catalog_specs
 
         flow = Flow.from_options(FlowOptions(effort=effort))
         specs = catalog_specs(
@@ -46,7 +46,7 @@ def _verify_workload(
             flow=flow,
             patterns=patterns,
         )
-        report = Runner(jobs=1, cache=None).verify(specs)
+        report = Runner(jobs=1, cache=None).campaign(VerificationCampaign(specs))
         if not report.all_equivalent:
             raise RuntimeError(
                 f"verify benchmark produced non-equivalent verdicts: "
@@ -63,7 +63,7 @@ def _fuzz_workload(budget: int, seed: int = 0) -> Callable[[], Mapping[str, floa
         from ..gen import FuzzCampaign
 
         campaign = FuzzCampaign(budget=budget, seed=seed)
-        report = Runner(jobs=1, cache=None).fuzz(campaign, shrink=False)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
         summary = report.summary()
         if not report.all_equivalent:
             raise RuntimeError("fuzz benchmark produced counterexamples")
@@ -89,7 +89,7 @@ def _soak_batch_workload(
         import tempfile
         from pathlib import Path
 
-        from ..cov.soak import SoakCampaign
+        from ..cov.soak import SoakCampaign, run_soak
         from ..eval.runner import Runner
         from ..gen import FuzzCampaign
 
@@ -98,7 +98,7 @@ def _soak_batch_workload(
             batch_size=batch_size,
         )
         with tempfile.TemporaryDirectory(prefix="repro-soak-bench-") as tmp:
-            state = Runner(jobs=1, cache=None).soak(campaign, Path(tmp))
+            state = run_soak(campaign, Runner(jobs=1, cache=None), Path(tmp))
         if state.failures:
             raise RuntimeError("soak benchmark produced counterexamples")
         return {
@@ -129,7 +129,7 @@ def _faults_margin_workload(
             patterns=patterns,
             margin=True,
         )
-        report = Runner(jobs=1, cache=None).faults(campaign)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
         if report.failures:
             raise RuntimeError(
                 f"faults benchmark hit nominal miscompares: "

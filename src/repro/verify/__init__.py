@@ -11,8 +11,9 @@ The subsystem answers that question at three granularities:
   :mod:`repro.verify.flowstage`) — any composed
   :class:`~repro.core.flowgraph.Flow` can end in a verdict;
 * :class:`VerificationSpec` **campaigns** — declarative, cacheable,
-  picklable units scheduled across a ``multiprocessing`` pool by
-  :meth:`repro.eval.runner.Runner.verify` and surfaced as
+  picklable units scheduled across worker processes by
+  :meth:`repro.eval.runner.Runner.campaign` (over a
+  :class:`VerificationCampaign`) and surfaced as
   ``repro verify [--catalog|--circuit NAME]`` on the CLI.
 
 See ``docs/verification.md`` for the stimulus model, the batching
@@ -27,11 +28,12 @@ from .equivalence import (
     verify_result,
 )
 from .campaign import (
+    VerificationCampaign,
     VerificationReport,
     VerificationSpec,
     catalog_specs,
+    error_detail,
     render_verification_table,
-    timed_verification_record,
     verification_record,
 )
 from . import flowstage  # noqa: F401  - registers the 'verify' stage
@@ -43,10 +45,11 @@ __all__ = [
     "VerificationError",
     "VerificationVerdict",
     "verify_result",
+    "VerificationCampaign",
     "VerificationReport",
     "VerificationSpec",
     "catalog_specs",
+    "error_detail",
     "render_verification_table",
-    "timed_verification_record",
     "verification_record",
 ]

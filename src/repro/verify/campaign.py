@@ -7,9 +7,11 @@ parameters (pattern budget, seed, trajectory length).  Its
 content-addressed :meth:`~VerificationSpec.key` is what the shared
 :class:`repro.eval.engine.ResultCache` stores verdict records under, so a
 warm cache replays an entire catalog campaign with zero re-synthesis and
-zero re-simulation, and ``multiprocessing`` workers in
-:meth:`repro.eval.runner.Runner.verify` never compute the same spec
-twice.
+zero re-simulation, and the workers of
+:meth:`repro.eval.runner.Runner.campaign` never compute the same spec
+twice.  :class:`VerificationCampaign` is the spec list in the shape
+``Runner.campaign`` takes; :class:`CampaignReport` holds the verdict
+rules the verify, fuzz and faults reports share.
 
 :func:`verification_record` is the worker-process entry point: build the
 catalogued circuit, run the flow (reusing the in-process stage cache),
@@ -28,15 +30,18 @@ from ..circuits import info as circuit_info
 from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
+from ..exec import SpecUnit, spec_units
 from ..schema import content_key, schema_tag
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
+    "CampaignReport",
+    "VerificationCampaign",
     "VerificationReport",
     "VerificationSpec",
     "catalog_specs",
+    "error_detail",
     "render_verification_table",
-    "timed_verification_record",
     "verification_record",
 ]
 
@@ -202,23 +207,55 @@ def _cell_counts(result) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def timed_verification_record(
-    spec: VerificationSpec,
-) -> Tuple[VerificationSpec, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
+def error_detail(record: Mapping[str, object]) -> str:
+    """``type: message`` of a ``status: "error"`` record (table detail cell)."""
+    error = record.get("error") or {}
+    return f"{error.get('type', 'Error')}: {error.get('message', '')}"
 
-    Compatibility shim: the runner now schedules bare
-    :func:`verification_record` through :mod:`repro.exec`, which times
-    every unit itself; this wrapper remains for external callers that
-    used it as a pool worker function.
+
+class CampaignReport:
+    """Verdict rules shared by the verify, fuzz and faults reports.
+
+    Mixed into their dataclasses, which provide ``records``,
+    ``computed``, ``cached`` and ``elapsed_s``.  A ``status: "error"``
+    record — a unit that raised, crashed or timed out — is never a pass:
+    it counts under ``errors``, fails the campaign, and stays out of the
+    pattern totals.
     """
-    started = time.perf_counter()
-    record = verification_record(spec)
-    return spec, record, time.perf_counter() - started
+
+    #: Record status that fails the campaign (besides errors).
+    failure_status: ClassVar[str] = "counterexample"
+
+    def count(self, status: str) -> int:
+        return sum(1 for r in self.records if r.get("status") == status)
+
+    @property
+    def errors(self) -> List[Dict[str, object]]:
+        return [r for r in self.records if r.get("status") == "error"]
+
+    @property
+    def failures(self) -> List[Dict[str, object]]:
+        return [r for r in self.records if r.get("status") == self.failure_status]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures and not self.errors
+
+    def total_patterns(self) -> int:
+        healthy = (r for r in self.records if r.get("status") != "error")
+        return sum(int(r.get("patterns") or 0) for r in healthy)
+
+    def done_line(self, name: str, verb: str, *extras: str) -> str:
+        """The ``[name] done in ...`` progress line; errors are not ``verb``-ed."""
+        errors = len(self.errors)
+        parts = [f"{self.cached} cached", f"{self.computed - errors} {verb}"]
+        if errors:
+            parts.append(f"{errors} errors")
+        return f"[{name}] done in {self.elapsed_s:.2f}s ({', '.join(parts + list(extras))})"
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(CampaignReport):
     """Everything one campaign produced (mirrors ``RunReport`` for verify).
 
     Attributes:
@@ -226,7 +263,7 @@ class VerificationReport:
         scale: Circuit scale used.
         patterns: Requested pattern budget.
         seed: Stimulus seed.
-        jobs: Worker-pool width.
+        jobs: Worker-process count.
         computed: Specs verified this run (cache misses).
         cached: Specs replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.
@@ -242,15 +279,8 @@ class VerificationReport:
     elapsed_s: float = 0.0
 
     @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "counterexample"]
-
-    @property
     def all_equivalent(self) -> bool:
-        return not self.failures
-
-    def total_patterns(self) -> int:
-        return sum(int(r.get("patterns") or 0) for r in self.records)
+        return self.passed
 
     def table(self) -> str:
         return render_verification_table(self.records)
@@ -270,9 +300,10 @@ class VerificationReport:
             "text": self.table(),
             "summary": {
                 "circuits": len(self.records),
-                "equivalent": sum(1 for r in self.records if r.get("status") == "equivalent"),
+                "equivalent": self.count("equivalent"),
                 "counterexamples": len(self.failures),
-                "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
+                "skipped": self.count("skipped"),
+                "errors": len(self.errors),
                 "total_patterns": self.total_patterns(),
                 "all_equivalent": self.all_equivalent,
             },
@@ -283,8 +314,9 @@ def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
     """The ``repro verify`` summary table."""
 
     def detail(record: Mapping[str, object]) -> str:
-        verdict = VerificationVerdict.from_dict(record)
-        return verdict.summary()
+        if record.get("status") == "error":
+            return error_detail(record)
+        return VerificationVerdict.from_dict(record).summary()
 
     rows = [
         [
@@ -302,3 +334,27 @@ def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
         ["Circuit", "Kind", "Status", "Patterns", "Elab", "Sim (s)", "Detail"],
         rows,
     )
+
+
+@dataclass(frozen=True)
+class VerificationCampaign:
+    """A verify run over explicit specs, in the shape ``Runner.campaign`` takes."""
+
+    specs: Sequence[VerificationSpec]
+    verb: ClassVar[str] = "verified"
+
+    def work_units(self) -> List[SpecUnit]:
+        return spec_units(self.specs, verification_record, VerificationSpec.label)
+
+    def report(self, records: List[Dict[str, object]], **stats) -> VerificationReport:
+        first = self.specs[0] if self.specs else VerificationSpec("", patterns=0)
+        return VerificationReport(
+            records=records,
+            scale=first.scale,
+            patterns=first.patterns,
+            seed=first.seed,
+            **stats,
+        )
+
+    def summary_line(self, report: VerificationReport) -> str:
+        return report.done_line("verify", "verified")

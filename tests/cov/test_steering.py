@@ -87,7 +87,7 @@ class TestPinnedCampaign:
         assert random_buckets < steered_buckets  # strict superset
 
         campaign = FuzzCampaign(budget=200, seed=0, steer=True)
-        report = Runner(jobs=1, cache=None).fuzz(campaign, shrink=False)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
         assert report.all_equivalent, [
             record.get("circuit") for record in report.failures
         ]

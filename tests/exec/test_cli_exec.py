@@ -1,11 +1,17 @@
-"""CLI surface of the execution layer: --executor, --unit-timeout, --jobs."""
+"""CLI surface of the execution layer: --jobs, --unit-timeout, backend choice."""
 
 import pytest
 
 from repro.eval.cli import parse_args
-from repro.exec import EXECUTOR_NAMES
+from repro.exec import PersistentWorkerExecutor, SerialExecutor, resolve_executor
 
 CAMPAIGN_COMMANDS = ("run", "verify", "fuzz", "faults")
+
+#: Flags selecting each backend, and the backend they select.
+BACKEND_FLAGS = {
+    "serial": (["-j", "1"], SerialExecutor),
+    "workers": (["-j", "2"], PersistentWorkerExecutor),
+}
 
 
 def _argv(command, *extra):
@@ -14,30 +20,48 @@ def _argv(command, *extra):
     return head + list(extra)
 
 
+def _backend(args, pending=10):
+    return resolve_executor(args.jobs, pending, args.unit_timeout)
+
+
 @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS)
-def test_executor_defaults_to_pool(command):
+def test_campaign_flag_defaults(command):
     args = parse_args(_argv(command))
-    assert args.executor == "pool"
-    assert args.unit_timeout is None
     assert args.jobs == 1
+    assert args.unit_timeout is None
+    assert args.cache_dir is None and args.no_cache is False and args.quiet is False
+    assert isinstance(_backend(args), SerialExecutor)
 
 
 @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS)
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-def test_every_backend_is_selectable_on_every_campaign(command, executor):
-    args = parse_args(_argv(command, "--executor", executor))
-    assert args.executor == executor
+@pytest.mark.parametrize("backend", sorted(BACKEND_FLAGS))
+def test_every_backend_is_selectable_on_every_campaign(command, backend):
+    flags, expected = BACKEND_FLAGS[backend]
+    assert isinstance(_backend(parse_args(_argv(command, *flags))), expected)
 
 
-def test_unknown_executor_is_rejected(capsys):
-    with pytest.raises(SystemExit):
-        parse_args(["verify", "--executor", "threads"])
-    assert "invalid choice" in capsys.readouterr().err
+def test_backend_follows_jobs_pending_units_and_timeout():
+    assert isinstance(_backend(parse_args(["verify", "-j", "1"])), SerialExecutor)
+    assert isinstance(_backend(parse_args(["verify", "-j", "2"])), PersistentWorkerExecutor)
+    # One pending unit stays in-process even at -j 2 ...
+    assert isinstance(_backend(parse_args(["verify", "-j", "2"]), pending=1), SerialExecutor)
+    # ... but a unit timeout always needs a supervised worker.
+    timed = _backend(parse_args(["verify", "-j", "1", "--unit-timeout", "5"]))
+    assert isinstance(timed, PersistentWorkerExecutor)
+    assert timed.jobs == 1 and timed.timeout == 5.0
 
 
 def test_unit_timeout_parses_as_seconds():
-    args = parse_args(["faults", "--executor", "workers", "--unit-timeout", "2.5"])
+    args = parse_args(["faults", "--unit-timeout", "2.5"])
     assert args.unit_timeout == 2.5
+
+
+@pytest.mark.parametrize("command", CAMPAIGN_COMMANDS)
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "-inf", "soon"])
+def test_bad_unit_timeout_is_rejected(command, bad, capsys):
+    with pytest.raises(SystemExit):
+        parse_args(_argv(command, f"--unit-timeout={bad}"))
+    assert "unit timeout must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS)

@@ -13,7 +13,6 @@ from exec_fixtures import PoisonUnit
 from repro.exec import (
     ExecEvent,
     PersistentWorkerExecutor,
-    PoolExecutor,
     ProbeUnit,
     SerialExecutor,
 )
@@ -36,33 +35,28 @@ def _records(executor, units):
 def test_all_backends_produce_identical_records_in_order():
     units = [ProbeUnit(index=i, spin=100) for i in range(8)]
     serial = _records(SerialExecutor(), units)
-    pool = _records(PoolExecutor(jobs=3), units)
     workers = _records(PersistentWorkerExecutor(jobs=3), units)
-    assert serial == pool == workers
+    assert serial == workers
     assert [r["index"] for r in serial] == list(range(8))
 
 
 def test_backends_yield_results_in_submission_order():
-    # Give later units less work so they finish first on parallel
-    # backends; results must still come back in submission order.
+    # Give the first unit more work so later ones finish first on the
+    # workers; results must still come back in submission order.
     units = [PoisonUnit(index=0, mode="sleep", sleep_s=0.3)] + [
         ProbeUnit(index=i) for i in range(1, 5)
     ]
-    for executor in (PoolExecutor(jobs=4), PersistentWorkerExecutor(jobs=4)):
-        assert [r.index for r in _results(executor, units)] == list(range(5))
+    executor = PersistentWorkerExecutor(jobs=4)
+    assert [r.index for r in _results(executor, units)] == list(range(5))
 
 
 def test_empty_unit_list_is_a_no_op():
-    for executor in (
-        SerialExecutor(),
-        PoolExecutor(jobs=2),
-        PersistentWorkerExecutor(jobs=2),
-    ):
+    for executor in (SerialExecutor(), PersistentWorkerExecutor(jobs=2)):
         assert _results(executor, []) == []
 
 
 # ---------------------------------------------------------------------------
-# Exception containment (the pool.imap abort bug)
+# Exception containment
 # ---------------------------------------------------------------------------
 
 
@@ -74,13 +68,13 @@ def test_serial_captures_exceptions_as_error_results():
     assert "Traceback" in results[0].error["traceback"]
 
 
-def test_pool_worker_exception_does_not_abort_the_batch():
+def test_worker_exception_does_not_abort_the_batch():
     units = [
         PoisonUnit(index=0),
         PoisonUnit(index=1, mode="raise"),
         PoisonUnit(index=2),
     ]
-    results = _results(PoolExecutor(jobs=2), units)
+    results = _results(PersistentWorkerExecutor(jobs=2), units)
     assert [r.ok for r in results] == [True, False, True]
     assert results[1].error["type"] == "RuntimeError"
     assert results[0].record["status"] == "ok"
@@ -125,6 +119,30 @@ def test_crash_once_unit_heals_on_respawned_worker(tmp_path):
     assert "respawn" in kinds and "retry" in kinds
 
 
+def test_crash_in_queued_ahead_unit_keeps_the_previous_result():
+    # Short units make the single worker queue one ahead, so the
+    # exiting unit 4 is already queued while unit 3 runs; it hard-exits
+    # the worker right after unit 3's result was written.
+    units = [PoisonUnit(index=i) for i in range(4)]
+    units += [PoisonUnit(index=4, mode="exit"), PoisonUnit(index=5)]
+    executor = PersistentWorkerExecutor(jobs=1, retries=0)
+    results = _results(executor, units)
+    assert [r.ok for r in results] == [True] * 4 + [False, True]
+    assert [r.record["index"] for r in results if r.ok] == [0, 1, 2, 3, 5]
+    assert results[4].error["type"] == "WorkerCrash"
+    # Only the crashing unit was charged an attempt.
+    assert [r.attempts for r in results] == [1] * 6
+
+
+def test_unit_behind_a_crash_is_requeued_without_an_attempt():
+    units = [PoisonUnit(index=0, mode="exit"), PoisonUnit(index=1)]
+    executor = PersistentWorkerExecutor(jobs=1, retries=1, backoff_s=0.01)
+    results = _results(executor, units)
+    assert results[0].error["type"] == "WorkerCrash"
+    assert results[0].attempts == 2
+    assert results[1].ok and results[1].attempts == 1
+
+
 def test_zero_retries_fails_on_first_crash(tmp_path):
     marker = str(tmp_path / "crashed-once")
     executor = PersistentWorkerExecutor(jobs=1, retries=0, backoff_s=0.01)
@@ -148,6 +166,17 @@ def test_timeout_kills_the_unit_without_retry():
     assert results[0].ok
     assert results[1].error["type"] == "Timeout"
     assert results[1].attempts == 1
+
+
+def test_queued_unit_deadline_starts_when_the_unit_starts():
+    # Two short units make the single worker queue one ahead; then each
+    # slow unit takes ~60% of the budget, and unit 3 waits behind unit 2,
+    # so a deadline counted from queueing would kill it.
+    units = [PoisonUnit(index=i) for i in range(2)]
+    units += [PoisonUnit(index=i, mode="sleep", sleep_s=0.6) for i in (2, 3)]
+    executor = PersistentWorkerExecutor(jobs=1, timeout=1.0)
+    results = _results(executor, units)
+    assert [r.ok for r in results] == [True] * 4
 
 
 def test_timeout_emits_a_structured_event():
@@ -189,26 +218,22 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("backend", ["pool", "workers"])
+@pytest.mark.parametrize("backend", ["workers"])
 def test_sigint_mid_campaign_leaves_no_worker_processes(backend, tmp_path):
     """Signal injection: Ctrl-C mid-campaign must not orphan workers.
 
-    A child interpreter starts a slow campaign on the chosen backend,
-    reports its worker PIDs, and gets SIGINT mid-flight; every worker
-    PID must be gone afterwards.
+    A child interpreter starts a slow campaign on the supervised
+    workers, reports their PIDs, and gets SIGINT mid-flight; every
+    worker PID must be gone afterwards.
     """
     script = textwrap.dedent(
         """
         import json, multiprocessing, sys, threading, time
         sys.path.insert(0, {fixture_dir!r})
         from exec_fixtures import PoisonUnit
-        from repro.exec import PoolExecutor, PersistentWorkerExecutor
+        from repro.exec import PersistentWorkerExecutor
 
-        backend = {backend!r}
-        if backend == "pool":
-            executor = PoolExecutor(jobs=2)
-        else:
-            executor = PersistentWorkerExecutor(jobs=2)
+        executor = PersistentWorkerExecutor(jobs=2)
         units = [PoisonUnit(index=i, mode="sleep", sleep_s=30.0) for i in range(4)]
 
         def report_pids():
@@ -233,7 +258,7 @@ def test_sigint_mid_campaign_leaves_no_worker_processes(backend, tmp_path):
         except KeyboardInterrupt:
             print("INTERRUPTED", flush=True)
         """
-    ).format(backend=backend, fixture_dir=os.path.dirname(os.path.abspath(__file__)))
+    ).format(fixture_dir=os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     proc = subprocess.Popen(
         [sys.executable, "-c", script],

@@ -5,13 +5,13 @@ import pytest
 from exec_fixtures import PoisonUnit
 from repro.eval.engine import ResultCache
 from repro.exec import ProbeUnit, SerialExecutor, resolve_executor, run_units
-from repro.exec.executors import PersistentWorkerExecutor, PoolExecutor
+from repro.exec.executors import PersistentWorkerExecutor
 
 
 def test_duplicate_keys_execute_once():
     units = [ProbeUnit(index=1), ProbeUnit(index=2), ProbeUnit(index=1)]
     events = []
-    outcome = run_units(units, executor="serial", emit=events.append)
+    outcome = run_units(units, emit=events.append)
     assert outcome.computed == 2 and outcome.cached == 0
     assert len(outcome.records) == 2
     assert sum(1 for e in events if e.kind == "computed") == 2
@@ -20,12 +20,12 @@ def test_duplicate_keys_execute_once():
 def test_cache_replay_counts_and_events(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     units = [ProbeUnit(index=i) for i in range(3)]
-    first = run_units(units, cache=cache, executor="serial")
+    first = run_units(units, cache=cache)
     assert first.computed == 3 and first.cached == 0
     assert cache.stats() == {"hits": 0, "misses": 3, "puts": 3}
 
     events = []
-    second = run_units(units, cache=cache, executor="serial", emit=events.append)
+    second = run_units(units, cache=cache, emit=events.append)
     assert second.computed == 0 and second.cached == 3
     assert [e.kind for e in events] == ["cached"] * 3
     assert second.records == first.records
@@ -38,7 +38,7 @@ def test_error_records_flow_into_the_outcome_but_not_the_cache(tmp_path):
         PoisonUnit(index=1, mode="raise"),
         PoisonUnit(index=2),
     ]
-    outcome = run_units(units, cache=cache, executor="serial")
+    outcome = run_units(units, cache=cache)
     # Campaign completed: every unit accounted for, exactly one error.
     assert len(outcome.records) == 3
     assert len(outcome.errors) == 1
@@ -103,24 +103,23 @@ def test_an_executor_instance_is_used_but_not_closed():
     assert closed == []
 
 
-def test_resolve_executor_preserves_the_historical_pool_shape():
-    assert isinstance(resolve_executor("serial", 4, 10), SerialExecutor)
-    # jobs == 1 and single-unit batches stay in-process under "pool".
-    assert isinstance(resolve_executor("pool", 1, 10), SerialExecutor)
-    assert isinstance(resolve_executor("pool", 4, 1), SerialExecutor)
-    assert isinstance(resolve_executor("pool", 4, 10), PoolExecutor)
-    workers = resolve_executor("workers", 8, 3, unit_timeout=2.0)
+def test_resolve_executor_picks_backend_from_jobs_and_timeout():
+    # One job or one pending unit stays in-process ...
+    assert isinstance(resolve_executor(1, 10), SerialExecutor)
+    assert isinstance(resolve_executor(4, 1), SerialExecutor)
+    # ... anything parallel, or anything with a timeout, is supervised.
+    workers = resolve_executor(8, 3)
     assert isinstance(workers, PersistentWorkerExecutor)
-    assert workers.jobs == 3 and workers.timeout == 2.0
-    with pytest.raises(ValueError, match="unknown executor"):
-        resolve_executor("threads", 2, 5)
+    assert workers.jobs == 3 and workers.timeout is None
+    timed = resolve_executor(1, 1, unit_timeout=2.0)
+    assert isinstance(timed, PersistentWorkerExecutor)
+    assert timed.jobs == 1 and timed.timeout == 2.0
 
 
 def test_schedule_event_only_for_parallel_batches():
     events = []
     run_units(
         [ProbeUnit(index=i) for i in range(3)],
-        executor="pool",
         jobs=2,
         emit=events.append,
         noun="verification",
@@ -132,7 +131,6 @@ def test_schedule_event_only_for_parallel_batches():
     events.clear()
     run_units(
         [ProbeUnit(index=i) for i in range(3)],
-        executor="pool",
         jobs=1,
         emit=events.append,
     )

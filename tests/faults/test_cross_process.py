@@ -39,7 +39,7 @@ for aspect, net, when in model.injection_log():
 campaign = FaultCampaign(
     circuits=("ctrl", "s27"), kinds=("jitter", "skew"), patterns=8, seed=0
 )
-report = Runner(jobs=1, cache=None).faults(campaign)
+report = Runner(jobs=1, cache=None).campaign(campaign.batch())
 print(json.dumps(report.to_dict(), sort_keys=True))
 """
 

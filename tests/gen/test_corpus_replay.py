@@ -47,7 +47,7 @@ def _units(entry: dict) -> list:
 def _replay(entry: dict) -> None:
     units = _units(entry)
     campaign = FuzzCampaign(budget=0, flows=tuple(entry["flows"]))
-    report = Runner(jobs=1, cache=None).fuzz(campaign, units=units, shrink=False)
+    report = Runner(jobs=1, cache=None).campaign(campaign.batch(units))
     bad = [
         f"{r['circuit']} under {r['flow_variant']}: {r['status']}"
         for r in report.records

@@ -76,7 +76,7 @@ class TestCampaign:
 
     def test_small_campaign_all_equivalent(self):
         campaign = FuzzCampaign(budget=3, seed=1, patterns=16, flows=DEFAULT_FLOWS)
-        report = Runner(jobs=1, cache=None).fuzz(campaign)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
         assert report.all_equivalent
         assert len(report.records) == 3 * len(DEFAULT_FLOWS)
         summary = report.summary()
@@ -90,7 +90,9 @@ class TestCampaign:
         campaign = FuzzCampaign(
             budget=2, seed=0, families=("dag",), flows=("test-broken",), patterns=12
         )
-        report = Runner(jobs=1, cache=None).fuzz(campaign, shrink=True)
+        batch = campaign.batch()
+        report = Runner(jobs=1, cache=None).campaign(batch)
+        batch.shrink_failures(report)
         assert not report.all_equivalent
         assert len(report.failures) == 2
         for record in report.failures:
@@ -108,10 +110,10 @@ class TestCampaign:
         campaign = FuzzCampaign(
             budget=1, seed=0, families=("dag",), flows=("test-broken",), patterns=12
         )
-        report = Runner(jobs=1, cache=None).fuzz(campaign, shrink=False)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
         failing_name = report.failures[0]["circuit"]
         units = units_for_replay(failing_name, ["test-broken", "default"], patterns=12)
-        replay = Runner(jobs=1, cache=None).fuzz(campaign, units=units, shrink=False)
+        replay = Runner(jobs=1, cache=None).campaign(campaign.batch(units))
         statuses = {r["flow_variant"]: r["status"] for r in replay.records}
         assert statuses["test-broken"] == "counterexample"
         assert statuses["default"] == "equivalent"
@@ -121,8 +123,8 @@ class TestCampaign:
 
         cache = ResultCache(tmp_path)
         campaign = FuzzCampaign(budget=2, seed=3, flows=("default",), patterns=16)
-        first = Runner(jobs=1, cache=cache).fuzz(campaign)
-        second = Runner(jobs=1, cache=cache).fuzz(campaign)
+        first = Runner(jobs=1, cache=cache).campaign(campaign.batch())
+        second = Runner(jobs=1, cache=cache).campaign(campaign.batch())
         assert first.computed == 2 and first.cached == 0
         assert second.computed == 0 and second.cached == 2
         assert [r["status"] for r in first.records] == [

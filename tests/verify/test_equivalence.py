@@ -10,6 +10,7 @@ from repro.core.flowgraph import FlowState
 from repro.eval import ResultCache, Runner
 from repro.sim.pulse import elaboration_count
 from repro.verify import (
+    VerificationCampaign,
     VerificationSpec,
     VerificationVerdict,
     catalog_specs,
@@ -169,19 +170,19 @@ class TestCampaign:
         cache = ResultCache(tmp_path / "cache")
         runner = Runner(jobs=1, cache=cache)
         specs = catalog_specs(circuits=["ctrl", "s27"], patterns=32, seed=0)
-        cold = runner.verify(specs)
+        cold = runner.campaign(VerificationCampaign(specs))
         assert cold.all_equivalent
         assert cold.computed == 2 and cold.cached == 0
         assert [r["circuit"] for r in cold.records] == ["ctrl", "s27"]
 
-        warm = Runner(jobs=1, cache=cache).verify(specs)
+        warm = Runner(jobs=1, cache=cache).campaign(VerificationCampaign(specs))
         assert warm.computed == 0 and warm.cached == 2
         assert warm.records == cold.records
 
     def test_parallel_campaign_matches_serial(self, tmp_path):
         specs = catalog_specs(circuits=["int2float", "dec"], patterns=32, seed=0)
-        serial = Runner(jobs=1, cache=None).verify(specs)
-        parallel = Runner(jobs=2, cache=None).verify(specs)
+        serial = Runner(jobs=1, cache=None).campaign(VerificationCampaign(specs))
+        parallel = Runner(jobs=2, cache=None).campaign(VerificationCampaign(specs))
 
         def strip(rows):
             return [
@@ -193,7 +194,7 @@ class TestCampaign:
 
     def test_report_table_lists_every_circuit(self):
         specs = catalog_specs(circuits=["ctrl"], patterns=16)
-        report = Runner(jobs=1, cache=None).verify(specs)
+        report = Runner(jobs=1, cache=None).campaign(VerificationCampaign(specs))
         table = report.table()
         assert "ctrl" in table and "EQUIVALENT" in table
         summary = report.to_dict()["summary"]
