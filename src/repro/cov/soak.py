@@ -21,7 +21,10 @@ The determinism contract, and how each piece honours it:
   (:data:`VOLATILE_RECORD_FIELDS`) — everything a checkpoint holds is
   reproducible, so checkpoint files compare with ``cmp``;
 * checkpoints are written atomically (temp file + rename): a kill
-  mid-write leaves the previous batch's checkpoint intact.
+  mid-write leaves the previous batch's checkpoint intact;
+* a batch with a unit that raised, crashed or timed out is never
+  checkpointed: the run stops before it, so a resume recomputes it
+  (its completed units replay from the result cache).
 
 Scheduling rides on :meth:`repro.eval.runner.Runner.campaign`, so cached
 verdicts replay for free and worker processes apply per batch.  The CLI
@@ -127,6 +130,9 @@ class SoakState:
             ``unit_index``; together with the spec names inside, this is
             the campaign's corpus.
         coverage: The shard's coverage map.
+        errors: The ``status: "error"`` records of the batch that
+            stopped this run; never persisted, since that batch is not
+            checkpointed and a resume reruns it.
     """
 
     campaign: Dict[str, object]
@@ -135,6 +141,7 @@ class SoakState:
     batches: List[Dict[str, int]] = field(default_factory=list)
     records: List[Dict[str, object]] = field(default_factory=list)
     coverage: CoverageMap = field(default_factory=CoverageMap)
+    errors: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -285,7 +292,9 @@ def run_soak(
             completion.
 
     Returns:
-        The final (possibly still incomplete) :class:`SoakState`.
+        The final (possibly still incomplete) :class:`SoakState`.  A
+        batch with error records stops the run before it is folded in
+        or checkpointed; its errors are on the returned state.
     """
     units = campaign.shard_units()
     path = checkpoint_path(checkpoint_dir, campaign.shards, campaign.shard_index)
@@ -317,6 +326,9 @@ def run_soak(
         report = runner.campaign(
             campaign.fuzz.batch([unit for _, unit in chunk])
         )
+        if report.errors:
+            state.errors = report.errors
+            break
         new_count = 0
         for (global_index, unit), record in zip(chunk, report.records):
             name = unit.spec.circuit

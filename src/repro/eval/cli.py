@@ -430,16 +430,16 @@ def _runner(args: argparse.Namespace, out) -> Runner:
                   unit_timeout=args.unit_timeout)
 
 
-def _report_errors(report, out) -> bool:
+def _report_errors(errors, out) -> bool:
     """Print the units that raised, crashed or timed out; True if any did."""
     from ..verify import error_detail
 
-    for record in report.errors:
+    for record in errors:
         flow = f" flow={record['flow_variant']}" if record.get("flow_variant") else ""
         out.write(f"ERROR {record.get('circuit')}{flow}: {error_detail(record)}\n")
-    if report.errors:
-        out.write(f"FAILED: {len(report.errors)} unit(s) did not complete\n")
-    return bool(report.errors)
+    if errors:
+        out.write(f"FAILED: {len(errors)} unit(s) did not complete\n")
+    return bool(errors)
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
@@ -541,13 +541,13 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
         f"({report.cached}/{len(specs)} verdicts cached, "
-        f"{report.computed - len(report.errors)} verified, {report.jobs} workers)\n"
+        f"{report.completed} verified, {report.jobs} workers)\n"
     )
     if args.save:
         _save_report_json(
             report.to_dict(), Path(args.save) / f"verify-{args.scale}.json", out
         )
-    failed = _report_errors(report, out)
+    failed = _report_errors(report.errored_units, out)
     if report.failures:
         names = ", ".join(str(r.get("circuit")) for r in report.failures)
         out.write(f"FAILED equivalence: {names}\n")
@@ -647,10 +647,12 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         out.write(f"merged {len(states)} shard(s) -> {path}\n")
 
     fresh = sum(state.new_features_total() for state in states)
+    errors = [record for state in states for record in state.errors]
     out.write(
         f"soak: {view.units_done}/{view.units_total} units done, "
         f"{len(view.coverage)} feature buckets "
-        f"({fresh} new this campaign), {len(view.failures)} failures\n"
+        f"({fresh} new this campaign), {len(view.failures)} failures, "
+        f"{len(errors)} errors\n"
     )
     if not complete:
         out.write("note: shard(s) incomplete; resume with the same flags\n")
@@ -668,12 +670,13 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         report_path.write_text(text + "\n", encoding="utf-8")
         out.write(f"saved {report_path}\n")
 
+    failed = _report_errors(errors, out)
     if view.failures:
         out.write("FAILED equivalence on:\n")
         for record in view.failures:
             out.write(f"  {replay_line(record)}\n")
-        return 1
-    return 0
+        failed = True
+    return 1 if failed else 0
 
 
 def _fuzz_campaign(args: argparse.Namespace):
@@ -750,12 +753,12 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
         f"({report.cached} verdicts cached, "
-        f"{report.computed - len(report.errors)} verified, "
+        f"{report.completed} verified, "
         f"{report.jobs} workers)\n"
     )
     if args.save:
         _save_report_json(report.to_dict(), Path(args.save) / f"fuzz-{args.seed}.json", out)
-    failed = _report_errors(report, out)
+    failed = _report_errors(report.errored_units, out)
     if report.failures:
         failed = True
         out.write("FAILED equivalence on:\n")
@@ -841,11 +844,11 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
         f"({report.cached}/{len(units)} records cached, "
-        f"{report.computed - len(report.errors)} probed, {report.jobs} workers)\n"
+        f"{report.completed} probed, {report.jobs} workers)\n"
     )
     if args.report:
         _save_report_json(report.to_dict(), Path(args.report), out)
-    failed = _report_errors(report, out)
+    failed = _report_errors(report.errored_units, out)
     if report.failures:
         names = ", ".join(
             f"{r.get('circuit')} flow={r.get('flow_variant')}"

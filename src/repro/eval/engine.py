@@ -40,6 +40,7 @@ from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
 from ..core import Flow, FlowOptions, TimingObserver, get_stage_cache
 from ..schema import (
+    _package_version,
     atomic_write_json,
     content_key,
     load_document,
@@ -47,7 +48,6 @@ from ..schema import (
     quarantine,
     schema_tag,
 )
-from ..verify.campaign import _package_version
 
 logger = logging.getLogger(__name__)
 

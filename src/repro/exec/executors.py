@@ -22,12 +22,9 @@ the pending-unit count and the per-unit timeout):
     isolation: a worker that dies mid-unit is respawned and the unit
     retried with bounded backoff; on exhaustion (or timeout, which is
     never retried — the same unit would just time out again) the unit
-    resolves to an error result.  Each worker owns one duplex pipe.
-    While units are short it holds up to :data:`QUEUE_DEPTH` units —
-    the running one plus one queued ahead — so it never idles while the
-    parent records a result.  Workers write each result synchronously
-    before starting the next unit, so a later crash cannot lose an
-    earlier result.
+    resolves to an error result.  Each worker owns one duplex pipe and
+    runs one unit at a time; the parent hands an idle worker its next
+    unit before it records the results it just received.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import multiprocessing
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .events import EmitFn, ExecEvent
@@ -51,19 +48,8 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PersistentWorkerExecutor",
-    "QUEUE_AHEAD_BELOW_S",
-    "QUEUE_DEPTH",
     "execute_unit",
 ]
-
-#: Units outstanding per worker: the running one plus one queued ahead.
-QUEUE_DEPTH = 2
-#: Queue ahead only while the units finished so far average under this
-#: many seconds.  For such units the parent's per-result work (cache
-#: write, progress line) would idle a worker for a noticeable share of
-#: each unit; a unit queued behind a long one would instead wait while
-#: another worker idles, which costs more than it saves.
-QUEUE_AHEAD_BELOW_S = 0.1
 
 
 @dataclass
@@ -166,9 +152,7 @@ class SerialExecutor(Executor):
 def _worker_main(conn: Connection) -> None:
     """Persistent worker loop: run units off the pipe until ``None``.
 
-    Ctrl-C is left to the parent.  ``conn.send`` returns only once the
-    whole result is in the pipe, so it survives the worker crashing on
-    its next unit.
+    Ctrl-C is left to the parent.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -202,9 +186,9 @@ class _Worker:
 
     process: multiprocessing.Process
     conn: Connection
-    #: Units sent and not yet answered; the head is the running one.
-    outstanding: List[_Task] = field(default_factory=list)
-    #: When the head unit overruns the per-unit timeout (``None``: never).
+    #: The unit it is running (``None``: idle).
+    task: Optional[_Task] = None
+    #: When that unit overruns the per-unit timeout (``None``: never).
     deadline: Optional[float] = None
 
 
@@ -213,16 +197,12 @@ class PersistentWorkerExecutor(Executor):
 
     Args:
         jobs: Worker-process count (capped at the unit count per map).
-        timeout: Per-unit wall-clock budget in seconds, counted from
-            when the unit starts running (not from when it was queued);
-            an overrunning unit's worker is killed and the unit
-            resolves to a timeout error **without retry**.  ``None``
-            disables the deadline.
-        retries: Crash retries per unit.  When a worker dies, only its
-            running unit is charged an attempt and re-enqueued (after
-            ``backoff_s * attempt``), up to this many extra attempts
-            before it resolves to a crash error; the unit queued behind
-            it is re-enqueued unchanged.
+        timeout: Per-unit wall-clock budget in seconds; an overrunning
+            unit's worker is killed and the unit resolves to a timeout
+            error **without retry**.  ``None`` disables the deadline.
+        retries: Crash retries per unit: a unit whose worker dies is
+            re-enqueued (after ``backoff_s * attempt``) up to this many
+            extra times before it resolves to a crash error.
         backoff_s: Base backoff between crash retries.
     """
 
@@ -259,15 +239,10 @@ class PersistentWorkerExecutor(Executor):
                 worker.process.join(timeout=1.0)
         worker.conn.close()
 
-    def _replace(self, slot: int, pending: Deque[_Task]) -> None:
-        """Swap the worker in ``slot`` for a fresh one.
-
-        The units queued behind its running one go back to the front of
-        ``pending`` unchanged; the caller settles the running one.
-        """
-        worker = self._workers[slot]
-        pending.extendleft(reversed(worker.outstanding[1:]))
-        self._kill_worker(worker)
+    def _replace(self, slot: int) -> None:
+        """Swap the worker in ``slot`` for a fresh one; the caller
+        settles the unit it was running."""
+        self._kill_worker(self._workers[slot])
         fresh = self._spawn_worker()
         self._workers[slot] = fresh
         self._note(ExecEvent(kind="respawn", detail=str(fresh.process.pid)))
@@ -285,118 +260,113 @@ class PersistentWorkerExecutor(Executor):
             _Task(index, unit) for index, unit in enumerate(units)
         )
         resolved: Dict[int, UnitResult] = {}
-        next_yield, finished, spent_s = 0, 0, 0.0
+        next_yield = 0
         try:
-            self._dispatch(pending, 1)
+            self._dispatch(pending)
             while next_yield < len(units):
                 for result in self._collect(pending, len(units)):
                     resolved[result.index] = result
-                    finished, spent_s = finished + 1, spent_s + result.seconds
-                short = spent_s < QUEUE_AHEAD_BELOW_S * finished
                 # Refill before the caller spends time on the results.
-                self._dispatch(pending, QUEUE_DEPTH if short else 1)
+                self._dispatch(pending)
                 while next_yield in resolved:
                     yield resolved.pop(next_yield)
                     next_yield += 1
         finally:
             self.close()
 
-    def _dispatch(self, pending: Deque[_Task], depth: int) -> None:
-        """Top every worker up to ``depth`` outstanding units, breadth first."""
-        for level in range(depth):
-            for slot, worker in enumerate(self._workers):
-                if not pending:
-                    return
-                if len(worker.outstanding) > level:
-                    continue
-                if not worker.outstanding:
-                    if not worker.process.is_alive():
-                        self._replace(slot, pending)
-                        worker = self._workers[slot]
-                    worker.deadline = self._deadline()
-                task = pending.popleft()
-                worker.outstanding.append(task)
-                try:
-                    worker.conn.send(task.unit)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # the worker just died; _collect sees its sentinel
+    def _dispatch(self, pending: Deque[_Task]) -> None:
+        """Hand every idle worker the next pending unit."""
+        for slot, worker in enumerate(self._workers):
+            if not pending:
+                return
+            if worker.task is not None:
+                continue
+            if not worker.process.is_alive():
+                self._replace(slot)
+                worker = self._workers[slot]
+            worker.task = pending.popleft()
+            worker.deadline = self._deadline()
+            try:
+                worker.conn.send(worker.task.unit)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the worker just died; _collect sees its sentinel
 
     def _collect(self, pending: Deque[_Task], total: int) -> List[UnitResult]:
         """Block until a worker answers, dies or overruns; resolve what did."""
         from multiprocessing.connection import wait
 
-        busy = [w for w in self._workers if w.outstanding]
+        busy = [w for w in self._workers if w.task is not None]
         deadlines = [w.deadline for w in busy if w.deadline is not None]
         timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
         wait([w.conn for w in busy] + [w.process.sentinel for w in busy], timeout)
         results: List[UnitResult] = []
         for slot, worker in enumerate(self._workers):
-            results.extend(self._drain(worker))
-            if not worker.outstanding:
+            task = worker.task
+            if task is None:
                 continue
-            head = worker.outstanding[0]
+            answer = self._receive(worker)
+            if answer is not None:
+                worker.task = None
+                record, seconds, cpu_s, error = answer
+                results.append(
+                    UnitResult(task.index, task.unit, record, seconds, cpu_s, error, task.attempt)
+                )
+                continue
             if not worker.process.is_alive():
-                failure = self._crashed(head, worker.process.exitcode)
+                failure = self._crashed(task, worker.process.exitcode)
             elif worker.deadline is not None and time.monotonic() > worker.deadline:
-                failure = self._timed_out(head, total)
+                failure = self._timed_out(task, total)
             else:
                 continue
-            self._replace(slot, pending)
+            self._replace(slot)
             if failure is None:
-                pending.appendleft(_Task(head.index, head.unit, head.attempt + 1))
+                pending.appendleft(_Task(task.index, task.unit, task.attempt + 1))
             else:
                 results.append(failure)
         return results
 
-    def _drain(self, worker: _Worker) -> List[UnitResult]:
-        """Every result already in ``worker``'s pipe, oldest first."""
-        results: List[UnitResult] = []
+    @staticmethod
+    def _receive(worker: _Worker) -> Optional[Tuple]:
+        """The answer waiting in ``worker``'s pipe, if there is one."""
         try:
-            while worker.outstanding and worker.conn.poll():
-                record, seconds, cpu_s, error = worker.conn.recv()
-                task = worker.outstanding.pop(0)
-                worker.deadline = self._deadline()  # the next unit starts now
-                results.append(
-                    UnitResult(task.index, task.unit, record, seconds, cpu_s, error, task.attempt)
-                )
+            return worker.conn.recv() if worker.conn.poll() else None
         except (EOFError, OSError):
-            pass  # the worker died; _collect checks its liveness next
-        return results
+            return None  # the worker died; _collect checks its liveness next
 
-    def _crashed(self, head: _Task, exitcode: Optional[int]) -> Optional[UnitResult]:
-        """The crash error for ``head``, or ``None`` (after backoff) to retry it."""
-        if head.attempt <= self.retries:
+    def _crashed(self, task: _Task, exitcode: Optional[int]) -> Optional[UnitResult]:
+        """The crash error for ``task``, or ``None`` (after backoff) to retry it."""
+        if task.attempt <= self.retries:
             self._note(
                 ExecEvent(
                     kind="retry",
-                    description=head.unit.describe(),
-                    unit_key=head.unit.key(),
-                    attempt=head.attempt + 1,
+                    description=task.unit.describe(),
+                    unit_key=task.unit.key(),
+                    attempt=task.attempt + 1,
                     detail=f"worker died with exit code {exitcode}",
                 )
             )
-            time.sleep(self.backoff_s * head.attempt)
+            time.sleep(self.backoff_s * task.attempt)
             return None
         return _failed(
-            head, "WorkerCrash",
-            f"worker died with exit code {exitcode} ({head.attempt} attempts)",
+            task, "WorkerCrash",
+            f"worker died with exit code {exitcode} ({task.attempt} attempts)",
         )
 
-    def _timed_out(self, head: _Task, total: int) -> UnitResult:
-        """The timeout error for ``head`` (never retried)."""
+    def _timed_out(self, task: _Task, total: int) -> UnitResult:
+        """The timeout error for ``task`` (never retried)."""
         seconds = float(self.timeout or 0.0)
         self._note(
             ExecEvent(
                 kind="timeout",
-                description=head.unit.describe(),
-                unit_key=head.unit.key(),
-                index=head.index + 1,
+                description=task.unit.describe(),
+                unit_key=task.unit.key(),
+                index=task.index + 1,
                 total=total,
                 seconds=seconds,
             )
         )
         return _failed(
-            head, "Timeout",
+            task, "Timeout",
             f"unit exceeded the {self.timeout}s per-unit timeout and was killed",
             seconds,
         )
@@ -405,7 +375,7 @@ class PersistentWorkerExecutor(Executor):
         # Idle workers exit on the ``None`` sentinel; busy ones (an
         # interrupted map) are terminated straight away.
         for worker in self._workers:
-            if not worker.outstanding:
+            if worker.task is None:
                 try:
                     worker.conn.send(None)
                 except OSError:

@@ -42,14 +42,13 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..core.flowgraph import flow_variant
-from ..schema import content_key, load_document, pack, schema_tag
+from ..schema import _package_version, content_key, load_document, pack, schema_tag
 from ..sim.pulse import suggest_phase_period
 from ..exec import SpecUnit
 from ..verify.campaign import (
     CampaignReport,
     StageSignature,
     _cell_counts,
-    _package_version,
     error_detail,
 )
 from ..verify.equivalence import verify_result

@@ -45,6 +45,14 @@ from .registry import (
 )
 from . import types as _types  # noqa: F401  - registers the concrete kinds
 
+
+def _package_version() -> str:
+    """The ``repro`` version that record producers stamp into records."""
+    from .. import __version__
+
+    return __version__
+
+
 __all__ = [
     "MessageType",
     "SchemaError",

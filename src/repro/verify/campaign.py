@@ -31,7 +31,7 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..exec import SpecUnit, spec_units
-from ..schema import content_key, schema_tag
+from ..schema import _package_version, content_key, schema_tag
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
@@ -53,12 +53,6 @@ VERIFY_SCHEMA = 3
 
 #: A flow signature as stored on a spec (same shape as SynthesisJob.stages).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -241,14 +235,29 @@ class CampaignReport:
     def passed(self) -> bool:
         return not self.failures and not self.errors
 
+    @property
+    def errored_units(self) -> List[Dict[str, object]]:
+        """``errors`` with each unit once: a spec listed twice runs (and
+        fails) once, as ``computed`` counts it."""
+        unique: List[Dict[str, object]] = []
+        for record in self.errors:
+            if record not in unique:
+                unique.append(record)
+        return unique
+
+    @property
+    def completed(self) -> int:
+        """Units computed this run that did not error."""
+        return self.computed - len(self.errored_units)
+
     def total_patterns(self) -> int:
         healthy = (r for r in self.records if r.get("status") != "error")
         return sum(int(r.get("patterns") or 0) for r in healthy)
 
     def done_line(self, name: str, verb: str, *extras: str) -> str:
         """The ``[name] done in ...`` progress line; errors are not ``verb``-ed."""
-        errors = len(self.errors)
-        parts = [f"{self.cached} cached", f"{self.computed - errors} {verb}"]
+        errors = len(self.errored_units)
+        parts = [f"{self.cached} cached", f"{self.completed} {verb}"]
         if errors:
             parts.append(f"{errors} errors")
         return f"[{name}] done in {self.elapsed_s:.2f}s ({', '.join(parts + list(extras))})"

@@ -4,7 +4,9 @@ Each case makes the campaign's compute function raise on the serial
 path, so every unit resolves to a ``status: "error"`` record; the
 command must exit 1, count the units under ``summary.errors``, keep
 them out of the pattern and margin totals, and show ``type: message``
-in the table instead of a verdict detail.
+in the table instead of a verdict detail.  A spec listed twice fails
+once, and a soak batch with an error fails the run without being
+checkpointed.
 """
 
 import json
@@ -63,3 +65,55 @@ def test_all_units_failing_fails_the_campaign(command, tmp_path, monkeypatch, ca
     else:
         assert summary["all_equivalent"] is False
         assert summary["total_patterns"] == 0
+
+
+def test_duplicated_spec_counts_its_error_once(monkeypatch, capsys):
+    monkeypatch.setattr(CASES["verify"][0], _raise)
+    argv = ["verify", "--circuit", "ctrl", "--circuit", "ctrl", "--patterns", "8",
+            "--no-cache", "-j", "1"]
+
+    assert cli.main(argv) == 1
+
+    out = capsys.readouterr().out
+    assert "(0 cached, 0 verified, 1 errors)" in out  # the done-line
+    assert "0 verified, 1 workers" in out  # the timing line
+    assert out.count("ERROR ctrl:") == 1
+    assert "FAILED: 1 unit(s) did not complete" in out
+
+
+def test_failing_soak_batch_fails_the_run_and_is_rerun_on_resume(
+    tmp_path, monkeypatch, capsys
+):
+    # Batches of one unit; the second unit raises.  The run must exit 1
+    # with the first batch checkpointed and the failed one not, and a
+    # resume must finish byte-identical to a run that never failed.
+    from repro.gen import fuzz
+
+    original = fuzz.verification_record
+    calls = []
+
+    def second_unit_raises(spec):
+        calls.append(spec)
+        if len(calls) == 2:
+            raise RuntimeError(MESSAGE)
+        return original(spec)
+
+    def argv(directory):
+        return ["fuzz", "--soak", "--checkpoint", str(directory), "--budget", "2",
+                "--flows", "default", "--patterns", "8", "--batch-size", "1",
+                "--no-cache", "-j", "1"]
+
+    monkeypatch.setattr(fuzz, "verification_record", second_unit_raises)
+    assert cli.main(argv(tmp_path / "resumed")) == 1
+    out = capsys.readouterr().out
+    assert "soak: 1/2 units done" in out and "0 failures, 1 errors" in out
+    assert f"RuntimeError: {MESSAGE}" in out
+    checkpoint = tmp_path / "resumed" / "soak-shard0of1.json"
+    assert json.loads(checkpoint.read_text())["units_done"] == 1
+
+    monkeypatch.setattr(fuzz, "verification_record", original)
+    assert cli.main(argv(tmp_path / "resumed")) == 0
+    assert "0 failures, 0 errors" in capsys.readouterr().out
+    assert cli.main(argv(tmp_path / "clean")) == 0
+    clean = tmp_path / "clean" / "soak-shard0of1.json"
+    assert checkpoint.read_bytes() == clean.read_bytes()

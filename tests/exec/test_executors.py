@@ -119,10 +119,8 @@ def test_crash_once_unit_heals_on_respawned_worker(tmp_path):
     assert "respawn" in kinds and "retry" in kinds
 
 
-def test_crash_in_queued_ahead_unit_keeps_the_previous_result():
-    # Short units make the single worker queue one ahead, so the
-    # exiting unit 4 is already queued while unit 3 runs; it hard-exits
-    # the worker right after unit 3's result was written.
+def test_crash_keeps_earlier_results_and_charges_only_its_unit():
+    # Unit 4 hard-exits the worker right after unit 3's result was sent.
     units = [PoisonUnit(index=i) for i in range(4)]
     units += [PoisonUnit(index=4, mode="exit"), PoisonUnit(index=5)]
     executor = PersistentWorkerExecutor(jobs=1, retries=0)
@@ -134,7 +132,7 @@ def test_crash_in_queued_ahead_unit_keeps_the_previous_result():
     assert [r.attempts for r in results] == [1] * 6
 
 
-def test_unit_behind_a_crash_is_requeued_without_an_attempt():
+def test_unit_after_a_crash_is_not_charged_an_attempt():
     units = [PoisonUnit(index=0, mode="exit"), PoisonUnit(index=1)]
     executor = PersistentWorkerExecutor(jobs=1, retries=1, backoff_s=0.01)
     results = _results(executor, units)
@@ -168,10 +166,9 @@ def test_timeout_kills_the_unit_without_retry():
     assert results[1].attempts == 1
 
 
-def test_queued_unit_deadline_starts_when_the_unit_starts():
-    # Two short units make the single worker queue one ahead; then each
-    # slow unit takes ~60% of the budget, and unit 3 waits behind unit 2,
-    # so a deadline counted from queueing would kill it.
+def test_each_unit_deadline_starts_when_the_unit_starts():
+    # Each slow unit takes ~60% of the budget on one worker, so a
+    # deadline counted from an earlier unit's start would kill unit 3.
     units = [PoisonUnit(index=i) for i in range(2)]
     units += [PoisonUnit(index=i, mode="sleep", sleep_s=0.6) for i in (2, 3)]
     executor = PersistentWorkerExecutor(jobs=1, timeout=1.0)
