@@ -71,6 +71,18 @@ def test_parse_verify_catalog_and_circuit_conflict():
         cli.parse_args(["verify", "--catalog", "--circuit", "c880"])
 
 
+@pytest.mark.parametrize(
+    "command", ["list", "run", "verify", "fuzz", "faults", "bench", "report"]
+)
+def test_help_renders_for_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.parse_args([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: repro {command}")
+    assert "--help" in out
+
+
 def test_parse_list_and_report():
     assert cli.parse_args(["list"]).command == "list"
     assert cli.parse_args(["list", "--circuits"]).circuits is True

@@ -47,6 +47,18 @@ class TestRunSpec:
         assert result.wall_s["min"] <= result.wall_s["mean"] <= result.wall_s["max"]
         assert result.peak_rss_kb > 0
 
+    def test_failing_workload_raises(self):
+        calls = []
+
+        def workload():
+            calls.append(1)
+            raise ValueError("workload boom")
+
+        spec = BenchSpec("broken", "always raises", workload, warmup=0, repeat=3)
+        with pytest.raises(Exception, match="workload boom"):
+            run_spec(spec)
+        assert calls == [1]  # no further repeats after the failure
+
     def test_workload_counters_and_rates(self):
         spec = BenchSpec("y", "counter", lambda: {"patterns": 100}, warmup=0, repeat=1)
         result = run_spec(spec)
