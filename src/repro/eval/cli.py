@@ -752,7 +752,7 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
         )
     out.write(
         f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached} verdicts cached, "
+        f"({report.cached}/{len(report.records)} verdicts cached, "
         f"{report.completed} verified, "
         f"{report.jobs} workers)\n"
     )

@@ -338,7 +338,7 @@ class FuzzBatch:
         )
 
     def summary_line(self, report: FuzzReport) -> str:
-        return report.done_line("fuzz", "verified", f"{len(report.failures)} failures")
+        return report.done_line("fuzz", "fuzzed", f"{len(report.failures)} failures")
 
     def shrink_failures(
         self, report: FuzzReport, progress: Callable[[str], None] = lambda line: None
