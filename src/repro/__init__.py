@@ -93,11 +93,11 @@ from .cov import (  # noqa: E402
     SoakCampaign,
     SoakState,
     feature_universe,
+    fold_fuzz_units,
     merge_states,
     render_coverage_report,
     run_soak,
     steered_specs,
-    unit_features,
 )
 from .perf import (  # noqa: E402
     BenchReport,
@@ -192,11 +192,11 @@ __all__ = [
     "SoakCampaign",
     "SoakState",
     "feature_universe",
+    "fold_fuzz_units",
     "merge_states",
     "render_coverage_report",
     "run_soak",
     "steered_specs",
-    "unit_features",
     # Performance harness
     "BenchSpec",
     "BenchResult",

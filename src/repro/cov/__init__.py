@@ -38,12 +38,12 @@ from .map import COV_SCHEMA, CoverageMap
 from .features import (
     corpus_features,
     feature_universe,
+    fold_fuzz_units,
     generation_features,
     load_corpus_specs,
     region_features,
     structural_features,
     unit_digest,
-    unit_features,
 )
 from .steer import steered_specs
 from .soak import (
@@ -66,6 +66,7 @@ __all__ = [
     "checkpoint_path",
     "corpus_features",
     "feature_universe",
+    "fold_fuzz_units",
     "generation_features",
     "load_corpus_specs",
     "load_state",
@@ -77,5 +78,4 @@ __all__ = [
     "steered_specs",
     "structural_features",
     "unit_digest",
-    "unit_features",
 ]

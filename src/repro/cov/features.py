@@ -43,11 +43,15 @@ import hashlib
 import json
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..gen.families import FAMILIES, family_info
 from ..gen.spec import GenSpec
 from ..netlist.network import COMBINATIONAL_TYPES, GateType, LogicNetwork
+from .map import CoverageMap
+
+if TYPE_CHECKING:
+    from ..gen.fuzz import FuzzUnit
 
 __all__ = [
     "FAULT_STATUSES",
@@ -55,13 +59,13 @@ __all__ = [
     "count_bucket",
     "fault_features",
     "feature_universe",
+    "fold_fuzz_units",
     "generation_features",
     "load_corpus_specs",
     "region_features",
     "run_side_features",
     "structural_features",
     "unit_digest",
-    "unit_features",
 ]
 
 #: Logarithmic bucket labels shared by gate counts and logic depth.
@@ -328,17 +332,28 @@ def fault_features(flow_name: str, record: Mapping[str, object]) -> List[str]:
     return [f"fault:{flow_name}:{kind}:{status}"]
 
 
-def unit_features(
-    spec: GenSpec,
-    flow_name: str,
-    record: Mapping[str, object],
-    network: Optional[LogicNetwork] = None,
-    corpus: Optional[Sequence[Tuple[str, GenSpec]]] = None,
-) -> List[str]:
-    """Every feature of one completed ``(circuit, flow)`` fuzz unit."""
-    return generation_features(
-        spec, network=network, corpus=corpus
-    ) + run_side_features(flow_name, record)
+def fold_fuzz_units(
+    coverage: CoverageMap,
+    units: Sequence["FuzzUnit"],
+    records: Sequence[Mapping[str, object]],
+    memo: Optional[Dict[str, List[str]]] = None,
+) -> int:
+    """Add every completed ``(circuit, flow)`` fuzz unit to ``coverage``.
+
+    Each unit hits its circuit's generation features plus its flow's
+    run-side features, under :func:`unit_digest`.  ``memo`` caches the
+    generation features per circuit name (across calls, for batched
+    folds).  Returns the number of features new to ``coverage``.
+    """
+    memo = {} if memo is None else memo
+    fresh = 0
+    for unit, record in zip(units, records):
+        name = unit.spec.circuit
+        if name not in memo:
+            memo[name] = generation_features(unit.gen)
+        features = memo[name] + run_side_features(unit.flow_name, record)
+        fresh += len(coverage.add(features, unit_digest(name, unit.flow_name)))
+    return fresh
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..exec import ExecEvent
 from ..gen.fuzz import FuzzCampaign, FuzzUnit
 from ..schema import atomic_write_json, canonical_json, load_document, pack, schema_tag
-from .features import generation_features, load_corpus_specs, run_side_features, unit_digest
+from .features import fold_fuzz_units
 from .map import CoverageMap
 
 __all__ = [
@@ -316,7 +316,6 @@ def run_soak(
     else:
         state = SoakState(campaign=campaign.identity(), units_total=len(units))
 
-    corpus = load_corpus_specs()
     spec_features: Dict[str, List[str]] = {}
     batches_this_call = 0
     while state.units_done < len(units):
@@ -329,19 +328,10 @@ def run_soak(
         if report.errors:
             state.errors = report.errors
             break
-        new_count = 0
-        for (global_index, unit), record in zip(chunk, report.records):
-            name = unit.spec.circuit
-            base = spec_features.get(name)
-            if base is None:
-                base = spec_features[name] = generation_features(
-                    unit.gen, corpus=corpus
-                )
-            features = base + run_side_features(unit.flow_name, record)
-            fresh = state.coverage.add(
-                features, unit_digest(name, unit.flow_name)
-            )
-            new_count += len(fresh)
+        new_count = fold_fuzz_units(
+            state.coverage, [unit for _, unit in chunk], report.records, spec_features
+        )
+        for (global_index, _), record in zip(chunk, report.records):
             state.records.append(_stripped(record, global_index))
         state.batches.append({"units": len(chunk), "new_features": new_count})
         state.units_done += len(chunk)

@@ -77,17 +77,23 @@ from .runner import (
 
 SCALES = ("quick", "paper")
 EFFORTS = ("none", "low", "medium", "high")
+#: Default of ``repro fuzz --batch-size``.
+SOAK_BATCH_SIZE = 30
 
 
-def _positive_jobs(value: str) -> int:
-    """argparse type for ``--jobs``: reject 0/negative with a clear message."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {value!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(name: str) -> Callable[[str], int]:
+    """argparse type for a count flag: reject 0/negative with a clear message."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {value!r}")
+        if number < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {number}")
+        return number
+
+    return parse
 
 
 def _positive_seconds(value: str) -> float:
@@ -106,7 +112,7 @@ def _positive_seconds(value: str) -> float:
 def _campaign_flags() -> argparse.ArgumentParser:
     """Parent parser of the flags ``run``/``verify``/``fuzz``/``faults`` share."""
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("-j", "--jobs", type=_positive_jobs, default=1, metavar="N",
+    flags.add_argument("-j", "--jobs", type=_positive_int("jobs"), default=1, metavar="N",
                        help="worker processes (default: 1, in-process); more "
                             "than one runs units on supervised workers")
     flags.add_argument("--unit-timeout", type=_positive_seconds, default=None,
@@ -123,6 +129,26 @@ def _campaign_flags() -> argparse.ArgumentParser:
     flags.add_argument("-q", "--quiet", action="store_true",
                        help="suppress per-unit progress lines")
     return flags
+
+
+#: Flags with the same name, default and meaning in every subcommand
+#: that takes them (``--scale``: run/verify/faults, ``--sequence-length``:
+#: verify/fuzz/faults, ``--stimulus-seed``: fuzz/faults).
+SHARED_FLAGS = {
+    "--scale": dict(choices=SCALES, default="quick",
+                    help="benchmark circuit scale (default: quick)"),
+    "--sequence-length": dict(type=_positive_int("sequence length"), default=8,
+                              metavar="L",
+                              help="cycles per trajectory for sequential "
+                                   "circuits (default: 8)"),
+    "--stimulus-seed": dict(type=int, default=0, metavar="S",
+                            help="stimulus suite seed (default: 0)"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="+", metavar="EXPERIMENT",
         help=f"experiment name(s) or 'all'; one of: {', '.join(sorted(EXPERIMENTS))}",
     )
-    run_cmd.add_argument("--scale", choices=SCALES, default="quick",
-                         help="benchmark circuit scale (default: quick)")
+    _add_shared(run_cmd, "--scale")
     run_cmd.add_argument("--effort", choices=EFFORTS, default=None,
                          help="AIG optimisation effort (default: per experiment)")
     run_cmd.add_argument("--circuits", nargs="+", metavar="NAME", default=None,
@@ -166,16 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify every circuit in the registry (default)")
     scope.add_argument("--circuit", action="append", metavar="NAME", default=None,
                        help="verify one circuit (repeatable)")
-    verify_cmd.add_argument("--patterns", type=int, default=256, metavar="N",
+    verify_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=256,
+                            metavar="N",
                             help="stimulus patterns per circuit (default: 256; "
                                  "small input spaces are checked exhaustively)")
     verify_cmd.add_argument("--seed", type=int, default=0, metavar="S",
                             help="stimulus seed (part of the cache identity)")
-    verify_cmd.add_argument("--sequence-length", type=int, default=8, metavar="L",
-                            help="cycles per trajectory for sequential circuits "
-                                 "(default: 8)")
-    verify_cmd.add_argument("--scale", choices=SCALES, default="quick",
-                            help="benchmark circuit scale (default: quick)")
+    _add_shared(verify_cmd, "--sequence-length", "--scale")
     verify_cmd.add_argument("--effort", choices=EFFORTS, default="medium",
                             help="AIG optimisation effort of the verified flow")
     verify_cmd.add_argument("--save", default=None, metavar="DIR",
@@ -188,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", parents=[campaign_flags],
         help="differential fuzzing: generated circuits x flow variants",
     )
-    fuzz_cmd.add_argument("--budget", type=int, default=100, metavar="N",
+    fuzz_cmd.add_argument("--budget", type=_positive_int("budget"), default=100,
+                          metavar="N",
                           help="random circuits to generate (default: 100)")
     fuzz_cmd.add_argument("--seed", type=int, default=0, metavar="S",
                           help="master seed deriving every circuit's "
@@ -207,13 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="re-verify one generated circuit from its "
                                "printed gen:<family>:<params>:s<seed> name "
                                "instead of generating a batch")
-    fuzz_cmd.add_argument("--patterns", type=int, default=64, metavar="N",
+    fuzz_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
+                          metavar="N",
                           help="stimulus patterns per verification (default: 64)")
-    fuzz_cmd.add_argument("--stimulus-seed", type=int, default=0, metavar="S",
-                          help="stimulus suite seed (default: 0)")
-    fuzz_cmd.add_argument("--sequence-length", type=int, default=8, metavar="L",
-                          help="cycles per trajectory for sequential circuits "
-                               "(default: 8)")
+    _add_shared(fuzz_cmd, "--stimulus-seed", "--sequence-length")
     fuzz_cmd.add_argument("--no-shrink", action="store_true",
                           help="skip counterexample shrinking on failures")
     cov_group = fuzz_cmd.add_argument_group(
@@ -233,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(requires --checkpoint)")
     cov_group.add_argument("--checkpoint", metavar="DIR", default=None,
                            help="checkpoint directory for --soak / --merge")
-    cov_group.add_argument("--batch-size", type=int, default=30, metavar="N",
+    cov_group.add_argument("--batch-size", type=int, default=SOAK_BATCH_SIZE,
+                           metavar="N",
                            help="soak units verified between checkpoints "
-                                "(default: 30)")
+                                f"(default: {SOAK_BATCH_SIZE})")
     cov_group.add_argument("--shards", type=int, default=1, metavar="N",
                            help="partition the soak unit stream into N "
                                 "independent shards (default: 1)")
@@ -284,16 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bisect the largest tolerated magnitude per "
                                  "circuit x kind instead of injecting the "
                                  "fixed default magnitude")
-    faults_cmd.add_argument("--patterns", type=int, default=64, metavar="N",
+    faults_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
+                            metavar="N",
                             help="stimulus patterns per verification "
                                  "(default: 64)")
-    faults_cmd.add_argument("--stimulus-seed", type=int, default=0, metavar="S",
-                            help="stimulus suite seed (default: 0)")
-    faults_cmd.add_argument("--sequence-length", type=int, default=8, metavar="L",
-                            help="cycles per trajectory for sequential "
-                                 "circuits (default: 8)")
-    faults_cmd.add_argument("--scale", choices=SCALES, default="quick",
-                            help="benchmark circuit scale (default: quick)")
+    _add_shared(faults_cmd, "--stimulus-seed", "--sequence-length", "--scale")
     faults_cmd.add_argument("--report", nargs="?", metavar="PATH",
                             const="repro-faults.json", default=None,
                             help="write the repro-faults/1 JSON report "
@@ -499,26 +515,39 @@ def _write_summary(report: RunReport, out) -> None:
     )
 
 
-def _print_summary_dict(summary, out) -> None:
-    out.write("summary:\n")
-    for key in sorted(summary):
-        out.write(f"  {key}: {summary[key]}\n")
+def _finish_campaign(report, out, save: Optional[Path] = None,
+                     extra: str = "", failed: str = "") -> int:
+    """The shared tail of ``verify``/``fuzz``/``faults``; returns the exit code.
 
-
-def _save_report_json(data, path: Path, out) -> None:
+    Prints the table, the summary, ``extra`` and the timing line, saves
+    the report to ``save``, reports errored units and, when the campaign
+    has failures, prints the command's ``failed`` text.
+    """
     from ..schema import atomic_write_json
 
-    atomic_write_json(path, data)
-    out.write(f"saved {path}\n")
+    out.write(report.table() + "\n")
+    out.write("summary:\n")
+    summary = report.summary()
+    for key in sorted(summary):
+        out.write(f"  {key}: {summary[key]}\n")
+    noun, verb = report.timing_words
+    out.write(
+        f"{extra}timing: {report.elapsed_s:.2f}s wall "
+        f"({report.cached}/{len(report.records)} {noun} cached, "
+        f"{report.completed} {verb}, {report.jobs} workers)\n"
+    )
+    if save is not None:
+        atomic_write_json(save, report.to_dict())
+        out.write(f"saved {save}\n")
+    errored = _report_errors(report.errored_units, out)
+    if report.failures:
+        out.write(failed)
+    return 1 if errored or report.failures else 0
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     from ..core import Flow, FlowOptions
-    from ..verify import (
-        VerificationCampaign,
-        catalog_specs,
-        render_verification_table,
-    )
+    from ..verify import VerificationCampaign, catalog_specs
 
     _validate_circuits(args.circuit)
     flow = Flow.from_options(FlowOptions(effort=args.effort))
@@ -536,48 +565,29 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         f"{args.patterns} patterns, seed {args.seed}) ===\n"
     )
     report = _runner(args, out).campaign(VerificationCampaign(specs))
-    out.write(render_verification_table(report.records) + "\n")
-    _print_summary_dict(report.to_dict()["summary"], out)
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached}/{len(specs)} verdicts cached, "
-        f"{report.completed} verified, {report.jobs} workers)\n"
-    )
-    if args.save:
-        _save_report_json(
-            report.to_dict(), Path(args.save) / f"verify-{args.scale}.json", out
-        )
-    failed = _report_errors(report.errored_units, out)
-    if report.failures:
-        names = ", ".join(str(r.get("circuit")) for r in report.failures)
-        out.write(f"FAILED equivalence: {names}\n")
-        failed = True
-    return 1 if failed else 0
-
-
-def _report_coverage(units, records):
-    """Fold a finished campaign's units x records into a CoverageMap."""
-    from ..cov import CoverageMap
-    from ..cov.features import (
-        generation_features,
-        load_corpus_specs,
-        run_side_features,
-        unit_digest,
+    names = ", ".join(str(r.get("circuit")) for r in report.failures)
+    save = Path(args.save) / f"verify-{args.scale}.json" if args.save else None
+    return _finish_campaign(
+        report, out, save, failed=f"FAILED equivalence: {names}\n"
     )
 
-    coverage = CoverageMap()
-    corpus = load_corpus_specs()
-    cache: dict = {}
-    for unit, record in zip(units, records):
-        name = unit.spec.circuit
-        base = cache.get(name)
-        if base is None:
-            base = cache[name] = generation_features(unit.gen, corpus=corpus)
-        coverage.add(
-            base + run_side_features(unit.flow_name, record),
-            unit_digest(name, unit.flow_name),
-        )
-    return coverage
+
+def _replay_failures(failures, shrunk) -> str:
+    """``FAILED equivalence on:`` with a replay line (and any minimal
+    reproducer from ``shrunk``) per failing fuzz record."""
+    from ..gen import replay_line
+
+    lines = ["FAILED equivalence on:"]
+    for record in failures:
+        lines.append(f"  {replay_line(record)}")
+        reproducer = shrunk.get(f"{record.get('circuit')}|{record.get('flow_variant')}")
+        if reproducer:
+            lines.append(
+                f"    shrunk {reproducer['initial_gates']} -> "
+                f"{reproducer['final_gates']} gates; minimal reproducer:"
+            )
+            lines += [f"      {line}" for line in str(reproducer["bench"]).rstrip().splitlines()]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
@@ -592,7 +602,6 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         shard_paths,
         write_state,
     )
-    from ..gen import replay_line
 
     directory = Path(args.checkpoint)
     campaign = _fuzz_campaign(args)
@@ -672,11 +681,8 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
 
     failed = _report_errors(errors, out)
     if view.failures:
-        out.write("FAILED equivalence on:\n")
-        for record in view.failures:
-            out.write(f"  {replay_line(record)}\n")
-        failed = True
-    return 1 if failed else 0
+        out.write(_replay_failures(view.failures, {}))
+    return 1 if failed or view.failures else 0
 
 
 def _fuzz_campaign(args: argparse.Namespace):
@@ -695,17 +701,29 @@ def _fuzz_campaign(args: argparse.Namespace):
 
 
 def _cmd_fuzz(args: argparse.Namespace, out) -> int:
-    from ..gen import parse_name, replay_line
+    from ..gen import parse_name
     from ..gen.fuzz import units_for_replay
 
     if args.soak or args.merge:
-        if args.replay is not None:
-            raise SystemExit("repro: --replay cannot combine with --soak/--merge")
+        for flag, given in (("--replay", args.replay), ("--save", args.save)):
+            if given is not None:
+                raise SystemExit(f"repro: {flag} cannot combine with --soak/--merge")
         if args.checkpoint is None:
             raise SystemExit("repro: --soak/--merge require --checkpoint DIR")
         return _cmd_fuzz_soak(args, out)
-    if args.shard_index is not None or args.shards != 1:
-        raise SystemExit("repro: --shards/--shard-index require --soak")
+    soak_only = [
+        flag
+        for flag, given in (
+            ("--checkpoint", args.checkpoint is not None),
+            ("--batch-size", args.batch_size != SOAK_BATCH_SIZE),
+            ("--shards", args.shards != 1),
+            ("--shard-index", args.shard_index is not None),
+            ("--max-batches", args.max_batches is not None),
+        )
+        if given
+    ]
+    if soak_only:
+        raise SystemExit(f"repro: {'/'.join(soak_only)} require --soak")
 
     campaign = _fuzz_campaign(args)
     units = None
@@ -736,44 +754,19 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     report = runner.campaign(batch)
     if not args.no_shrink:
         batch.shrink_failures(report, runner.progress)
-    out.write(report.table() + "\n")
-    _print_summary_dict(report.summary(), out)
+    coverage = ""
     if args.coverage_report:
-        from ..cov import render_coverage_report
+        from ..cov import CoverageMap, fold_fuzz_units, render_coverage_report
 
-        coverage = _report_coverage(batch.units, report.records)
-        out.write(
-            render_coverage_report(
-                coverage,
-                list(campaign.flows),
-                families=list(campaign.families) or None,
-            )
-            + "\n"
-        )
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached}/{len(report.records)} verdicts cached, "
-        f"{report.completed} verified, "
-        f"{report.jobs} workers)\n"
+        folded = CoverageMap()
+        fold_fuzz_units(folded, batch.units, report.records)
+        families = list(campaign.families) or None
+        coverage = render_coverage_report(folded, list(campaign.flows), families=families) + "\n"
+    save = Path(args.save) / f"fuzz-{args.seed}.json" if args.save else None
+    return _finish_campaign(
+        report, out, save, extra=coverage,
+        failed=_replay_failures(report.failures, report.shrunk),
     )
-    if args.save:
-        _save_report_json(report.to_dict(), Path(args.save) / f"fuzz-{args.seed}.json", out)
-    failed = _report_errors(report.errored_units, out)
-    if report.failures:
-        failed = True
-        out.write("FAILED equivalence on:\n")
-        for record in report.failures:
-            out.write(f"  {replay_line(record)}\n")
-            key = f"{record.get('circuit')}|{record.get('flow_variant')}"
-            shrunk = report.shrunk.get(key)
-            if shrunk:
-                out.write(
-                    f"    shrunk {shrunk['initial_gates']} -> "
-                    f"{shrunk['final_gates']} gates; minimal reproducer:\n"
-                )
-                for line in str(shrunk["bench"]).rstrip().splitlines():
-                    out.write(f"      {line}\n")
-    return 1 if failed else 0
 
 
 def _parse_fault_kinds(raw: str):
@@ -811,7 +804,7 @@ def _parse_fault_magnitudes(pairs):
 
 
 def _cmd_faults(args: argparse.Namespace, out) -> int:
-    from ..faults import FaultCampaign, render_fault_table
+    from ..faults import FaultCampaign
 
     _validate_circuits(args.circuit)
     kinds = _parse_fault_kinds(args.kinds)
@@ -839,24 +832,13 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         f"{mode}, seed {args.seed}) ===\n"
     )
     report = _runner(args, out).campaign(campaign.batch(units))
-    out.write(render_fault_table(report.records) + "\n")
-    _print_summary_dict(report.summary(), out)
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached}/{len(units)} records cached, "
-        f"{report.completed} probed, {report.jobs} workers)\n"
+    names = ", ".join(
+        f"{r.get('circuit')} flow={r.get('flow_variant')}" for r in report.failures
     )
-    if args.report:
-        _save_report_json(report.to_dict(), Path(args.report), out)
-    failed = _report_errors(report.errored_units, out)
-    if report.failures:
-        names = ", ".join(
-            f"{r.get('circuit')} flow={r.get('flow_variant')}"
-            for r in report.failures
-        )
-        out.write(f"FAILED nominal equivalence: {names}\n")
-        failed = True
-    return 1 if failed else 0
+    save = Path(args.report) if args.report else None
+    return _finish_campaign(
+        report, out, save, failed=f"FAILED nominal equivalence: {names}\n"
+    )
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
@@ -935,12 +917,12 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         return 1
     for path in paths:
         try:
-            data = load_report(path)
+            text = render_report(load_report(path))
         except ValueError:
             out.write(f"repro: skipping unreadable report {path}\n")
             continue
         out.write(f"\n--- {path.name} ---\n")
-        out.write(render_report(data) + "\n")
+        out.write(text + "\n")
     return 0
 
 

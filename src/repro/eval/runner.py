@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, 
 
 from . import experiments
 from ..exec import ExecEvent, SpecUnit, render_event, run_units, spec_units
-from ..schema import atomic_write_json, canonical_json
+from ..schema import atomic_write_json, canonical_json, parse_tag
 from .engine import (
     ResultCache,
     SynthesisEngine,
@@ -282,7 +282,7 @@ class Campaign(Protocol):
     :class:`~repro.gen.FuzzBatch` and :class:`~repro.faults.FaultBatch`.
     """
 
-    #: Past-tense verb of the per-unit progress lines.
+    #: Past-tense verb of the per-unit progress lines and the done-line.
     verb: str
 
     def work_units(self) -> List[SpecUnit]:
@@ -290,11 +290,9 @@ class Campaign(Protocol):
         and progress description."""
 
     def report(self, records: List[Dict[str, object]], **stats):
-        """The campaign report over ``records`` (one per work unit, in
-        order); ``stats`` are ``jobs``/``computed``/``cached``/``elapsed_s``."""
-
-    def summary_line(self, report) -> str:
-        """The ``[name] done in ...`` progress line."""
+        """The :class:`~repro.verify.campaign.CampaignReport` over
+        ``records`` (one per work unit, in order); ``stats`` are
+        ``jobs``/``computed``/``cached``/``elapsed_s``."""
 
 
 class Runner:
@@ -410,7 +408,7 @@ class Runner:
             cached=outcome.cached,
             elapsed_s=time.perf_counter() - started,
         )
-        self.progress(campaign.summary_line(report))
+        self.progress(report.done_line(campaign.verb))
         return report
 
     # ------------------------------------------------------------------
@@ -514,13 +512,25 @@ def load_report(path: Path) -> Dict[str, object]:
 
 
 def render_report(data: Mapping[str, object]) -> str:
-    """Render a loaded JSON report back into the CLI's text format."""
-    lines = [
-        f"[{data.get('experiment', '?')}] scale={data.get('scale', '?')} "
-        f"effort={data.get('effort', '?')} elapsed={data.get('elapsed_s', 0.0):.2f}s "
-        f"({data.get('cached_jobs', 0)} cached, {data.get('computed_jobs', 0)} synthesised)",
-        str(data.get("text", "")),
-    ]
+    """Render a loaded JSON report back into the CLI's text format.
+
+    Reads both a :class:`RunReport` and the saved verify/fuzz/faults
+    campaign documents (named by ``experiment`` or, for the faults
+    report, by its schema tag; it has no wall-clock or cache fields).
+    """
+    campaign = data.get("campaign") or {}
+    name = data.get("experiment") or (parse_tag(data["schema"])[0] if "schema" in data else "?")
+    identity = {"scale": data.get("scale", campaign.get("scale")), "effort": data.get("effort")}
+    header = " ".join(
+        [f"[{name}]"] + [f"{key}={value}" for key, value in identity.items() if value is not None]
+    )
+    if "elapsed_s" in data:
+        header += f" elapsed={data['elapsed_s']:.2f}s"
+    if "computed_jobs" in data:
+        header += f" ({data.get('cached_jobs', 0)} cached, {data['computed_jobs']} synthesised)"
+    elif "computed" in data:
+        header += f" ({data.get('cached', 0)} cached, {data['computed']} computed)"
+    lines = [header, str(data.get("text", ""))]
     summary = data.get("summary") or {}
     if summary:
         lines.append("summary:")

@@ -5,8 +5,8 @@ schema-validate → cache put) over two executor backends — in-process
 serial and supervised persistent workers, picked per batch from the
 job count, the pending-unit count and the per-unit timeout — emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
-f-strings.  ``Runner.run`` / ``campaign`` / ``soak`` and the perf
-harness are thin compositions over this package.
+f-strings.  ``Runner.run`` / ``campaign`` and soak runs are thin
+compositions over this package.
 """
 
 from .events import EmitFn, ExecEvent, render_event
@@ -18,7 +18,7 @@ from .executors import (
     execute_unit,
 )
 from .lifecycle import ExecOutcome, resolve_executor, run_units
-from .units import CallableUnit, ProbeUnit, SpecUnit, WorkUnit, spec_units
+from .units import ProbeUnit, SpecUnit, WorkUnit, spec_units
 
 __all__ = [
     "ExecEvent",
@@ -26,7 +26,6 @@ __all__ = [
     "render_event",
     "WorkUnit",
     "SpecUnit",
-    "CallableUnit",
     "ProbeUnit",
     "spec_units",
     "Executor",

@@ -13,9 +13,8 @@ Backends (:func:`repro.exec.resolve_executor` picks one from ``jobs``,
 the pending-unit count and the per-unit timeout):
 
 :class:`SerialExecutor`
-    In-process loop.  The only backend that accepts unpicklable units
-    (perf-harness closures); exceptions are still captured as error
-    results for lifecycle uniformity.
+    In-process loop; exceptions are still captured as error results
+    for lifecycle uniformity.
 
 :class:`PersistentWorkerExecutor`
     Long-lived worker processes with per-unit timeouts and crash

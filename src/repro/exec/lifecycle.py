@@ -1,8 +1,7 @@
 """The one execution lifecycle every campaign path runs through.
 
 :func:`run_units` is the shared pipeline behind the runner's synthesis
-prefetch, ``Runner.campaign``, the soak batch loop and the perf
-harness:
+prefetch, ``Runner.campaign`` and the soak batch loop:
 
     dedupe by key → cache replay → execute → cache put
 

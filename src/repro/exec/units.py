@@ -21,12 +21,9 @@ from it:
 :class:`~repro.verify.campaign.VerificationSpec`,
 :class:`~repro.faults.campaign.FaultSpec` — fuzz and soak units wrap
 ``VerificationSpec``) without those families learning anything about
-execution.  :class:`CallableUnit` wraps an arbitrary in-process
-closure for serial-only callers (the perf harness, whose workloads
-close over live objects and cannot cross a process boundary).
-:class:`ProbeUnit` is a deliberately trivial picklable unit used by the
-executor tests and the ``exec-overhead-smoke`` benchmark to measure
-pure scheduling cost.
+execution.  :class:`ProbeUnit` is a deliberately trivial picklable unit
+used by the executor tests and the ``exec-overhead-smoke`` benchmark
+to measure pure scheduling cost.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import Any, Callable, Dict, Protocol, runtime_checkable
 
 from ..schema import content_key
 
-__all__ = ["WorkUnit", "SpecUnit", "CallableUnit", "ProbeUnit", "spec_units"]
+__all__ = ["WorkUnit", "SpecUnit", "ProbeUnit", "spec_units"]
 
 
 @runtime_checkable
@@ -100,33 +97,6 @@ def spec_units(specs, compute, describe) -> list:
             string).
     """
     return [SpecUnit(spec=s, compute=compute, description=describe(s)) for s in specs]
-
-
-@dataclass(frozen=True)
-class CallableUnit:
-    """In-process unit around an arbitrary zero-argument callable.
-
-    Only valid with :class:`~repro.exec.executors.SerialExecutor` — the
-    callable is typically a closure over live objects (perf-harness
-    workloads) and cannot be pickled to another process.
-    """
-
-    name: str
-    fn: Callable[[], Any]
-    kind: str = "record"
-
-    @property
-    def schema_kind(self) -> str:
-        return self.kind
-
-    def key(self) -> str:
-        return content_key({"callable-unit": self.name})
-
-    def describe(self) -> str:
-        return self.name
-
-    def run(self) -> Any:
-        return self.fn()
 
 
 def _probe_compute(payload: Dict[str, object]) -> Dict[str, object]:

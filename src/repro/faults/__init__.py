@@ -39,7 +39,6 @@ from .campaign import (
     FaultUnit,
     fault_record,
     load_fault_report,
-    render_fault_table,
 )
 from .margin import MARGIN_ITERATIONS, MarginResult, search_margin
 from .models import DUP_SPACING, FaultModel, stream_seed
@@ -79,7 +78,6 @@ __all__ = [
     "is_fault_name",
     "load_fault_report",
     "parse_fault_name",
-    "render_fault_table",
     "search_margin",
     "stream_seed",
 ]

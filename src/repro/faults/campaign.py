@@ -32,7 +32,7 @@ reports, which is an acceptance criterion pinned by ``tests/faults``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -66,7 +66,6 @@ __all__ = [
     "FaultUnit",
     "fault_record",
     "load_fault_report",
-    "render_fault_table",
 ]
 
 #: Schema tag of the ``repro faults --report`` JSON document (the
@@ -399,27 +398,17 @@ class FaultCampaign:
         }
 
 
-@dataclass
 class FaultReport(CampaignReport):
-    """Everything one fault campaign produced.
+    """The report of a :class:`FaultBatch` (``repro faults``).
 
-    Attributes:
-        campaign: The campaign identity that was run.
-        records: One annotated record per unit, in unit order.
-        jobs: Worker-process count.
-        computed: Units computed this run (cache misses).
-        cached: Units replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.  Deliberately
-            **not** part of :meth:`to_dict`: the emitted report must be
-            byte-identical across reruns of the same campaign.
+    ``campaign`` is the :class:`FaultCampaign` that was run; each record
+    is annotated with its flow variant.  ``elapsed_s`` is deliberately
+    **not** part of :meth:`to_dict`: the emitted report must be
+    byte-identical across reruns of the same campaign.
     """
 
-    campaign: FaultCampaign
-    records: List[Dict[str, object]] = field(default_factory=list)
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
+    name = "faults"
+    timing_words = ("records", "probed")
 
     #: Records whose *nominal* verification failed — real flow bugs.  A
     #: ``miscompare`` under an injected fault is campaign data, not a
@@ -435,7 +424,30 @@ class FaultReport(CampaignReport):
         return [r for r in healthy if r.get("margin") is not None]
 
     def table(self) -> str:
-        return render_fault_table(self.records)
+        """The ``repro faults`` summary/margin table."""
+        rows = [
+            [
+                record.get("circuit", "?"),
+                record.get("kind", "?"),
+                record.get("flow_variant", "default"),
+                record.get("fault_kind", "?"),
+                str(record.get("status", "?")).upper(),
+                int(record.get("patterns") or 0),
+                _margin_cell(record),
+                _detail_cell(record),
+            ]
+            for record in self.records
+        ]
+        return format_table(
+            ["Circuit", "Kind", "Flow", "Fault", "Status", "Patterns", "Margin", "Detail"],
+            rows,
+        )
+
+    def done_extras(self) -> List[str]:
+        return [
+            f"{len(self.miscompares)} miscompares",
+            f"{len(self.failures)} nominal failures",
+        ]
 
     def summary(self) -> Dict[str, object]:
         margins = self.margins()
@@ -457,7 +469,7 @@ class FaultReport(CampaignReport):
                 for r in self.records
                 for count in (r.get("injections") or {}).values()
             ),
-            "all_nominal_equivalent": self.passed,
+            "all_nominal_equivalent": self.all_equivalent,
         }
 
     def coverage(self):
@@ -489,7 +501,7 @@ class FaultReport(CampaignReport):
         return pack(
             "faults",
             {
-                "campaign": self.campaign.to_dict(),
+                **self.identity(),
                 "rows": self.records,
                 "text": self.table(),
                 "summary": self.summary(),
@@ -512,19 +524,8 @@ class FaultBatch:
         ]
 
     def report(self, records: List[Dict[str, object]], **stats) -> FaultReport:
-        return FaultReport(
-            campaign=self.campaign,
-            records=[unit.annotate(r) for unit, r in zip(self.units, records)],
-            **stats,
-        )
-
-    def summary_line(self, report: FaultReport) -> str:
-        return report.done_line(
-            "faults",
-            "probed",
-            f"{len(report.miscompares)} miscompares",
-            f"{len(report.failures)} nominal failures",
-        )
+        annotated = [unit.annotate(r) for unit, r in zip(self.units, records)]
+        return FaultReport(self.campaign, annotated, **stats)
 
 
 def load_fault_report(path: Path) -> Dict[str, object]:
@@ -575,24 +576,3 @@ def _detail_cell(record: Mapping[str, object]) -> str:
         cap = float(record.get("margin_cap") or 0.0)
         return f"{probes} probes, cap {cap:.1f}, {total} injections"
     return f"{total} injections ({record.get('mode')})"
-
-
-def render_fault_table(records: Sequence[Mapping[str, object]]) -> str:
-    """The ``repro faults`` summary/margin table."""
-    rows = [
-        [
-            record.get("circuit", "?"),
-            record.get("kind", "?"),
-            record.get("flow_variant", "default"),
-            record.get("fault_kind", "?"),
-            str(record.get("status", "?")).upper(),
-            int(record.get("patterns") or 0),
-            _margin_cell(record),
-            _detail_cell(record),
-        ]
-        for record in records
-    ]
-    return format_table(
-        ["Circuit", "Kind", "Flow", "Fault", "Status", "Patterns", "Margin", "Detail"],
-        rows,
-    )

@@ -22,6 +22,7 @@ what the margin search (:mod:`repro.faults.margin`) sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -129,8 +130,10 @@ class FaultScenario:
         for key, value in params.items():
             values[key] = float(value)
         magnitude = values[info.param]
-        if magnitude < 0.0 or (info.rate_like and magnitude > 1.0):
-            bound = "[0, 1]" if info.rate_like else ">= 0"
+        if not (math.isfinite(magnitude) and magnitude >= 0.0) or (
+            info.rate_like and magnitude > 1.0
+        ):
+            bound = "[0, 1]" if info.rate_like else "finite and >= 0"
             raise ValueError(
                 f"fault {kind!r} parameter {info.param!r} must be {bound}, "
                 f"got {magnitude!r}"

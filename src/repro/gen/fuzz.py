@@ -35,7 +35,7 @@ from ..core.report import format_table
 from ..netlist.bench import write_bench
 from ..netlist.network import LogicNetwork
 from ..exec import SpecUnit
-from ..verify.campaign import CampaignReport, VerificationSpec, verification_record
+from ..verify.campaign import VerificationReport, VerificationSpec, verification_record
 from ..verify.equivalence import verify_result
 from .shrink import ShrinkResult, shrink_network
 from .spec import GenSpec, generate_specs, parse_name
@@ -213,42 +213,19 @@ def shrink_unit(
 
 
 @dataclass
-class FuzzReport(CampaignReport):
-    """Everything one campaign produced.
+class FuzzReport(VerificationReport):
+    """The report of a :class:`FuzzBatch` (``repro fuzz``).
 
-    Attributes:
-        campaign: The campaign identity that was run.
-        records: One annotated verdict record per ``(circuit, flow)``
-            unit, in unit order.
-        shrunk: Bench text of each minimised reproducer, keyed by
-            ``"<circuit>|<flow>"``, plus the shrink statistics.
-        jobs: Worker-process count.
-        computed: Units verified this run (cache misses).
-        cached: Units replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.
+    ``campaign`` is the :class:`FuzzCampaign` that was run; each record is
+    an annotated verdict of one ``(circuit, flow)`` unit, and the summary
+    adds unit and flow counts to the verify summary.  ``shrunk``
+    holds the bench text of each minimised reproducer, keyed by
+    ``"<circuit>|<flow>"``, plus the shrink statistics.
     """
 
-    campaign: FuzzCampaign
-    records: List[Dict[str, object]] = field(default_factory=list)
     shrunk: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
 
-    @property
-    def all_equivalent(self) -> bool:
-        return self.passed
-
-    def circuits_verified(self) -> int:
-        return len({r.get("circuit") for r in self.records})
-
-    def attach_shrink(self, record: Mapping[str, object], result: ShrinkResult) -> None:
-        key = f"{record.get('circuit')}|{record.get('flow_variant')}"
-        self.shrunk[key] = {
-            **result.to_dict(),
-            "bench": write_bench(result.network),
-        }
+    name = "fuzz"
 
     def table(self) -> str:
         """Aggregate per-(family, flow) summary table."""
@@ -287,29 +264,19 @@ class FuzzReport(CampaignReport):
 
     def summary(self) -> Dict[str, object]:
         return {
-            "circuits": self.circuits_verified(),
+            **super().summary(),
+            "circuits": len({r.get("circuit") for r in self.records}),
             "units": len(self.records),
             "flows": len(self.campaign.flows),
-            "equivalent": self.count("equivalent"),
-            "counterexamples": len(self.failures),
-            "skipped": self.count("skipped"),
-            "errors": len(self.errors),
-            "total_patterns": self.total_patterns(),
-            "all_equivalent": self.all_equivalent,
         }
 
-    def to_dict(self) -> Dict[str, object]:
+    def done_extras(self) -> List[str]:
+        return [f"{len(self.failures)} failures"]
+
+    def identity(self) -> Dict[str, object]:
         return {
-            "experiment": "fuzz",
             "campaign": self.campaign.to_dict(),
-            "jobs": self.jobs,
-            "computed": self.computed,
-            "cached": self.cached,
-            "elapsed_s": self.elapsed_s,
-            "rows": self.records,
             "shrunk": {k: dict(v) for k, v in self.shrunk.items()},
-            "text": self.table(),
-            "summary": self.summary(),
         }
 
 
@@ -331,14 +298,8 @@ class FuzzBatch:
         ]
 
     def report(self, records: List[Dict[str, object]], **stats) -> FuzzReport:
-        return FuzzReport(
-            campaign=self.campaign,
-            records=[unit.annotate(r) for unit, r in zip(self.units, records)],
-            **stats,
-        )
-
-    def summary_line(self, report: FuzzReport) -> str:
-        return report.done_line("fuzz", "fuzzed", f"{len(report.failures)} failures")
+        annotated = [unit.annotate(r) for unit, r in zip(self.units, records)]
+        return FuzzReport(self.campaign, annotated, **stats)
 
     def shrink_failures(
         self, report: FuzzReport, progress: Callable[[str], None] = lambda line: None
@@ -365,7 +326,8 @@ class FuzzBatch:
                 sequence_length=unit.spec.sequence_length,
             )
             if result is not None:
-                report.attach_shrink(record, result)
+                key = f"{record.get('circuit')}|{record.get('flow_variant')}"
+                report.shrunk[key] = {**result.to_dict(), "bench": write_bench(result.network)}
                 progress(f"    {result.summary()}")
 
 

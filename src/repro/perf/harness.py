@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..exec import CallableUnit, SerialExecutor
 from ..schema import SchemaError, atomic_write_json, load_document, pack, schema_tag
 
 #: Schema tag stamped into every emitted benchmark JSON document (the
@@ -184,57 +183,27 @@ def _domain_counter_snapshot() -> Dict[str, int]:
     }
 
 
-def _isolated_invocation(workload: Callable[[], Optional[Mapping[str, float]]]):
-    """Run the workload under a fresh synthesis stage cache.
+def _measure(spec: BenchSpec) -> Tuple[Optional[Mapping[str, float]], float, float]:
+    """One measured invocation: ``(extra counters, wall_s, cpu_s)``.
 
-    The flow's process-wide :class:`~repro.core.flowgraph.StageCache`
-    would otherwise serve repeat N>1 from memory — benchmarks must pay
-    the full synthesis cost every time, and must not pollute the caller's
-    cache with benchmark artefacts.
+    The workload runs under a fresh synthesis stage cache: the flow's
+    process-wide :class:`~repro.core.flowgraph.StageCache` would
+    otherwise serve repeat N>1 from memory — benchmarks must pay the
+    full synthesis cost every time, and must not pollute the caller's
+    cache with benchmark artefacts.  It runs in-process (workloads are
+    closures over live objects, and the domain counters are
+    process-wide); an exception propagates, so ``repro bench`` crashes
+    loudly instead of emitting a bogus report.
     """
     from ..core.flowgraph import StageCache, set_stage_cache
 
     previous = set_stage_cache(StageCache())
+    started, cpu_started = time.perf_counter(), time.process_time()
     try:
-        return workload()
+        extra = spec.workload()
     finally:
         set_stage_cache(previous)
-
-
-def _bench_unit(spec: BenchSpec) -> CallableUnit:
-    """Wrap a spec's workload as an in-process work unit.
-
-    Benchmark workloads are closures over live objects, so only the
-    serial backend can run them — but routing them through
-    :mod:`repro.exec` gives the harness the same timed, error-capturing
-    execution wrapper as every campaign path.  Domain counters are
-    process-wide, which is another reason execution must stay
-    in-process.
-    """
-    return CallableUnit(
-        name=spec.name,
-        fn=lambda: _isolated_invocation(spec.workload),
-        kind="bench",
-    )
-
-
-def _run_bench_unit(
-    executor: SerialExecutor, spec: BenchSpec
-) -> Tuple[Optional[Mapping[str, float]], float, float]:
-    """One measured invocation: ``(extra counters, wall_s, cpu_s)``.
-
-    A workload exception was captured by the execution wrapper; re-raise
-    it so ``repro bench`` still crashes loudly on a broken workload
-    instead of emitting a bogus report.
-    """
-    result = next(iter(executor.map([_bench_unit(spec)])))
-    if result.error is not None:
-        raise RuntimeError(
-            f"benchmark workload {spec.name!r} failed: "
-            f"{result.error.get('type')}: {result.error.get('message')}\n"
-            f"{result.error.get('traceback', '')}"
-        )
-    return result.record, result.seconds, result.cpu_s
+    return extra, time.perf_counter() - started, time.process_time() - cpu_started
 
 
 def run_spec(
@@ -247,18 +216,17 @@ def run_spec(
     note = progress or (lambda line: None)
     repeats = max(1, int(repeat if repeat is not None else spec.repeat))
     warmups = max(0, int(warmup if warmup is not None else spec.warmup))
-    executor = SerialExecutor()
 
     for index in range(warmups):
         note(f"    warmup {index + 1}/{warmups} {spec.name}")
-        _run_bench_unit(executor, spec)
+        _measure(spec)
 
     walls: List[float] = []
     cpus: List[float] = []
     best_counters: Dict[str, float] = {}
     for index in range(repeats):
         before = _domain_counter_snapshot()
-        extra, wall, cpu = _run_bench_unit(executor, spec)
+        extra, wall, cpu = _measure(spec)
         after = _domain_counter_snapshot()
         counters: Dict[str, float] = {
             key: float(after[key] - before[key]) for key in after

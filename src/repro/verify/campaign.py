@@ -10,8 +10,8 @@ warm cache replays an entire catalog campaign with zero re-synthesis and
 zero re-simulation, and the workers of
 :meth:`repro.eval.runner.Runner.campaign` never compute the same spec
 twice.  :class:`VerificationCampaign` is the spec list in the shape
-``Runner.campaign`` takes; :class:`CampaignReport` holds the verdict
-rules the verify, fuzz and faults reports share.
+``Runner.campaign`` takes; :class:`CampaignReport` is the report shape
+(and the verdict rules) the verify, fuzz and faults reports share.
 
 :func:`verification_record` is the worker-process entry point: build the
 catalogued circuit, run the flow (reusing the in-process stage cache),
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
@@ -207,18 +207,39 @@ def error_detail(record: Mapping[str, object]) -> str:
     return f"{error.get('type', 'Error')}: {error.get('message', '')}"
 
 
+@dataclass
 class CampaignReport:
-    """Verdict rules shared by the verify, fuzz and faults reports.
+    """Everything one verify, fuzz or faults campaign produced.
 
-    Mixed into their dataclasses, which provide ``records``,
-    ``computed``, ``cached`` and ``elapsed_s``.  A ``status: "error"``
+    The base of :class:`VerificationReport`,
+    :class:`~repro.gen.FuzzReport` and :class:`~repro.faults.FaultReport`,
+    which add their ``table()``/``summary()``.  A ``status: "error"``
     record — a unit that raised, crashed or timed out — is never a pass:
     it counts under ``errors``, fails the campaign, and stays out of the
     pattern totals.
+
+    Attributes:
+        campaign: The campaign that was run (its identity).
+        records: One record per work unit, in unit order.
+        jobs: Worker-process count.
+        computed: Units computed this run (cache misses).
+        cached: Units replayed from the result cache.
+        elapsed_s: Wall clock for the whole campaign.
     """
 
+    campaign: Any
+    records: List[Dict[str, object]] = field(default_factory=list)
+    jobs: int = 1
+    computed: int = 0
+    cached: int = 0
+    elapsed_s: float = 0.0
+
+    #: ``experiment`` of the saved document and ``[name]`` of the done-line.
+    name: ClassVar[str]
     #: Record status that fails the campaign (besides errors).
     failure_status: ClassVar[str] = "counterexample"
+    #: ``(record noun, verb)`` of the CLI timing line.
+    timing_words: ClassVar[Tuple[str, str]] = ("verdicts", "verified")
 
     def count(self, status: str) -> int:
         return sum(1 for r in self.records if r.get("status") == status)
@@ -232,7 +253,7 @@ class CampaignReport:
         return [r for r in self.records if r.get("status") == self.failure_status]
 
     @property
-    def passed(self) -> bool:
+    def all_equivalent(self) -> bool:
         return not self.failures and not self.errors
 
     @property
@@ -254,52 +275,27 @@ class CampaignReport:
         healthy = (r for r in self.records if r.get("status") != "error")
         return sum(int(r.get("patterns") or 0) for r in healthy)
 
-    def done_line(self, name: str, verb: str, *extras: str) -> str:
+    def done_extras(self) -> List[str]:
+        """Report-specific counts appended to the done-line."""
+        return []
+
+    def done_line(self, verb: str) -> str:
         """The ``[name] done in ...`` progress line; errors are not ``verb``-ed."""
         errors = len(self.errored_units)
         parts = [f"{self.cached} cached", f"{self.completed} {verb}"]
         if errors:
             parts.append(f"{errors} errors")
-        return f"[{name}] done in {self.elapsed_s:.2f}s ({', '.join(parts + list(extras))})"
+        parts += self.done_extras()
+        return f"[{self.name}] done in {self.elapsed_s:.2f}s ({', '.join(parts)})"
 
-
-@dataclass
-class VerificationReport(CampaignReport):
-    """Everything one campaign produced (mirrors ``RunReport`` for verify).
-
-    Attributes:
-        records: One flattened verdict record per spec, in spec order.
-        scale: Circuit scale used.
-        patterns: Requested pattern budget.
-        seed: Stimulus seed.
-        jobs: Worker-process count.
-        computed: Specs verified this run (cache misses).
-        cached: Specs replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.
-    """
-
-    records: List[Dict[str, object]] = field(default_factory=list)
-    scale: str = "quick"
-    patterns: int = 256
-    seed: int = 0
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def all_equivalent(self) -> bool:
-        return self.passed
-
-    def table(self) -> str:
-        return render_verification_table(self.records)
+    def identity(self) -> Dict[str, object]:
+        """The fields that say which campaign a saved document is."""
+        return {"campaign": self.campaign.to_dict()}
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "experiment": "verify",
-            "scale": self.scale,
-            "patterns": self.patterns,
-            "seed": self.seed,
+            "experiment": self.name,
+            **self.identity(),
             "jobs": self.jobs,
             "computed": self.computed,
             "cached": self.cached,
@@ -307,16 +303,33 @@ class VerificationReport(CampaignReport):
             "rows": self.records,
             # Rendered table, so `repro report` re-renders saved campaigns.
             "text": self.table(),
-            "summary": {
-                "circuits": len(self.records),
-                "equivalent": self.count("equivalent"),
-                "counterexamples": len(self.failures),
-                "skipped": self.count("skipped"),
-                "errors": len(self.errors),
-                "total_patterns": self.total_patterns(),
-                "all_equivalent": self.all_equivalent,
-            },
+            "summary": self.summary(),
         }
+
+
+class VerificationReport(CampaignReport):
+    """The report of a :class:`VerificationCampaign` (``repro verify``)."""
+
+    name = "verify"
+
+    def table(self) -> str:
+        return render_verification_table(self.records)
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "circuits": len(self.records),
+            "equivalent": self.count("equivalent"),
+            "counterexamples": len(self.failures),
+            "skipped": self.count("skipped"),
+            "errors": len(self.errors),
+            "total_patterns": self.total_patterns(),
+            "all_equivalent": self.all_equivalent,
+        }
+
+    def identity(self) -> Dict[str, object]:
+        specs = self.campaign.specs
+        first = specs[0] if specs else VerificationSpec("", patterns=0)
+        return {"scale": first.scale, "patterns": first.patterns, "seed": first.seed}
 
 
 def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
@@ -356,14 +369,4 @@ class VerificationCampaign:
         return spec_units(self.specs, verification_record, VerificationSpec.label)
 
     def report(self, records: List[Dict[str, object]], **stats) -> VerificationReport:
-        first = self.specs[0] if self.specs else VerificationSpec("", patterns=0)
-        return VerificationReport(
-            records=records,
-            scale=first.scale,
-            patterns=first.patterns,
-            seed=first.seed,
-            **stats,
-        )
-
-    def summary_line(self, report: VerificationReport) -> str:
-        return report.done_line("verify", "verified")
+        return VerificationReport(self, records, **stats)

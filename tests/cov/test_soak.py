@@ -166,6 +166,26 @@ class TestCLI:
         with pytest.raises(SystemExit, match="--soak"):
             main(["fuzz", "--shards", "2", "--budget", "2"])
 
+    @pytest.mark.parametrize("mode", ["--soak", "--merge"])
+    def test_save_conflicts_with_soak_and_merge(self, tmp_path, mode):
+        from repro.eval.cli import main
+
+        with pytest.raises(SystemExit, match="--save"):
+            main(["fuzz", mode, "--checkpoint", str(tmp_path / "ckpt"),
+                  "--save", str(tmp_path / "out"), "--budget", "1", "--no-cache", "-q"])
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--checkpoint", "ckpt"], ["--batch-size", "5"], ["--max-batches", "1"],
+         ["--shard-index", "0"]],
+    )
+    def test_soak_flags_require_soak(self, flags):
+        from repro.eval.cli import main
+
+        with pytest.raises(SystemExit, match="require --soak"):
+            main(["fuzz", "--budget", "1", *flags, "--no-cache", "-q"])
+
     def test_replay_conflicts_with_soak(self):
         from repro.eval.cli import main
 

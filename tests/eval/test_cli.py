@@ -179,6 +179,22 @@ def test_run_save_and_report_roundtrip(capsys, tmp_path):
     assert "[table4]" in report_out and "Circuit" in report_out
 
 
+def test_report_renders_saved_campaign_documents(capsys, tmp_path):
+    results = tmp_path / "results"
+    common = ["--circuit", "ctrl", "--patterns", "8", "--no-cache", "-q"]
+    assert cli.main(["verify", *common, "--save", str(results)]) == 0
+    assert cli.main(
+        ["faults", *common, "--kinds", "skew", "--report", str(results / "faults.json")]
+    ) == 0
+    capsys.readouterr()
+
+    assert cli.main(["report", str(results)]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert headers[0] == "[faults] scale=quick"
+    assert headers[1].startswith("[verify] scale=quick elapsed=")
+    assert headers[1].endswith("s (0 cached, 1 computed)")
+
+
 def test_report_empty_directory(capsys, tmp_path):
     assert cli.main(["report", str(tmp_path)]) == 1
     assert "no saved reports" in capsys.readouterr().out

@@ -80,3 +80,34 @@ def test_non_integer_jobs_is_rejected(capsys):
 
 def test_positive_jobs_still_parse():
     assert parse_args(["verify", "-j", "4"]).jobs == 4
+
+
+#: Count flags (>= 1) and the campaign commands that take them.
+COUNT_FLAGS = {
+    "--patterns": ("verify", "fuzz", "faults"),
+    "--budget": ("fuzz",),
+    "--sequence-length": ("verify", "fuzz", "faults"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for flag, commands in COUNT_FLAGS.items() for command in commands],
+)
+@pytest.mark.parametrize("bad", ["0", "-3"])
+def test_zero_and_negative_counts_are_rejected(command, flag, bad, capsys):
+    with pytest.raises(SystemExit):
+        parse_args([command, flag, bad])
+    assert f"must be >= 1, got {int(bad)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", sorted(COUNT_FLAGS))
+def test_non_integer_counts_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit):
+        parse_args(["fuzz", flag, "many"])
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_positive_counts_still_parse():
+    args = parse_args(["fuzz", "--patterns", "3", "--budget", "2", "--sequence-length", "1"])
+    assert (args.patterns, args.budget, args.sequence_length) == (3, 2, 1)

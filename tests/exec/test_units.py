@@ -3,7 +3,7 @@
 import pickle
 
 from repro.eval.engine import SynthesisJob, synthesis_record
-from repro.exec import CallableUnit, ProbeUnit, SpecUnit, WorkUnit, spec_units
+from repro.exec import ProbeUnit, SpecUnit, WorkUnit, spec_units
 from repro.faults.campaign import FaultSpec, fault_record
 from repro.verify.campaign import VerificationSpec, verification_record
 
@@ -60,11 +60,3 @@ def test_probe_unit_is_picklable_and_deterministic():
 def test_probe_units_key_on_their_payload():
     assert ProbeUnit(index=1).key() != ProbeUnit(index=2).key()
     assert ProbeUnit(index=1, spin=5).key() != ProbeUnit(index=1, spin=6).key()
-
-
-def test_callable_unit_runs_in_process():
-    seen = []
-    unit = CallableUnit(name="probe", fn=lambda: seen.append(1) or {"n": 1})
-    assert isinstance(unit, WorkUnit)
-    assert unit.run() == {"n": 1}
-    assert seen == [1]

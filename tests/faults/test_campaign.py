@@ -204,3 +204,11 @@ class TestCli:
         assert cli.main(argv + ["--report", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_magnitude_rejected(self, value):
+        with pytest.raises(SystemExit, match="must be"):
+            cli.main(
+                ["faults", "--circuit", "ctrl", "--kinds", "jitter",
+                 "--magnitude", f"jitter={value}", "--no-cache", "-q"]
+            )

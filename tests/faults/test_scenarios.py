@@ -56,6 +56,15 @@ class TestScenario:
             FaultScenario.create("jitter", mag=-1.0)
         FaultScenario.create("drop", rate=1.0)  # boundary is legal
 
+    @pytest.mark.parametrize("kind", ["drop", "dup", "jitter", "skew"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_magnitudes_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="must be"):
+            default_scenario(kind, magnitude=value)
+        param = fault_kind(kind).param
+        with pytest.raises(ValueError, match="must be"):
+            parse_fault_name(f"fault:{kind}:{param}={value}:s0")
+
     def test_model_mapping(self):
         assert default_scenario("drop").model().drop_rate == 0.01
         assert default_scenario("dup").model().dup_rate == 0.01

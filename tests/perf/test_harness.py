@@ -55,7 +55,7 @@ class TestRunSpec:
             raise ValueError("workload boom")
 
         spec = BenchSpec("broken", "always raises", workload, warmup=0, repeat=3)
-        with pytest.raises(Exception, match="workload boom"):
+        with pytest.raises(ValueError, match="workload boom"):
             run_spec(spec)
         assert calls == [1]  # no further repeats after the failure
 
