@@ -4,8 +4,8 @@ Small ``repro verify`` (with a duplicated ``--circuit``), ``repro fuzz
 --coverage-report`` and ``repro faults --margin-search`` runs are pinned
 line for line against the files in ``tests/eval/golden``.  Wall-clock
 numbers (every ``N.NN``) and the scratch directory are masked in stdout;
-the saved verify/fuzz documents drop their ``elapsed_s``/``seconds``/
-``synth_seconds`` fields, and the faults report is compared byte for byte.
+the saved verify/fuzz documents drop their ``elapsed_s``, and the faults
+report is compared byte for byte.
 
 After a deliberate output change, rewrite the goldens with::
 
@@ -26,9 +26,9 @@ from repro.eval import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-#: Wall-clock numbers: progress ``(0.21s)``, done/timing lines, ``Sim (s)``.
+#: Wall-clock numbers: progress ``(0.21s)`` and the done/timing lines.
 TIMES = re.compile(r"(?<![\d.=])\d+\.\d\d(?!\d)")
-VOLATILE_FIELDS = ("elapsed_s", "seconds", "synth_seconds")
+VOLATILE_FIELDS = ("elapsed_s",)
 
 #: name -> (argv with ``{out}`` for the output directory, saved document).
 CASES = {

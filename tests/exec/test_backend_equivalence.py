@@ -2,9 +2,9 @@
 
 The acceptance contract of the execution layer: at the same seeds, the
 in-process backend (``-j 1``) and the supervised workers (``-j 2``)
-produce the same campaign report byte-for-byte once the explicitly
-volatile fields (``elapsed_s`` and the worker count ``jobs`` on the
-report, ``synth_seconds``/``seconds`` inside records) are stripped.
+produce the same campaign report byte-for-byte once the report's
+``elapsed_s`` and worker count ``jobs`` are removed: records and the
+rendered table carry no wall clock.
 Fault reports and soak checkpoints are deterministic by construction,
 so those compare byte-identical with no scrubbing at all.
 """
@@ -22,25 +22,16 @@ from repro.verify import VerificationCampaign, VerificationSpec
 #: Backend name -> the job count that selects it.
 EXECUTORS = {"serial": 1, "workers": 2}
 
-VOLATILE_RECORD_FIELDS = ("seconds", "synth_seconds")
-
 
 def _runner(executor):
     return Runner(jobs=EXECUTORS[executor], cache=None)
 
 
 def _canonical(report_dict):
-    """Report JSON with the documented wall-clock fields removed."""
+    """Report JSON without the campaign wall clock and worker count."""
     doc = dict(report_dict)
     doc.pop("elapsed_s", None)
     doc.pop("jobs", None)
-    # The rendered table has a wall-clock column; rows carry the same
-    # data minus the volatile fields, so dropping the text loses nothing.
-    doc.pop("text", None)
-    doc["rows"] = [
-        {k: v for k, v in row.items() if k not in VOLATILE_RECORD_FIELDS}
-        for row in doc.get("rows", [])
-    ]
     return json.dumps(doc, sort_keys=True)
 
 

@@ -45,6 +45,7 @@ def test_error_records_flow_into_the_outcome_but_not_the_cache(tmp_path):
     error = outcome.errors[0]
     assert error["status"] == "error"
     assert error["error"]["type"] == "RuntimeError"
+    assert "seconds" not in error
     # Only the two healthy records were cached.
     assert cache.stats()["puts"] == 2
     assert cache.get(units[1]) is None

@@ -131,6 +131,12 @@ class TestCampaign:
             r["status"] for r in second.records
         ]
 
+    def test_records_carry_no_wall_clock(self):
+        campaign = FuzzCampaign(budget=2, seed=3, flows=("default",), patterns=16)
+        records = Runner(jobs=1, cache=None).campaign(campaign.batch()).records
+        for record in records:
+            assert "seconds" not in record and "synth_seconds" not in record
+
 
 class TestShrinking:
     def test_shrink_unit_minimises_the_injected_failure(self):

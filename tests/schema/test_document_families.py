@@ -34,6 +34,16 @@ class TestLegacyFixturesMigrate:
         assert payload["status"] == "equivalent"
         assert payload["cell_counts"]["LA"] == 40
 
+    @pytest.mark.parametrize("tag", [None, "repro-verify/3"])
+    def test_verify_records_lose_their_wall_clock_fields(self, tag):
+        document = fixture("verify-v2.json")
+        if tag is not None:
+            document["schema"] = tag
+        payload = load_document(document, "verify")
+        assert "seconds" not in payload and "synth_seconds" not in payload
+        assert payload["cell_counts"]["LA"] == 40
+        assert pack("verify", payload)["schema"] == "repro-verify/4"
+
     def test_fault_v1_untagged_loads(self):
         payload = load_document(fixture("fault-v1.json"), "fault")
         assert payload["fault_kind"] == "jitter"
