@@ -50,7 +50,7 @@ def main() -> None:
     verdict = repro.verify_result(result, golden=network, patterns=256, seed=0)
     print(f"patterns verified : {verdict.patterns} ({verdict.mode})")
     print(f"elaborations      : {elaboration_count() - before} (one batch, one build)")
-    print(f"status            : {verdict.status} in {verdict.seconds:.2f}s\n")
+    print(f"status            : {verdict.status}\n")
 
     # ------------------------------------------------------------------
     # 3. Corrupt a cell, inspect the counterexample

@@ -171,8 +171,3 @@ def max_stage_depth(aig: Aig) -> int:
     period.
     """
     return aig.depth()
-
-
-def register_count(aig: Aig) -> int:
-    """Number of latches in the AIG."""
-    return aig.num_latches

@@ -108,16 +108,6 @@ def positive_polarities(aig: Aig) -> Dict[str, Rail]:
     return {sink.name: Rail.POS for sink in sinks_of(aig)}
 
 
-def dual_rail_polarities(aig: Aig) -> Dict[str, Rail]:
-    """Marker assignment used for the *unoptimised* direct mapping.
-
-    Returned for symmetry; :func:`analyze_rails` has a ``force_dual_rail``
-    flag that reproduces the Section 3.1.1 behaviour (both rails of every
-    node are built regardless of what the sinks need).
-    """
-    return positive_polarities(aig)
-
-
 def analyze_rails(
     aig: Aig,
     polarities: Optional[Mapping[str, Rail]] = None,

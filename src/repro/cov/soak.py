@@ -17,9 +17,9 @@ The determinism contract, and how each piece honours it:
   shard corpora *is* the single-shard corpus; :func:`merge_states`
   re-sorts records by their global unit index and set-unions the
   coverage maps, reconstructing the 1-shard result exactly;
-* records are stripped of wall-clock fields before persisting
-  (:data:`VOLATILE_RECORD_FIELDS`) — everything a checkpoint holds is
-  reproducible, so checkpoint files compare with ``cmp``;
+* verdict records carry no wall clock (they are pure functions of
+  their unit key) — everything a checkpoint holds is reproducible, so
+  checkpoint files compare with ``cmp``;
 * checkpoints are written atomically (temp file + rename): a kill
   mid-write leaves the previous batch's checkpoint intact;
 * a batch with a unit that raised, crashed or timed out is never
@@ -49,7 +49,6 @@ __all__ = [
     "SOAK_SCHEMA",
     "SoakCampaign",
     "SoakState",
-    "VOLATILE_RECORD_FIELDS",
     "checkpoint_path",
     "load_state",
     "merge_states",
@@ -62,11 +61,6 @@ __all__ = [
 #: Schema tag of the checkpoint layout (the ``soak`` kind of the
 #: ``repro.schema`` registry).
 SOAK_SCHEMA = schema_tag("soak")
-
-#: Wall-clock record fields stripped before persisting: checkpoints hold
-#: only reproducible data, so resumed and uninterrupted runs emit
-#: byte-identical files.
-VOLATILE_RECORD_FIELDS: Tuple[str, ...] = ("seconds", "synth_seconds")
 
 
 @dataclass(frozen=True)
@@ -105,12 +99,6 @@ class SoakCampaign:
             "shard_index": self.shard_index,
         }
 
-    def base_identity(self) -> Dict[str, object]:
-        """Identity shared by every shard of the same campaign."""
-        base = self.identity()
-        base.pop("shard_index")
-        return base
-
     def shard_units(self) -> List[Tuple[int, FuzzUnit]]:
         """This shard's ``(global unit index, unit)`` slice, in order."""
         return list(enumerate(self.fuzz.units()))[self.shard_index :: self.shards]
@@ -126,7 +114,7 @@ class SoakState:
         units_done: Cursor — units verified and persisted so far.
         batches: Per-batch progress rows
             (``{"units": n, "new_features": n}``), in batch order.
-        records: Stripped verdict records, each carrying its global
+        records: Verdict records, each carrying its global
             ``unit_index``; together with the spec names inside, this is
             the campaign's corpus.
         coverage: The shard's coverage map.
@@ -263,16 +251,6 @@ def merge_states(states: Sequence[SoakState]) -> SoakState:
 # ---------------------------------------------------------------------------
 
 
-def _stripped(record: Mapping[str, object], unit_index: int) -> Dict[str, object]:
-    clean = {
-        key: value
-        for key, value in record.items()
-        if key not in VOLATILE_RECORD_FIELDS
-    }
-    clean["unit_index"] = int(unit_index)
-    return clean
-
-
 def run_soak(
     campaign: SoakCampaign,
     runner,
@@ -332,7 +310,7 @@ def run_soak(
             state.coverage, [unit for _, unit in chunk], report.records, spec_features
         )
         for (global_index, _), record in zip(chunk, report.records):
-            state.records.append(_stripped(record, global_index))
+            state.records.append({**record, "unit_index": global_index})
         state.batches.append({"units": len(chunk), "new_features": new_count})
         state.units_done += len(chunk)
         write_state(state, path)

@@ -30,7 +30,6 @@ import contextlib
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -50,13 +49,6 @@ from ..schema import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Current version of the ``repro-record/<N>`` message type; part of every
-#: cache key.  2: records key on the flow signature and carry per-stage
-#: timings.  3: records are stamped with the ``repro.schema`` envelope on
-#: disk (untagged v2 documents still load, via migration).
-RECORD_SCHEMA = 3
-
 
 #: A flow signature entry as stored on a job: (stage name, merged options).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
@@ -218,6 +210,8 @@ def synthesis_record(job: SynthesisJob) -> Dict[str, object]:
     record["kind"] = info.kind
     record["suite"] = info.suite
     record["num_flipflops"] = len(network.latches)
+    # The one wall clock a cached record keeps: these rows are the only
+    # way stage times get out of worker processes to `--stage-timing`.
     record["stages"] = timing.rows()
     record["baseline_name"] = ""
     record["baseline_jj"] = None
@@ -340,8 +334,8 @@ class SynthesisEngine:
     """
 
     cache: Optional[ResultCache] = None
-    #: Jobs computed by this engine (not served from cache), with timings.
-    computed: List[Tuple[SynthesisJob, float]] = field(default_factory=list)
+    #: Jobs computed by this engine (not served from cache).
+    computed: List[SynthesisJob] = field(default_factory=list)
     #: When False, repeated requests re-synthesise (for timing studies).
     memoize: bool = True
     #: In-process memo so one engine never synthesises the same job twice,
@@ -365,24 +359,16 @@ class SynthesisEngine:
             if cached is not None:
                 self.memory[key] = cached
                 return cached
-        start = time.perf_counter()
         record = synthesis_record(job)
-        self.computed.append((job, time.perf_counter() - start))
+        self.computed.append(job)
         self.memory[key] = record
         if self.cache is not None:
             self.cache.put(job, record)
         return record
 
-    def prime(
-        self,
-        job: SynthesisJob,
-        record: Mapping[str, object],
-        persist: bool = True,
-    ) -> None:
-        """Store an externally computed record (used by the parallel runner)."""
+    def prime(self, job: SynthesisJob, record: Mapping[str, object]) -> None:
+        """Memoise an externally computed record (used by the parallel runner)."""
         self.memory[job.key()] = dict(record)
-        if persist and self.cache is not None:
-            self.cache.put(job, record)
 
 
 _DEFAULT_ENGINE = SynthesisEngine()

@@ -13,7 +13,7 @@ cache to the assembler — so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
 rather than the sum of all of them.  :class:`RunReport` carries the
 assembled :class:`~repro.eval.experiments.ExperimentResult` together
-with per-job timings and cache statistics, and can be emitted as JSON or
+with per-stage timings and cache statistics, and can be emitted as JSON or
 CSV for downstream tooling.  :meth:`Runner.campaign` runs verify, fuzz
 and faults campaigns through the same scheduling and cache.
 """
@@ -25,7 +25,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Set
 
 from . import experiments
 from ..exec import ExecEvent, SpecUnit, render_event, run_units, spec_units
@@ -172,7 +172,6 @@ class RunReport:
         total_jobs: Synthesis jobs the experiment needed.
         computed_jobs: Jobs actually synthesised this run (cache misses).
         cached_jobs: Jobs served from the result cache.
-        job_timings: Seconds per computed job, keyed by a job label.
         stage_timings: Per-stage aggregate over every record the run
             touched: ``{stage: {"runs", "cached", "total_s", "mean_s"}}``.
             ``runs``/``total_s`` cover only stages executed this run;
@@ -188,7 +187,6 @@ class RunReport:
     total_jobs: int = 0
     computed_jobs: int = 0
     cached_jobs: int = 0
-    job_timings: Dict[str, float] = field(default_factory=dict)
     stage_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
@@ -205,7 +203,6 @@ class RunReport:
             "total_jobs": self.total_jobs,
             "computed_jobs": self.computed_jobs,
             "cached_jobs": self.cached_jobs,
-            "job_timings": dict(self.job_timings),
             "stage_timings": {k: dict(v) for k, v in self.stage_timings.items()},
             "elapsed_s": self.elapsed_s,
             "rows": self.result.rows,
@@ -350,17 +347,15 @@ class Runner:
 
         engine = SynthesisEngine(cache=self.cache)
         job_list = spec.enumerate_jobs(scale, effort, circuits)
-        timings, computed_keys = self._prefetch(engine, job_list)
+        computed_keys = self._prefetch(engine, job_list)
 
         result = spec.assemble(scale, effort, engine, circuits)
         # Jobs the assembler needed beyond the enumerated set (there should
         # be none — specs enumerate exactly what their assembler requests).
-        for job, seconds in engine.computed:
-            timings.setdefault(_job_label(job), seconds)
-            computed_keys.add(job.key())
+        computed_keys.update(job.key() for job in engine.computed)
 
         elapsed = time.perf_counter() - started
-        computed = len(timings)
+        computed = len(computed_keys)
         report = RunReport(
             result=result,
             scale=scale,
@@ -369,7 +364,6 @@ class Runner:
             total_jobs=len(job_list),
             computed_jobs=computed,
             cached_jobs=max(0, len(job_list) - computed),
-            job_timings=timings,
             stage_timings=_aggregate_stage_timings(engine.memory, computed_keys),
             elapsed_s=elapsed,
         )
@@ -416,11 +410,11 @@ class Runner:
     # ------------------------------------------------------------------
     def _prefetch(
         self, engine: SynthesisEngine, job_list: Sequence[SynthesisJob]
-    ) -> Tuple[Dict[str, float], set]:
+    ) -> Set[str]:
         """Compute every enumerated job missing from the cache.
 
-        Returns per-job wall times and the cache keys of the jobs actually
-        synthesised this run (vs replayed from the result cache).
+        Returns the cache keys of the jobs actually synthesised this run
+        (vs replayed from the result cache).
         """
         units = spec_units(job_list, synthesis_record, _job_label)
         # The lifecycle replays cache hits and writes fresh records back;
@@ -439,9 +433,8 @@ class Runner:
             # An errored job stays cold: the assembler recomputes it
             # serially and surfaces the real exception.
             if record.get("status") != "error":
-                engine.prime(by_key[key].spec, record, persist=False)
-        timings = {by_key[key].describe(): t for key, t in outcome.seconds.items()}
-        return timings, set(outcome.seconds)
+                engine.prime(by_key[key].spec, record)
+        return outcome.fresh
 
 
 def run_experiment(

@@ -61,8 +61,6 @@ class UnitResult:
         record: The computed record, or ``None`` on failure.
         seconds: Wall-clock seconds spent executing (includes the failed
             attempt for errors; excludes queueing/backoff).
-        cpu_s: Process CPU seconds for the same span (worker backends
-            report the worker's own measurement).
         error: ``None`` on success, else ``{"type", "message",
             "traceback"}`` describing why the unit failed.
         attempts: Execution attempts consumed (> 1 after crash retries).
@@ -72,7 +70,6 @@ class UnitResult:
     unit: WorkUnit
     record: Optional[Dict[str, object]]
     seconds: float = 0.0
-    cpu_s: float = 0.0
     error: Optional[Dict[str, str]] = None
     attempts: int = 1
 
@@ -83,7 +80,7 @@ class UnitResult:
 
 def execute_unit(
     unit: WorkUnit,
-) -> Tuple[Optional[Dict[str, object]], float, float, Optional[Dict[str, str]]]:
+) -> Tuple[Optional[Dict[str, object]], float, Optional[Dict[str, str]]]:
     """Run one unit, capturing any exception as structured error info.
 
     This is the single execution wrapper both backends funnel through
@@ -91,7 +88,6 @@ def execute_unit(
     so timing and error capture are identical everywhere.
     """
     start = time.perf_counter()
-    cpu_start = time.process_time()
     try:
         record = unit.run()
         error = None
@@ -104,7 +100,7 @@ def execute_unit(
             "message": str(exc),
             "traceback": traceback.format_exc(),
         }
-    return record, time.perf_counter() - start, time.process_time() - cpu_start, error
+    return record, time.perf_counter() - start, error
 
 
 class Executor:
@@ -137,13 +133,12 @@ class SerialExecutor(Executor):
 
     def map(self, units: Sequence[WorkUnit]) -> Iterator[UnitResult]:
         for index, unit in enumerate(units):
-            record, seconds, cpu_s, error = execute_unit(unit)
+            record, seconds, error = execute_unit(unit)
             yield UnitResult(
                 index=index,
                 unit=unit,
                 record=record,
                 seconds=seconds,
-                cpu_s=cpu_s,
                 error=error,
             )
 
@@ -306,9 +301,9 @@ class PersistentWorkerExecutor(Executor):
             answer = self._receive(worker)
             if answer is not None:
                 worker.task = None
-                record, seconds, cpu_s, error = answer
+                record, seconds, error = answer
                 results.append(
-                    UnitResult(task.index, task.unit, record, seconds, cpu_s, error, task.attempt)
+                    UnitResult(task.index, task.unit, record, seconds, error, task.attempt)
                 )
                 continue
             if not worker.process.is_alive():

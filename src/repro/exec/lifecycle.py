@@ -24,7 +24,7 @@ replaying every healthy record from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from .events import EmitFn, ExecEvent
 from .executors import Executor, PersistentWorkerExecutor, SerialExecutor, UnitResult
@@ -40,15 +40,15 @@ class ExecOutcome:
     Attributes:
         records: Final record per unit key — cache replays, fresh
             computations, and ``status: "error"`` placeholders alike.
-        seconds: Wall-clock seconds per *computed* unit key (cache
-            replays and error units are absent).
+        fresh: Keys of the records computed this run (cache replays and
+            error units are absent).
         computed: Units executed this run (cache misses, incl. errors).
         cached: Units replayed from the result cache.
         errors: The ``status: "error"`` records, in completion order.
     """
 
     records: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    seconds: Dict[str, float] = field(default_factory=dict)
+    fresh: Set[str] = field(default_factory=set)
     computed: int = 0
     cached: int = 0
     errors: List[Dict[str, object]] = field(default_factory=list)
@@ -80,7 +80,6 @@ def _error_record(result: UnitResult) -> Dict[str, object]:
     record["status"] = "error"
     record["error"] = dict(result.error or {})
     record["attempts"] = result.attempts
-    record["seconds"] = result.seconds
     return record
 
 
@@ -184,7 +183,7 @@ def run_units(
                 continue
             record = dict(result.record or {})
             outcome.records[key] = record
-            outcome.seconds[key] = result.seconds
+            outcome.fresh.add(key)
             if cache is not None:
                 cache.put(unit, record)
             note(

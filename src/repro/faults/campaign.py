@@ -72,11 +72,6 @@ __all__ = [
 #: ``faults`` kind of the ``repro.schema`` registry).
 FAULTS_SCHEMA = schema_tag("faults")
 
-#: Current version of the ``repro-fault/<N>`` record message type.
-#: 2: records are stamped with the ``repro.schema`` envelope on disk
-#: (untagged v1 documents still load, via migration).
-FAULT_RECORD_SCHEMA = 2
-
 #: Kinds a campaign injects when the caller does not choose: the two
 #: timing aspects, whose margins are the headline robustness numbers.
 DEFAULT_FAULT_KINDS: Tuple[str, ...] = ("jitter", "skew")

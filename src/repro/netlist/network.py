@@ -225,11 +225,6 @@ class LogicNetwork:
         """All DFF gates, in insertion order."""
         return [g for g in self.gates.values() if g.is_latch()]
 
-    @property
-    def logic_gates(self) -> List[Gate]:
-        """All combinational gates, in insertion order."""
-        return [g for g in self.gates.values() if g.is_combinational()]
-
     def is_combinational(self) -> bool:
         """Return True when the network contains no flip-flops."""
         return not any(g.is_latch() for g in self.gates.values())

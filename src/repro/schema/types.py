@@ -9,8 +9,9 @@ persists.  The version history (details in ``docs/schema.md``):
     untagged documents sniff as v2 and migrate by identity.
 ``verify`` (verification/fuzz verdict records, ``repro.verify``)
     v2 (untagged, gained ``cell_counts``) -> v3 (tagged), identity
-    migration.  Fuzz units verify a ``VerificationSpec``, so their
-    records ride this kind.
+    migration -> v4 (records carry no wall clock: the migration drops
+    ``seconds`` and ``synth_seconds``).  Fuzz units verify a
+    ``VerificationSpec``, so their records ride this kind.
 ``fault`` (fault-injection records, ``repro.faults``)
     v1 (untagged) -> v2 (tagged), identity migration.
 ``bench`` / ``cov`` / ``soak`` / ``faults``
@@ -45,6 +46,11 @@ def _identity(payload: Dict[str, object]) -> Dict[str, object]:
     return payload
 
 
+def _drop_wall_clock(payload: Dict[str, object]) -> Dict[str, object]:
+    """``verify`` v3 -> v4: a record is a pure function of its unit key."""
+    return {k: v for k, v in payload.items() if k not in ("seconds", "synth_seconds")}
+
+
 RECORD = register(
     MessageType(
         kind="record",
@@ -62,7 +68,7 @@ RECORD = register(
 VERIFY = register(
     MessageType(
         kind="verify",
-        version=3,
+        version=4,
         required=(
             ("circuit", (str,)),
             ("status", (str,)),
@@ -70,7 +76,7 @@ VERIFY = register(
             ("patterns", (int,)),
         ),
         legacy_version=2,
-        migrations={2: _identity},
+        migrations={2: _identity, 3: _drop_wall_clock},
     )
 )
 

@@ -313,17 +313,6 @@ class BatchedNetlistSimulator:
         first = 2 * cycle + 1 if self.is_sequential else 2 * cycle
         return first * period, (first + 1) * period
 
-    def decode_net(
-        self,
-        trace: Mapping[str, Sequence[float]],
-        net: str,
-        rail: Rail,
-        cycle: int,
-    ) -> int:
-        """Decode the logical value a net carried during one cycle."""
-        start, end = self.cycle_window(cycle)
-        return _decode_output(trace, net, rail, start, end)
-
     def unexpected_dangling_nets(self) -> List[str]:
         """Cell-driven dangling pulsed nets that are *not* primary outputs.
 

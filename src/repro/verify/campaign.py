@@ -21,7 +21,6 @@ check of the whole synthesis stack — and flatten the verdict to JSON.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,12 +43,6 @@ __all__ = [
     "render_verification_table",
     "verification_record",
 ]
-
-#: Current version of the ``repro-verify/<N>`` message type.
-#: 2: records gained ``cell_counts`` (mapped cell-family histogram).
-#: 3: records are stamped with the ``repro.schema`` envelope on disk
-#: (untagged v2 documents still load, via migration).
-VERIFY_SCHEMA = 3
 
 #: A flow signature as stored on a spec (same shape as SynthesisJob.stages).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
@@ -163,9 +156,7 @@ def verification_record(spec: VerificationSpec) -> Dict[str, object]:
     """Worker-process entry: synthesise, verify, flatten to a JSON record."""
     info = circuit_info(spec.circuit)
     network = build_circuit(spec.circuit, spec.scale)
-    synth_started = time.perf_counter()
     result = spec.flow().run(network, stage_cache=get_stage_cache())
-    synth_seconds = time.perf_counter() - synth_started
     verdict = verify_result(
         result,
         golden=network,
@@ -182,7 +173,6 @@ def verification_record(spec: VerificationSpec) -> Dict[str, object]:
     record.update(spec_fields)
     record["kind"] = info.kind
     record["suite"] = info.suite
-    record["synth_seconds"] = synth_seconds
     record["cell_counts"] = _cell_counts(result)
     return record
 
@@ -347,13 +337,12 @@ def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
             record.get("status", "?").upper(),
             int(record.get("patterns") or 0),
             int(record.get("elaborations") or 0),
-            f"{float(record.get('seconds') or 0.0):.2f}",
             detail(record),
         ]
         for record in records
     ]
     return format_table(
-        ["Circuit", "Kind", "Status", "Patterns", "Elab", "Sim (s)", "Detail"],
+        ["Circuit", "Kind", "Status", "Patterns", "Elab", "Detail"],
         rows,
     )
 

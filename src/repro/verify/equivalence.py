@@ -19,7 +19,6 @@ pattern.  That is the net to stare at when debugging a mapping bug; see
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -98,7 +97,6 @@ class VerificationVerdict:
             anything unexpected deserves a look (hence the warning).
         elaborations: Netlist elaborations performed (1 — that is the
             point of batching).
-        seconds: Wall-clock spent verifying.
         reason: Human explanation for ``"skipped"`` verdicts.
     """
 
@@ -111,7 +109,6 @@ class VerificationVerdict:
     first_divergence_net: Optional[str] = None
     dangling_nets: List[str] = field(default_factory=list)
     elaborations: int = 0
-    seconds: float = 0.0
     reason: str = ""
 
     @property
@@ -130,7 +127,6 @@ class VerificationVerdict:
             "first_divergence_net": self.first_divergence_net,
             "dangling_nets": list(self.dangling_nets),
             "elaborations": self.elaborations,
-            "seconds": self.seconds,
             "reason": self.reason,
         }
 
@@ -147,7 +143,6 @@ class VerificationVerdict:
             first_divergence_net=record.get("first_divergence_net"),
             dangling_nets=list(record.get("dangling_nets") or []),
             elaborations=int(record.get("elaborations", 0)),
-            seconds=float(record.get("seconds", 0.0)),
             reason=str(record.get("reason", "")),
         )
 
@@ -410,7 +405,6 @@ def verify_result(
     Returns:
         A :class:`VerificationVerdict`; never raises on a mismatch.
     """
-    started = time.perf_counter()
     golden_aig = _golden_aig(golden if golden is not None else result.aig)
     verdict = VerificationVerdict(circuit=result.name, status="skipped", seed=seed)
 
@@ -419,7 +413,6 @@ def verify_result(
             "architecturally pipelined netlists have cycle latency; "
             "pulse-vs-golden alignment is not modelled yet"
         )
-        verdict.seconds = time.perf_counter() - started
         return verdict
 
     sim = BatchedNetlistSimulator(
@@ -444,5 +437,4 @@ def verify_result(
             verdict, result, golden_aig, suite, sim, fault_model=fault_model
         )
     verdict.elaborations = sim.elaborations
-    verdict.seconds = time.perf_counter() - started
     return verdict
