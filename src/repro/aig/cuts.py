@@ -79,14 +79,14 @@ def cone_nodes(aig: Aig, root: int, leaves: Sequence[int]) -> List[int]:
     return sorted(cone)
 
 
-def mffc_size(aig: Aig, root: int, leaves: Sequence[int], fanout_counts: Sequence[int]) -> int:
+def mffc_size(aig: Aig, root: int, cone: Sequence[int], fanout_counts: Sequence[int]) -> int:
     """Number of cone nodes freed when the cone of ``root`` is replaced.
 
-    A cone node (other than the root) is counted only when *all* of its
-    fanouts lie inside the counted set — i.e. it belongs to the maximum
-    fanout-free cone of the root restricted to the cut.
+    ``cone`` is the :func:`cone_nodes` of ``root`` over the cut.  A cone
+    node (other than the root) is counted only when *all* of its fanouts
+    lie inside the counted set — i.e. it belongs to the maximum fanout-free
+    cone of the root restricted to the cut.
     """
-    cone = cone_nodes(aig, root, leaves)
     # Build fanout counts and consumer lists restricted to the cone in one
     # pass (the consumer rescan per node made this quadratic in cone size).
     inside_fanouts: Dict[int, int] = {n: 0 for n in cone}

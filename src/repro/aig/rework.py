@@ -10,7 +10,8 @@ commands.  Both passes work the same way:
    factoring (the cheaper of the function and its complement);
 4. accept the replacement when the estimated number of new AND nodes is
    smaller than the size of the maximum fanout-free cone that would be
-   freed;
+   freed.  A factored form needs at least ``|support| - 1`` AND nodes, so
+   a cut whose support floor already rules out acceptance skips step 3;
 5. rebuild the AIG with the accepted replacements and sweep dangling nodes.
 
 As a safety net, the rebuilt AIG is only returned when it is not larger than
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cuts import cone_nodes, enumerate_cuts, mffc_size, reconvergence_cut
 from .graph import FALSE, Aig, lit_is_complemented, lit_node, lit_not, make_lit
 from .simulate import cone_truth_table
-from .sop import FactorNode, build_factor_into_aig, factored_form_cost
+from .sop import FactorNode, build_factor_into_aig, factored_form_cost, support
 
 
 class _Replacement:
@@ -105,8 +106,11 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
             table = cone_truth_table(aig, make_lit(node), leaves)
         except ValueError:
             continue
+        freed = mffc_size(aig, node, cone, fanout_counts)
+        floor = len(support(table, len(leaves))) - 1
+        if floor > freed or (floor == freed and not zero_gain):
+            continue
         cost, factor, complemented = factored_form_cost(table, len(leaves))
-        freed = mffc_size(aig, node, leaves, fanout_counts)
         if cost < freed or (zero_gain and cost == freed):
             replacements[node] = _Replacement(leaves, factor, complemented)
             claimed.update(cone)
@@ -143,9 +147,15 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
                 table = cone_truth_table(aig, make_lit(node), leaves)
             except ValueError:
                 continue
-            # factored_form_cost is memoised process-wide (lru_cache).
+            freed = mffc_size(aig, node, cone, fanout_counts)
+            # The support floor bounds the gain from above: skip factoring
+            # when even that bound could not be accepted or beat ``best``.
+            bound = freed - (len(support(table, len(leaves))) - 1)
+            if bound < 0 or (bound == 0 and not zero_gain):
+                continue
+            if best is not None and bound <= best[0]:
+                continue
             cost, factor, complemented = factored_form_cost(table, len(leaves))
-            freed = mffc_size(aig, node, leaves, fanout_counts)
             gain = freed - cost
             if gain > 0 or (zero_gain and gain == 0):
                 if best is None or gain > best[0]:

@@ -242,18 +242,12 @@ def factor_cover(cover: Cover) -> FactorNode:
     return FactorNode("or", children=(factored_part, remainder_expr))
 
 
-@lru_cache(maxsize=1 << 16)
 def factor_table(table: int, num_vars: int) -> FactorNode:
     """ISOP + factoring of a completely specified truth table.
 
-    Both the function and its complement are factored and the cheaper form
-    is returned (complemented forms are handled by the caller through the
-    top literal polarity — see :func:`factored_form_cost`).
-
-    Results are memoised — the resynthesis passes re-factor the same small
-    cone functions constantly — so callers must treat the returned
-    :class:`FactorNode` tree as immutable (they all do: the only consumer
-    is :func:`build_factor_into_aig`, which reads it).
+    Complemented forms are handled by the caller through the top literal
+    polarity — see :func:`factored_form_cost`, which factors both the
+    function and its complement and memoises the cheaper form.
     """
     mask = table_mask(num_vars)
     table &= mask
@@ -315,8 +309,15 @@ def factored_form_cost(table: int, num_vars: int) -> Tuple[int, FactorNode, bool
 
     Returns ``(cost, factor, complemented)`` where ``complemented`` indicates
     that the factored form realises the complement of ``table`` and the
-    caller must invert the resulting literal.  Memoised like
-    :func:`factor_table`; the returned tree must be treated as immutable.
+    caller must invert the resulting literal.
+
+    Results are memoised — the resynthesis passes re-factor the same small
+    cone functions constantly — so callers must treat the returned
+    :class:`FactorNode` tree as immutable (they all do: the only consumer
+    is :func:`build_factor_into_aig`, which reads it).  Every factored form
+    of a function has at least one literal leaf per support variable, so
+    its cost is never below ``len(support(table, num_vars)) - 1``; the
+    resynthesis passes use that floor to skip cuts that cannot gain.
     """
     direct = factor_table(table, num_vars)
     inverse = factor_table(~table & table_mask(num_vars), num_vars)

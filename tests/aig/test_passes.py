@@ -21,8 +21,10 @@ from repro.aig import (
     optimize_with_report,
     refactor,
     rewrite,
+    lit_node,
     run_script,
 )
+from repro.aig.cuts import cone_nodes, mffc_size
 from repro.netlist import NetworkBuilder
 
 
@@ -65,6 +67,38 @@ PASSES = {
     "refactor": refactor,
     "cleanup": lambda aig: aig.cleanup(),
 }
+
+
+class TestMffc:
+    """The freed-node count that both resynthesis passes compare against."""
+
+    def shared_cone(self):
+        """``root = ((a & b) & c) & d`` where ``a & b`` also feeds ``side``."""
+        aig = Aig("shared")
+        a, b, c, d = (aig.add_pi(name) for name in "abcd")
+        shared = aig.add_and(a, b)
+        inner = aig.add_and(shared, c)
+        root = aig.add_and(inner, d)
+        side = aig.add_and(shared, d)
+        aig.add_po(root, "y")
+        aig.add_po(side, "z")
+        leaves = [lit_node(lit) for lit in (a, b, c, d)]
+        return aig, lit_node(root), lit_node(inner), lit_node(shared), leaves
+
+    def test_node_with_a_fanout_outside_the_cone_is_not_freed(self):
+        aig, root, inner, shared, leaves = self.shared_cone()
+        cone = cone_nodes(aig, root, leaves)
+        assert cone == sorted([shared, inner, root])
+        # root and inner are freed; shared survives for ``side``.
+        assert mffc_size(aig, root, cone, aig.fanout_counts()) == 2
+
+    def test_root_is_always_freed(self):
+        aig, root, inner, shared, leaves = self.shared_cone()
+        # ``shared`` as a cone root: it has two fanouts, but replacing it
+        # still frees the root itself.
+        cone = cone_nodes(aig, shared, leaves)
+        assert cone == [shared]
+        assert mffc_size(aig, shared, cone, aig.fanout_counts()) == 1
 
 
 class TestIndividualPasses:

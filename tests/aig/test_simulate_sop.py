@@ -1,7 +1,7 @@
 """Tests for bit-parallel simulation and the ISOP/factoring machinery."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, cone_truth_table, exhaustive_truth_tables, make_lit, simulate_random
@@ -93,6 +93,23 @@ class TestTruthTableOps:
         lit = build_factor_into_aig(factor, leaves, aig.add_and, lit_not)
         aig.add_po(lit, "y")
         assert exhaustive_truth_tables(aig)[0] == table
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, table_mask(n)))
+        )
+    )
+    @example((1, 0))
+    @example((1, 0b11))
+    @example((6, 0))
+    @example((6, table_mask(6)))
+    def test_factored_form_cost_is_at_least_the_support_floor(self, case):
+        # The floor the resynthesis passes skip factoring on: every form of
+        # f or !f has a literal leaf per support variable.
+        num_vars, table = case
+        cost, _, _ = factored_form_cost(table, num_vars)
+        assert cost >= len(support(table, num_vars)) - 1
 
     def test_factored_form_cost_prefers_cheaper_polarity(self):
         # f = majority complement is as expensive as majority; an OR of all
