@@ -42,6 +42,9 @@ setup(
     # solve_ivp at module top); ROADMAP item 3 replaces it with a batched
     # numpy RK4 and removes this dependency.
     install_requires=["numpy>=1.21", "scipy>=1.5"],
+    # The test suite's own imports: pytest, and hypothesis for the
+    # property-based tests (tests/core, tests/aig, tests/sim, ...).
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "repro=repro.eval.cli:main",
