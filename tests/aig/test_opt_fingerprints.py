@@ -17,7 +17,6 @@ file with::
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -62,4 +61,3 @@ if __name__ == "__main__":
     }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    sys.exit(0)
