@@ -14,9 +14,12 @@ processes of :meth:`repro.eval.runner.Runner.campaign` unchanged
 1. synthesises the circuit under the spec's flow (stage cache reused);
 2. verifies the mapped netlist *nominally* — with a zero-magnitude
    fault model installed, so the injection code path itself is under
-   test — against the source network; a circuit that is not EQUIVALENT
-   nominally is reported as ``nominal-miscompare`` (a real synthesis
-   bug) or ``skipped`` and never blamed on the injected fault;
+   test — against the source network, on a
+   :class:`~repro.verify.equivalence.NetlistVerifier` that every later
+   probe of the unit reuses (one elaboration per unit); a circuit that
+   is not EQUIVALENT nominally is reported as ``nominal-miscompare`` (a
+   real synthesis bug) or ``skipped`` and never blamed on the injected
+   fault;
 3. either injects the scenario at its fixed magnitude (status
    ``tolerated`` / ``miscompare``, with injection counts, the
    counterexample and the first divergence net), or binary-searches the
@@ -51,7 +54,7 @@ from ..verify.campaign import (
     _cell_counts,
     error_detail,
 )
-from ..verify.equivalence import verify_result
+from ..verify.equivalence import NetlistVerifier
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name
 
@@ -210,17 +213,19 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
         "reason": "",
     }
 
+    # One elaboration and one stimulus suite serve the nominal gate and
+    # every probe; each check installs its own model.
+    verifier = NetlistVerifier(
+        result,
+        golden=network,
+        patterns=spec.patterns,
+        seed=spec.stimulus_seed,
+        sequence_length=spec.sequence_length,
+    )
+
     def check(magnitude: float):
         model = scenario.with_magnitude(magnitude).model()
-        verdict = verify_result(
-            result,
-            golden=network,
-            patterns=spec.patterns,
-            seed=spec.stimulus_seed,
-            sequence_length=spec.sequence_length,
-            fault_model=model,
-        )
-        return verdict, model
+        return verifier.verify(model), model
 
     # Nominal gate: margins and miscompares only mean something on a
     # mapping that is equivalent fault-free.  The zero-magnitude model

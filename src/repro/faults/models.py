@@ -20,13 +20,21 @@ Determinism contract (the whole point of the subsystem):
 * streams advance one draw per *active* aspect per emission, in the
   fixed order drop → jitter → dup, so adding an aspect never reshuffles
   another aspect's draws;
-* :meth:`reset_streams` rewinds every stream (the pulse simulator calls
-  it from :meth:`~repro.sim.pulse.PulseSimulator.reset`), mirroring the
+* each stream is seeded once per model and keeps every value it has
+  drawn behind a cursor; :meth:`reset_streams` rewinds the cursors (the
+  pulse simulator calls it from
+  :meth:`~repro.sim.pulse.PulseSimulator.reset`), mirroring the
   simulator's own sequence-counter rewind: each sequential trajectory
-  replays bit-identical injections;
-* a zero-magnitude model draws nothing and returns each emission time
-  unchanged, so traces are byte-identical to a fault-free run even
-  though the injection code path executes (see ``tests/faults``).
+  replays bit-identical injections without re-seeding anything;
+* the per-net pulse kernel (:mod:`repro.sim.pulse.soa`) takes a net's
+  next *n* jitter draws in one block (:meth:`FaultModel.peek_draws` /
+  :meth:`FaultModel.consume_draws`), so a scalar run resumed after a
+  kernel run continues exactly where the scalar loop would have been;
+* a model that perturbs no emission (zero drop, dup and jitter; skew
+  only moves the stimulus) builds no stream, draws nothing and returns
+  each emission time unchanged, so traces are byte-identical to a
+  fault-free run even though the injection code path executes (see
+  ``tests/faults``).
 
 Jittered times are clamped to the causing event's time: an effect
 scheduled *behind* its cause would break the monotone-trace invariant
@@ -37,13 +45,43 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["DUP_SPACING", "FaultModel", "stream_seed"]
 
 #: Delay (ps) between a pulse and its duplicated echo.  Short enough to
 #: land in the same synchronous phase, long enough to be a distinct event.
 DUP_SPACING = 2.0
+
+
+class _NetStream:
+    """One net's seeded draw sequence, replayable from a cursor."""
+
+    __slots__ = ("_rng", "values", "cursor")
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        #: Every value drawn so far, in draw order.
+        self.values: List[float] = []
+        #: Index of the next value to hand out.
+        self.cursor = 0
+
+    def draw(self) -> float:
+        cursor = self.cursor
+        self.cursor = cursor + 1
+        values = self.values
+        if cursor == len(values):
+            values.append(self._rng.random())
+        return values[cursor]
+
+    def peek(self, count: int) -> List[float]:
+        """The next ``count`` values, drawn as needed, cursor unmoved."""
+        end = self.cursor + count
+        values = self.values
+        if len(values) < end:
+            rand = self._rng.random
+            values.extend([rand() for _ in range(end - len(values))])
+        return values[self.cursor:end]
 
 
 def stream_seed(seed: int, net: str) -> int:
@@ -98,7 +136,7 @@ class FaultModel:
         #: Live reference to the simulator's interned net-name list
         #: (grown by the simulator as nets appear); bound lazily.
         self._net_names: Sequence[str] = ()
-        self._streams: List[Optional[random.Random]] = []
+        self._streams: List[Optional[_NetStream]] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -114,13 +152,26 @@ class FaultModel:
         Called by :meth:`repro.sim.pulse.PulseSimulator.reset` so each
         trajectory of a batched sequential run replays the exact same
         injections — the analogue of the simulator rewinding its event
-        sequence counter.
+        sequence counter.  Drawn values are kept, so a replay re-reads
+        them instead of re-seeding the stream.
         """
-        self._streams = []
+        for stream in self._streams:
+            if stream is not None:
+                stream.cursor = 0
 
     def is_noop(self) -> bool:
         """True when no aspect can perturb anything."""
         return not (self.drop_rate or self.dup_rate or self.jitter or self.skew)
+
+    def keeps_pairing(self) -> bool:
+        """True when the per-net pulse kernel can replay this model exactly.
+
+        That holds for emission-inert and jitter-only models: no
+        emission is dropped or echoed, so LA/FA inputs keep their
+        equal-count pairing.  A recorded log stays on the scalar loop,
+        which writes it in global chronological order.
+        """
+        return not (self.drop_rate or self.dup_rate) and self._log is None
 
     def clone(self) -> "FaultModel":
         """A fresh, unbound model with the same parameters.
@@ -148,13 +199,14 @@ class FaultModel:
     # ------------------------------------------------------------------
     # Injection (simulator hot path)
     # ------------------------------------------------------------------
-    def _stream(self, nid: int) -> random.Random:
+    def _stream(self, nid: int) -> _NetStream:
         streams = self._streams
         if len(streams) <= nid:
             streams.extend([None] * (nid + 1 - len(streams)))
-        rng = random.Random(stream_seed(self.seed, self._net_names[nid]))
-        streams[nid] = rng
-        return rng
+        stream = streams[nid]
+        if stream is None:
+            stream = streams[nid] = _NetStream(stream_seed(self.seed, self._net_names[nid]))
+        return stream
 
     def emissions(self, nid: int, time: float, now: float) -> Tuple[float, ...]:
         """Perturbed delivery times for one cell emission.
@@ -168,30 +220,52 @@ class FaultModel:
         Returns:
             Zero (dropped), one, or two (duplicated) delivery times.
         """
+        if not (self.drop_rate or self.dup_rate or self.jitter):
+            return (time,)
         streams = self._streams
-        rng = streams[nid] if nid < len(streams) else None
-        if rng is None:
-            rng = self._stream(nid)
-        if self.drop_rate and rng.random() < self.drop_rate:
+        stream = streams[nid] if nid < len(streams) else None
+        if stream is None:
+            stream = self._stream(nid)
+        if self.drop_rate and stream.draw() < self.drop_rate:
             self.totals["drop"] += 1
             if self._log is not None:
                 self._log.append(("drop", self._net_names[nid], time))
             return ()
         out = time
         if self.jitter:
-            out = time + (2.0 * rng.random() - 1.0) * self.jitter
+            out = time + (2.0 * stream.draw() - 1.0) * self.jitter
             if out < now:
                 out = now
             self.totals["jitter"] += 1
             if self._log is not None:
                 self._log.append(("jitter", self._net_names[nid], out))
-        if self.dup_rate and rng.random() < self.dup_rate:
+        if self.dup_rate and stream.draw() < self.dup_rate:
             self.totals["dup"] += 1
             echo = out + DUP_SPACING
             if self._log is not None:
                 self._log.append(("dup", self._net_names[nid], echo))
             return (out, echo)
         return (out,)
+
+    def peek_draws(self, nid: int, count: int) -> List[float]:
+        """Net ``nid``'s next ``count`` draws, without consuming them.
+
+        The per-net kernel reads these for a jitter-only model; it calls
+        :meth:`consume_draws` only once the whole run has succeeded, so
+        an aborted kernel run leaves every stream where it was.
+        """
+        return self._stream(nid).peek(count)
+
+    def consume_draws(self, counts: Mapping[int, int]) -> None:
+        """Advance each net's cursor past the draws the kernel used.
+
+        ``counts`` maps net id to the number of jittered emissions; each
+        is one injection, as in :meth:`emissions`.
+        """
+        streams = self._streams
+        for nid, count in counts.items():
+            streams[nid].cursor += count
+            self.totals["jitter"] += count
 
     # ------------------------------------------------------------------
     # Inspection

@@ -84,8 +84,8 @@ class PulseSimulator:
         #: Optional fault model perturbing cell emissions (see
         #: :meth:`set_fault_model`); ``None`` keeps the loop fault-free.
         self._fault_model = None
-        #: ``None`` follows the module default (numpy present and
-        #: ``REPRO_SCALAR_KERNELS`` unset); ``True``/``False`` force the
+        #: ``None`` follows the module default (on unless
+        #: ``REPRO_SCALAR_KERNELS=1``); ``True``/``False`` force the
         #: struct-of-arrays fast path on or off for this instance.
         self.vectorize: Optional[bool] = None
         #: Number of :meth:`run` calls served by the SoA fast path (the
@@ -164,7 +164,9 @@ class PulseSimulator:
         are *not* perturbed: stimulus-side faults (clock skew) are
         applied where the stimulus is built.  The model binds to the
         live interned net-name table so its per-net streams are keyed on
-        stable names, never ids.
+        stable names, never ids.  The struct-of-arrays fast path replays
+        models that keep the LA/FA pairing without calling the hook per
+        emission, drawing the same per-net values (:mod:`.soa`).
         """
         self._fault_model = model
         if model is not None:
@@ -208,11 +210,14 @@ class PulseSimulator:
             is needed).  The lists are live internal buffers shared with
             later resumed runs; treat them as read-only.
 
-        Fresh, fault-free runs of feed-forward netlists are served by the
+        Fresh runs of feed-forward netlists are served by the
         struct-of-arrays fast path (:mod:`repro.sim.pulse.soa`) when its
-        checks pass; every other run — resumed, sequential, faulted,
-        ineligible — takes the scalar event loop below.  Both produce
-        bit-identical traces, counters and dangling records.
+        checks pass, with or without a fault model that keeps the LA/FA
+        pairing (emission-inert or jitter-only, see
+        :meth:`_vectorize_enabled`); every other run — resumed,
+        sequential, dropping/duplicating or logging faults, ineligible —
+        takes the scalar event loop below.  Both produce bit-identical
+        traces, counters, dangling records and injection counts.
         """
         if self._vectorize_enabled():
             result = self._run_vectorized(stimulus, until)
@@ -314,17 +319,21 @@ class PulseSimulator:
     def _vectorize_enabled(self) -> bool:
         """Whether this :meth:`run` call may try the SoA fast path.
 
-        Only fresh (never-run / freshly reset) fault-free states qualify:
-        resumed runs carry pending heap events and cell state that only
-        the scalar loop models.
+        Only fresh (never-run / freshly reset) states qualify: resumed
+        runs carry pending heap events and cell state that only the
+        scalar loop models.  An installed fault model must keep the
+        LA/FA pairing (:meth:`~repro.faults.FaultModel.keeps_pairing`):
+        emission-inert and jitter-only models do; drop, dup and a
+        recorded injection log stay on the scalar loop.
         """
         if self.vectorize is not None:
             if not self.vectorize:
                 return False
         elif scalar_kernels_forced():
             return False
+        fault = self._fault_model
         return (
-            self._fault_model is None
+            (fault is None or fault.keeps_pairing())
             and not self._queue
             and self._processed_until == float("-inf")
         )
@@ -343,21 +352,23 @@ class PulseSimulator:
             self._ff_plan = plan if plan is not None else False
         if plan is False or plan is None:
             return None
-        outcome = soa.run_vectorized(self, plan, stimulus, until)
+        outcome = soa.run_vectorized(self, plan, stimulus, until, self._fault_model)
         if outcome is None:
             return None
-        net_pulses, total, frontier = outcome
+        total, frontier, tolist = outcome.events, outcome.frontier, outcome.tolist
         trace_lists = self._trace_lists
         capture = self._capture
         sink_table = self._sink_table
         dangling = self._dangling_ids
-        for nid, pulses in enumerate(net_pulses):
+        for nid, pulses in enumerate(outcome.pulses):
             if pulses is None:
                 continue
             if capture[nid]:
-                trace_lists[nid].extend(pulses.tolist())
+                trace_lists[nid].extend(tolist(pulses))
             if not sink_table[nid]:
                 dangling.add(nid)
+        if outcome.draws:
+            self._fault_model.consume_draws(outcome.draws)
         self._pending_sources.clear()
         # The scalar loop bumps ``_sequence`` once per scheduled event;
         # tracking the same count keeps a scalar run resumed *after* a

@@ -5,7 +5,7 @@ heap traffic for every pulse.  Synthesised combinational xSFQ netlists do
 not need any of that machinery: they are acyclic, every cell is one of
 LA / FA / splitter / merger / JTL, and under the alternating dual-rail
 protocol each cell's pulse stream can be computed *per net* as a sorted
-float64 array:
+array of times:
 
 * **LA** (C element) pairs the i-th pulse of each input and fires at
   ``max(a_i, b_i) + delay``;
@@ -21,18 +21,41 @@ same number of pulses — exactly the protocol the batched stimulus
 generators produce.  Whenever any check fails — cycles, unknown or
 subclassed cell types, interleaved pairs, events beyond ``until``,
 non-float stimulus times — the fast path aborts *without having mutated
-any simulator state* and the caller falls back to the scalar event loop,
-which remains the semantics oracle (fault injection and sequential
-netlists always take the scalar path).
+any simulator or fault-stream state* and the caller falls back to the
+scalar event loop, which remains the semantics oracle.  Sequential
+netlists always take the scalar path.
+
+Fault models that keep the pairing run here too
+(:meth:`repro.faults.FaultModel.keeps_pairing`): emission-inert models
+(zero magnitude, or ``skew``, which only moves the stimulus) are
+fault-free as far as emissions go, and a jitter-only model is replayed
+exactly.  The scalar loop draws a net's offsets in the order the causing
+events are processed, i.e. in cause-time order, from that net's own
+stream; so for every cell-driven net the kernel sorts the cause times,
+takes the same number of draws from the stream in one block, computes
+``(now + delay) + (2r - 1) * jitter`` clamped to ``now`` in the scalar
+operation order, and sorts the result.  Emissions with equal cause time
+and equal delay are interchangeable, so the multiset matches; a net
+whose emissions carry different delays aborts.  Drop and dup break the
+equal-count pairing and stay scalar, as does a recorded injection log.
+
+The kernel is written once over a handful of array primitives (shift,
+pairwise max/min with the interleave check, merge-sort, jitter) with two
+forms: sorted Python float lists, and numpy float64 arrays.  A batch
+whose longest stimulus train reaches :data:`NUMPY_MIN_TRAIN` pulses uses
+numpy; shorter batches use lists, so small fault, fuzz and exhaustive
+batches never import numpy (importing it costs ~12 MB of resident
+memory and ~0.13 s).
 
 The differential suites in ``tests/sim/test_kernel_differential.py`` pin
-traces, event counts, dangling-net records and decode results bit-equal
-to the scalar core and to ``ReferencePulseSimulator``.
+traces, event counts, dangling-net records, injection counts and decode
+results bit-equal to the scalar core and to ``ReferencePulseSimulator``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import lt
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..._compat import load_numpy
 from .elements import (
@@ -54,6 +77,13 @@ _OP_FAN = 2  # delay-shift one input onto one or more outputs
 _PAIRED_TYPES = {LaCell: _OP_LA, FaCell: _OP_FA}
 _FAN_TYPES = (SplitterCell, MergerCell, JtlCell)
 
+#: Batches whose longest stimulus train holds at least this many pulses
+#: run on numpy arrays, shorter ones on Python lists.  It sits between
+#: the 64-pattern fault and fuzz batches, where list ops win and numpy's
+#: import would add ~12 MB of resident memory, and the 256-pattern
+#: verify and 512-pattern benchmark batches, where numpy wins.
+NUMPY_MIN_TRAIN = 128
+
 
 class FeedForwardPlan:
     """Topologically ordered vector ops compiled from a feed-forward netlist."""
@@ -68,13 +98,11 @@ class FeedForwardPlan:
 def compile_plan(sim) -> Optional[FeedForwardPlan]:
     """Compile ``sim``'s element graph into a :class:`FeedForwardPlan`.
 
-    Returns ``None`` when the netlist is ineligible: numpy missing, any
-    element outside the supported exact types, an LA/FA without exactly
-    two inputs, or a combinational cycle.
+    Returns ``None`` when the netlist is ineligible: any element outside
+    the supported exact types, an LA/FA without exactly two inputs, or a
+    combinational cycle.  Compiling imports nothing: the array form is
+    picked per run (:data:`NUMPY_MIN_TRAIN`).
     """
-    if load_numpy() is None:
-        return None
-
     net_id = sim._net_id
     ops: List[Tuple[int, Tuple[int, ...], Tuple[int, ...], float]] = []
     for element in sim.elements:
@@ -129,29 +157,126 @@ def compile_plan(sim) -> Optional[FeedForwardPlan]:
     return FeedForwardPlan([ops[index] for index in order])
 
 
-def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until):
+class _Fallback(Exception):
+    """Hands the current run back to the scalar event loop."""
+
+
+class _ListOps:
+    """Kernel primitives over sorted lists of Python floats."""
+
+    #: Immutable: ``final`` hands it out for every silent net.
+    empty: Tuple[float, ...] = ()
+
+    @staticmethod
+    def array(times: Sequence[float]) -> List[float]:
+        return sorted(times)
+
+    @staticmethod
+    def shift(pulses: List[float], delay: float) -> List[float]:
+        return [t + delay for t in pulses]
+
+    @staticmethod
+    def merge(parts: List[List[float]]) -> List[float]:
+        if len(parts) == 1:
+            return parts[0]
+        merged = [t for part in parts for t in part]
+        merged.sort()
+        return merged
+
+    @staticmethod
+    def paired(a: List[float], b: List[float], last: bool) -> List[float]:
+        upper = [x if x > y else y for x, y in zip(a, b)]
+        lower = [y if x > y else x for x, y in zip(a, b)]
+        if not all(map(lt, upper, lower[1:])):
+            raise _Fallback  # interleaved pairs: scalar state machine decides
+        return upper if last else lower
+
+    @staticmethod
+    def jitter(causes: List[float], delay: float, draws: List[float], jitter: float) -> List[float]:
+        out = []
+        for now, r in zip(causes, draws):
+            t = (now + delay) + (2.0 * r - 1.0) * jitter
+            out.append(now if t < now else t)
+        out.sort()
+        return out
+
+    @staticmethod
+    def tolist(pulses: List[float]) -> List[float]:
+        return pulses
+
+
+class _NumpyOps:
+    """The same primitives over numpy float64 arrays."""
+
+    def __init__(self, np) -> None:
+        self.np = np
+        self.empty = np.empty(0, dtype=np.float64)
+
+    def array(self, times: Sequence[float]):
+        return self.np.sort(self.np.array(times, dtype=self.np.float64))
+
+    @staticmethod
+    def shift(pulses, delay: float):
+        return pulses + delay
+
+    def merge(self, parts):
+        if len(parts) == 1:
+            return parts[0]
+        return self.np.sort(self.np.concatenate(parts))
+
+    def paired(self, a, b, last: bool):
+        upper = self.np.maximum(a, b)
+        lower = self.np.minimum(a, b)
+        if len(a) > 1 and not (upper[:-1] < lower[1:]).all():
+            raise _Fallback  # interleaved pairs: scalar state machine decides
+        return upper if last else lower
+
+    def jitter(self, causes, delay: float, draws: List[float], jitter: float):
+        np = self.np
+        out = (causes + delay) + (2.0 * np.array(draws, dtype=np.float64) - 1.0) * jitter
+        return np.sort(np.maximum(out, causes))
+
+    @staticmethod
+    def tolist(pulses) -> List[float]:
+        return pulses.tolist()
+
+
+_LIST_OPS = _ListOps()
+
+
+def _array_ops(longest_train: int):
+    """List primitives for short batches, numpy ones (when present) for long."""
+    np = load_numpy() if longest_train >= NUMPY_MIN_TRAIN else None
+    return _LIST_OPS if np is None else _NumpyOps(np)
+
+
+class KernelRun(NamedTuple):
+    """A successful kernel run, not yet committed to the simulator."""
+
+    #: ``pulses[nid]``: every pulse on net ``nid`` in time order (an
+    #: array of the run's form), or ``None`` for a silent net.
+    pulses: List[Optional[object]]
+    events: int
+    frontier: float
+    #: Jitter draws taken per net id (empty without jitter).
+    draws: Dict[int, int]
+    #: Converts one ``pulses`` entry to a list of Python floats.
+    tolist: object
+
+
+def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until, fault=None) -> Optional[KernelRun]:
     """Evaluate one fresh run on the SoA arrays, without mutating ``sim``.
 
-    Returns ``(net_pulses, total_events, frontier)`` on success — where
-    ``net_pulses[nid]`` is a sorted float64 array (or ``None``) of every
-    pulse on that net — or ``None`` when the run must fall back to the
-    scalar event loop.  Interning stimulus net names is the only side
-    effect, and it is idempotent with what the scalar path would do.
+    ``fault`` is the installed fault model, which must keep the pairing
+    (:meth:`~repro.faults.FaultModel.keeps_pairing`); its jitter is
+    applied per cell-driven net from the net's own stream, read ahead
+    without consuming it.  Returns a :class:`KernelRun`, or ``None``
+    when the run must fall back to the scalar event loop.  Interning
+    stimulus net names and extending the fault streams' drawn-value
+    memo are the only side effects, and both are what the scalar path
+    would do anyway.
     """
-    np = load_numpy()
-    if np is None:
-        return None
-
-    contrib: Dict[int, List[object]] = {}
-
-    def add_stimulus(nid: int, times) -> bool:
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1:
-            return False
-        if arr.size:
-            contrib.setdefault(nid, []).append(np.sort(arr))
-        return True
-
+    trains = []
     if stimulus:
         for net, times in stimulus.items():
             # Scalar traces keep stimulus times exactly as given; ints
@@ -159,65 +284,91 @@ def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until):
             # non-float time sends the whole run to the scalar loop.
             if not all(type(t) is float for t in times):
                 return None
-            if not add_stimulus(sim._intern(net), times):
-                return None
+            trains.append((sim._intern(net), times))
     for element in sim._pending_sources:
         times = element.times
         if not all(type(t) is float for t in times):
             return None
-        if not add_stimulus(sim._net_id[element.outputs[0]], times):
-            return None
+        trains.append((sim._net_id[element.outputs[0]], times))
+    ops = _array_ops(max((len(times) for _, times in trains), default=0))
+    jitter = fault.jitter if fault is not None else 0.0
+    try:
+        return _evaluate(sim, plan, ops, trains, until, fault, jitter)
+    except _Fallback:
+        return None
 
-    empty = np.empty(0, dtype=np.float64)
+
+def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
+    #: Net id -> parts that are final pulse times (stimulus, fault-free shifts).
+    contrib: Dict[int, List[object]] = {}
+    #: Net id -> (delay, cause-time parts) awaiting jitter.
+    jittered: Dict[int, Tuple[float, List[object]]] = {}
+    draws: Dict[int, int] = {}
+    for nid, times in trains:
+        if times:
+            contrib.setdefault(nid, []).append(ops.array(times))
+
     finalized: Dict[int, object] = {}
 
     def final(nid: int):
-        arr = finalized.get(nid)
-        if arr is None:
-            parts = contrib.get(nid)
-            if not parts:
-                arr = empty
-            elif len(parts) == 1:
-                arr = parts[0]
-            else:
-                arr = np.sort(np.concatenate(parts))
-            finalized[nid] = arr
-        return arr
+        pulses = finalized.get(nid)
+        if pulses is None:
+            parts = contrib.get(nid, [])
+            entry = jittered.get(nid)
+            if entry is not None:
+                delay, causes = entry
+                causes = ops.merge(causes)
+                count = len(causes)
+                draws[nid] = count
+                parts = parts + [
+                    ops.jitter(causes, delay, fault.peek_draws(nid, count), jitter)
+                ]
+            pulses = ops.merge(parts) if parts else ops.empty
+            finalized[nid] = pulses
+        return pulses
 
+    shift, paired = ops.shift, ops.paired
     for kind, ins, outs, delay in plan.ops:
         if kind == _OP_FAN:
-            pulses = final(ins[0])
-            if pulses.size:
-                shifted = pulses + delay
-                for out in outs:
-                    contrib.setdefault(out, []).append(shifted)
+            causes = final(ins[0])
+            if not len(causes):
+                continue
+        else:
+            a = final(ins[0])
+            b = final(ins[1])
+            if len(a) != len(b):
+                raise _Fallback  # unpaired pulses: cell state carries across
+            if not len(a):
+                continue
+            causes = paired(a, b, kind == _OP_LA)
+        if not jitter:
+            shifted = shift(causes, delay)
+            for out in outs:
+                contrib.setdefault(out, []).append(shifted)
             continue
-        a = final(ins[0])
-        b = final(ins[1])
-        if a.size != b.size:
-            return None  # unpaired pulses: cell state carries across, go scalar
-        if a.size:
-            upper = np.maximum(a, b)
-            lower = np.minimum(a, b)
-            if a.size > 1 and not (upper[:-1] < lower[1:]).all():
-                return None  # interleaved pairs: scalar state machine decides
-            out_times = (upper if kind == _OP_LA else lower) + delay
-            contrib.setdefault(outs[0], []).append(out_times)
+        for out in outs:
+            entry = jittered.get(out)
+            if entry is None:
+                jittered[out] = (delay, [causes])
+            elif entry[0] != delay:
+                raise _Fallback  # one net, two delays: draw order is not cause order
+            else:
+                entry[1].append(causes)
 
     net_pulses: List[Optional[object]] = [None] * len(sim._net_names)
     total = 0
     frontier = float("-inf")
     for nid in range(len(net_pulses)):
-        arr = final(nid)
-        if arr.size:
-            net_pulses[nid] = arr
-            total += int(arr.size)
-            last = float(arr[-1])
+        pulses = final(nid)
+        if len(pulses):
+            net_pulses[nid] = pulses
+            total += len(pulses)
+            last = float(pulses[-1])
             if last > frontier:
                 frontier = last
     limit = float("inf") if until is None else until
     if frontier > limit:
         # Some events would stay pending past ``until``; resumable
         # pending state only exists in the scalar loop.
-        return None
-    return net_pulses, total, frontier
+        raise _Fallback
+    return KernelRun(net_pulses, total, frontier, draws, ops.tolist)

@@ -241,7 +241,8 @@ class BatchedNetlistSimulator:
             windows read — which keeps large batches cheap.  Pass
             ``full_trace=True`` to record every net (needed for
             divergence localisation and waveform inspection).
-        fault_model: Optional :class:`repro.faults.FaultModel`.  Its
+        fault_model: Optional :class:`repro.faults.FaultModel`
+            (replace it with :meth:`set_fault_model`).  Its
             drop/dup/jitter aspects are installed on the pulse
             simulator's cell emissions; its ``skew`` aspect shifts every
             relax-phase stimulus event (input rails, constants and clock
@@ -249,11 +250,12 @@ class BatchedNetlistSimulator:
             the two xSFQ phases.  A zero-magnitude model leaves traces
             byte-identical to a fault-free run.
         vectorize: Forwarded to :attr:`PulseSimulator.vectorize` —
-            ``None`` (default) lets eligible fault-free combinational
-            batches run on the struct-of-arrays fast path, ``False``
-            forces the scalar event loop (the differential tests pin the
-            two bit-identical), ``True`` insists on trying the fast path
-            even when ``REPRO_SCALAR_KERNELS`` is set.
+            ``None`` (default) lets eligible combinational batches run on
+            the struct-of-arrays fast path, fault-free or under an
+            emission-inert or jitter-only fault model; ``False`` forces
+            the scalar event loop (the differential tests pin the two
+            bit-identical); ``True`` insists on trying the fast path even
+            when ``REPRO_SCALAR_KERNELS`` is set.
     """
 
     def __init__(
@@ -268,12 +270,9 @@ class BatchedNetlistSimulator:
         self.netlist = netlist
         self.library = library or default_library()
         self.full_trace = bool(full_trace)
-        self.fault_model = fault_model
-        self._skew = float(fault_model.skew) if fault_model is not None else 0.0
         self.simulator, self._droc_clocks = build_simulator(netlist, self.library)
         self.simulator.vectorize = vectorize
-        if fault_model is not None:
-            self.simulator.set_fault_model(fault_model)
+        self.set_fault_model(fault_model)
         self.is_sequential = bool(self._droc_clocks)
         self.phase_period = (
             float(phase_period)
@@ -303,6 +302,17 @@ class BatchedNetlistSimulator:
         and triggers excluded) — the keys :meth:`run_combinational` /
         :meth:`run_sequence` vectors are read by."""
         return list(self._pi_names)
+
+    def set_fault_model(self, model) -> None:
+        """Install (``None``: remove) the fault model for later batches.
+
+        Lets one elaboration serve a whole fault unit: the nominal check
+        and every margin probe install their own model, skew included,
+        on the same elements and compiled fast-path plan.
+        """
+        self.fault_model = model
+        self._skew = float(model.skew) if model is not None else 0.0
+        self.simulator.set_fault_model(model)
 
     # ------------------------------------------------------------------
     # Decode windows

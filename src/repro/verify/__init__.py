@@ -23,6 +23,7 @@ strategy and how to read counterexamples.
 from .stimulus import StimulusSuite, stimulus_suite
 from .equivalence import (
     Counterexample,
+    NetlistVerifier,
     VerificationError,
     VerificationVerdict,
     verify_result,
@@ -42,6 +43,7 @@ __all__ = [
     "StimulusSuite",
     "stimulus_suite",
     "Counterexample",
+    "NetlistVerifier",
     "VerificationError",
     "VerificationVerdict",
     "verify_result",

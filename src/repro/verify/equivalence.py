@@ -33,6 +33,7 @@ from .stimulus import StimulusSuite, stimulus_suite
 
 __all__ = [
     "Counterexample",
+    "NetlistVerifier",
     "VerificationError",
     "VerificationVerdict",
     "verify_result",
@@ -370,6 +371,76 @@ def _verify_sequential(
     verdict.dangling_nets = sorted(dangling)
 
 
+class NetlistVerifier:
+    """One elaboration and one stimulus suite, checked under many fault models.
+
+    The mapped netlist is elaborated once and the stimulus suite built
+    once; each :meth:`verify` call installs its own fault model (or
+    none) on the same :class:`~repro.sim.pulse.BatchedNetlistSimulator`.
+    A fault unit's nominal gate and all of its margin probes share one
+    verifier (:mod:`repro.faults.campaign`).  See :func:`verify_result`
+    for the arguments.
+    """
+
+    def __init__(
+        self,
+        result: XsfqSynthesisResult,
+        golden: Optional[Union[LogicNetwork, Aig]] = None,
+        patterns: int = 256,
+        seed: int = 0,
+        sequence_length: int = 8,
+        phase_period: Optional[float] = None,
+        library=None,
+    ) -> None:
+        self.result = result
+        self.golden = _golden_aig(golden if golden is not None else result.aig)
+        self.seed = seed
+        self.sequence_length = sequence_length
+        self.sim: Optional[BatchedNetlistSimulator] = None
+        self.suite: Optional[StimulusSuite] = None
+        if result.pipeline_result is not None:
+            return
+        self.sim = BatchedNetlistSimulator(
+            result.netlist, library=library, phase_period=phase_period
+        )
+        # Sequential budgets are spent on random trajectories: enumerating
+        # the input space once would not exercise the state space.
+        self.suite = stimulus_suite(
+            self.golden.pi_names,
+            num_patterns=patterns,
+            seed=seed,
+            allow_exhaustive=not self.sim.is_sequential,
+        )
+
+    def verify(self, fault_model=None) -> VerificationVerdict:
+        """Check the netlist with ``fault_model`` installed on the pulse side."""
+        verdict = VerificationVerdict(circuit=self.result.name, status="skipped", seed=self.seed)
+        sim = self.sim
+        if sim is None:
+            verdict.reason = (
+                "architecturally pipelined netlists have cycle latency; "
+                "pulse-vs-golden alignment is not modelled yet"
+            )
+            return verdict
+        sim.set_fault_model(fault_model)
+        verdict.mode = self.suite.mode
+        if sim.is_sequential:
+            _verify_sequential(
+                verdict, self.result, self.golden, self.suite, sim, self.sequence_length
+            )
+        else:
+            _verify_combinational(
+                verdict,
+                self.result,
+                self.golden,
+                self.suite,
+                sim,
+                fault_model=fault_model,
+            )
+        verdict.elaborations = sim.elaborations
+        return verdict
+
+
 def verify_result(
     result: XsfqSynthesisResult,
     golden: Optional[Union[LogicNetwork, Aig]] = None,
@@ -403,38 +474,17 @@ def verify_result(
             :mod:`repro.faults` are built on exactly this asymmetry).
 
     Returns:
-        A :class:`VerificationVerdict`; never raises on a mismatch.
+        A :class:`VerificationVerdict`; never raises on a mismatch.  To
+        check one netlist under several fault models, hold a
+        :class:`NetlistVerifier` instead: it elaborates once.
     """
-    golden_aig = _golden_aig(golden if golden is not None else result.aig)
-    verdict = VerificationVerdict(circuit=result.name, status="skipped", seed=seed)
-
-    if result.pipeline_result is not None:
-        verdict.reason = (
-            "architecturally pipelined netlists have cycle latency; "
-            "pulse-vs-golden alignment is not modelled yet"
-        )
-        return verdict
-
-    sim = BatchedNetlistSimulator(
-        result.netlist,
-        library=library,
-        phase_period=phase_period,
-        fault_model=fault_model,
-    )
-    # Sequential budgets are spent on random trajectories: enumerating the
-    # input space once would not exercise the state space.
-    suite = stimulus_suite(
-        golden_aig.pi_names,
-        num_patterns=patterns,
+    verifier = NetlistVerifier(
+        result,
+        golden=golden,
+        patterns=patterns,
         seed=seed,
-        allow_exhaustive=not sim.is_sequential,
+        sequence_length=sequence_length,
+        phase_period=phase_period,
+        library=library,
     )
-    verdict.mode = suite.mode
-    if sim.is_sequential:
-        _verify_sequential(verdict, result, golden_aig, suite, sim, sequence_length)
-    else:
-        _verify_combinational(
-            verdict, result, golden_aig, suite, sim, fault_model=fault_model
-        )
-    verdict.elaborations = sim.elaborations
-    return verdict
+    return verifier.verify(fault_model)

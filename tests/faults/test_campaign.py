@@ -105,6 +105,17 @@ class TestFaultRecords:
         assert sum(record["injections"].values()) > 0
         assert record["counterexample"] is None
 
+    def test_margin_search_elaborates_once_per_unit(self):
+        """The nominal gate and every probe share one elaboration
+        (sequential: no miscompare triggers a localisation replay)."""
+        from repro.sim.pulse import elaboration_count
+
+        spec = FaultSpec.create("s27", default_scenario("skew"), patterns=16, margin=True)
+        before = elaboration_count()
+        record = fault_record(spec)
+        assert len(record["margin_probes"]) > 1
+        assert elaboration_count() - before == 1
+
     def test_drop_everything_miscompares_with_localisation(self):
         spec = FaultSpec.create(
             "ctrl", default_scenario("drop", magnitude=1.0), patterns=8
