@@ -7,8 +7,6 @@ after both inputs), the FA cell fires on the first arrival, and the DROC
 read-out discriminates stored flux.
 """
 
-import pytest
-
 from conftest import run_once
 
 from repro.sim.analog import (
@@ -29,7 +27,6 @@ def _characterise_all():
     }
 
 
-@pytest.mark.slow
 def test_figure2_3_analog_characterisation(benchmark):
     results = run_once(benchmark, _characterise_all)
     print("\n[Figures 2-3] " + characterization_report())

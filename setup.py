@@ -38,9 +38,9 @@ setup(
     # numpy backs the word-parallel AIG sweep and the SoA pulse kernel
     # (repro.aig.simulate / repro.sim.pulse.soa).  The scalar kernels keep
     # working without it — see repro._compat.load_numpy for the fallback.
-    # scipy backs the analog RCSJ integrator (repro.sim.analog.rcsj imports
-    # solve_ivp at module top); ROADMAP item 3 replaces it with a batched
-    # numpy RK4 and removes this dependency.
+    # scipy backs the analog RCSJ integrator (repro.sim.analog.rcsj calls
+    # solve_ivp, RK45).  Its import is most of what `repro run figure2_3`
+    # still costs; removing it is ROADMAP item 3.
     install_requires=["numpy>=1.21", "scipy>=1.5"],
     # The test suite's own imports: pytest, and hypothesis for the
     # property-based tests (tests/core, tests/aig, tests/sim, ...).

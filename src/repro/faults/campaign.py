@@ -223,9 +223,9 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
         sequence_length=spec.sequence_length,
     )
 
-    def check(magnitude: float):
+    def check(magnitude: float, localise: bool = True):
         model = scenario.with_magnitude(magnitude).model()
-        return verifier.verify(model), model
+        return verifier.verify(model, localise=localise), model
 
     # Nominal gate: margins and miscompares only mean something on a
     # mapping that is equivalent fault-free.  The zero-magnitude model
@@ -254,7 +254,8 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
         )
 
         def tolerated(magnitude: float) -> bool:
-            verdict, model = check(magnitude)
+            # A probe's miscompare is only a "no": skip localising it.
+            verdict, model = check(magnitude, localise=False)
             for aspect, count in model.totals.items():
                 injections[aspect] += count
             return verdict.status == "equivalent"

@@ -7,11 +7,15 @@ shunted junction (RCSJ) equation
 
     C (Phi0/2pi) d2(phi)/dt2 + (1/R) (Phi0/2pi) d(phi)/dt + Ic sin(phi) = I(t)
 
-integrated with SciPy over networks of junctions, inductors and bias current
-sources.  A 2*pi phase slip of a junction corresponds to one SFQ pulse; the
-delay-extraction helpers measure the time between input and output phase
-slips, which is exactly how the paper derives the Table-2 delays from "JJ
-phase rise times".
+over networks of junctions, inductors and bias current sources.
+:meth:`JjCircuit.simulate` compiles the network into flat tables once and
+integrates it with SciPy's adaptive RK45.  Error control is unit-consistent:
+phases are held to ``PHASE_ATOL`` rad and phase velocities to ``PHASE_ATOL``
+rad per picosecond (1e-9 rad/s on the velocities would force femtosecond
+steps on junctions at rest and buy no accuracy).  A 2*pi phase slip of a
+junction corresponds to one SFQ pulse; the delay-extraction helpers measure
+the time between input and output phase slips, which is exactly how the
+paper derives the Table-2 delays from "JJ phase rise times".
 
 The goal is demonstrative rather than sign-off accurate: the JTL and
 C-element templates in :mod:`repro.sim.analog.cells` propagate pulses and
@@ -32,6 +36,12 @@ from scipy.integrate import solve_ivp
 PHI0 = 2.067833848e-15
 #: Reduced flux quantum Phi0 / 2 pi.
 PHI0_BAR = PHI0 / (2.0 * math.pi)
+#: Absolute error tolerance on junction phases (rad).
+PHASE_ATOL = 1e-9
+#: Time scale (s) of the phase-velocity tolerance: velocities are held to
+#: ``PHASE_ATOL`` rad per picosecond, so a velocity error carried over one
+#: step (at most ``5 * dt`` = 0.5 ps) moves a phase by less than ``PHASE_ATOL``.
+VELOCITY_TIME_SCALE = 1e-12
 
 
 @dataclass
@@ -135,40 +145,50 @@ class JjCircuit:
         by_node = self._junction_on_node()
         order = sorted(by_node)
         index_of = {node: k for k, node in enumerate(order)}
-
-        def phase_of(state: np.ndarray, node: int) -> float:
-            if node < 0:
-                return 0.0
-            return state[index_of[node]]
-
-        def derivatives(t: float, state: np.ndarray) -> np.ndarray:
-            n = len(order)
-            phases = state[:n]
-            velocities = state[n:]
-            currents = np.zeros(n)
-            for source in self.sources:
-                if source.node in index_of:
-                    currents[index_of[source.node]] += source.current(t)
-            for inductor in self.inductors:
-                phase_a = phase_of(state, inductor.node_a)
-                phase_b = phase_of(state, inductor.node_b)
-                branch = PHI0_BAR * (phase_a - phase_b) / inductor.inductance
-                if inductor.node_a in index_of:
-                    currents[index_of[inductor.node_a]] -= branch
-                if inductor.node_b in index_of:
-                    currents[index_of[inductor.node_b]] += branch
-            accelerations = np.zeros(n)
-            for node in order:
-                k = index_of[node]
-                junction = by_node[node]
-                supercurrent = junction.critical_current * math.sin(phases[k])
-                damping = PHI0_BAR * velocities[k] / junction.resistance
-                accelerations[k] = (currents[k] - supercurrent - damping) / (
-                    junction.capacitance * PHI0_BAR
-                )
-            return np.concatenate([velocities, accelerations])
-
         n = len(order)
+
+        # The network, compiled once: per-node constant bias, driven
+        # sources, inductor conductances (index -1 is ground) and per
+        # junction (Ic, Phi0_bar/R, 1/(C Phi0_bar)).
+        bias = [0.0] * n
+        driven: List[Tuple[int, Callable[[float], float]]] = []
+        for source in self.sources:
+            if source.node in index_of:
+                k = index_of[source.node]
+                if source.waveform is None:
+                    bias[k] += source.amplitude
+                else:
+                    driven.append((k, source.waveform))
+        inductors = [
+            (
+                index_of[inductor.node_a] if inductor.node_a >= 0 else -1,
+                index_of[inductor.node_b] if inductor.node_b >= 0 else -1,
+                PHI0_BAR / inductor.inductance,
+            )
+            for inductor in self.inductors
+        ]
+        junctions = [
+            (j.critical_current, PHI0_BAR / j.resistance, 1.0 / (j.capacitance * PHI0_BAR))
+            for j in (by_node[node] for node in order)
+        ]
+
+        def derivatives(t: float, state: np.ndarray) -> List[float]:
+            values = state.tolist()
+            # Slot -1 of ``phases`` and ``currents`` is ground: phase 0,
+            # and whatever current flows into it is dropped.
+            phases, velocities = values[:n] + [0.0], values[n:]
+            currents = bias + [0.0]
+            for k, waveform in driven:
+                currents[k] += waveform(t)
+            for a, b, conductance in inductors:
+                branch = conductance * (phases[a] - phases[b])
+                currents[a] -= branch
+                currents[b] += branch
+            return velocities + [
+                (currents[k] - critical * math.sin(phases[k]) - damping * velocities[k]) * inverse_mass
+                for k, (critical, damping, inverse_mass) in enumerate(junctions)
+            ]
+
         state0 = np.zeros(2 * n)
         if initial_phases is not None:
             state0[:n] = list(initial_phases)[:n]
@@ -181,7 +201,7 @@ class JjCircuit:
             method="RK45",
             max_step=dt * 5,
             rtol=1e-6,
-            atol=1e-9,
+            atol=[PHASE_ATOL] * n + [PHASE_ATOL / VELOCITY_TIME_SCALE] * n,
         )
         phases = {node: solution.y[index_of[node]] for node in order}
         return JjWaveforms(times=solution.t, phases=phases)

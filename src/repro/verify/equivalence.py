@@ -220,6 +220,7 @@ def _verify_combinational(
     suite: StimulusSuite,
     sim: BatchedNetlistSimulator,
     fault_model=None,
+    localise: bool = True,
 ) -> None:
     num_patterns = len(suite)
     # ``simulate_patterns`` returns a Mapping — a plain dict from the
@@ -253,6 +254,9 @@ def _verify_combinational(
             port_net = next(
                 (p.net for p in result.netlist.output_ports if p.name == name), None
             )
+            verdict.first_divergence_net = port_net
+            if not localise:
+                return
             # The batched run only captured the primary-output rails;
             # localisation needs every internal rail, so re-simulate with
             # full capture.  Fault-free runs replay just the failing
@@ -412,8 +416,14 @@ class NetlistVerifier:
             allow_exhaustive=not self.sim.is_sequential,
         )
 
-    def verify(self, fault_model=None) -> VerificationVerdict:
-        """Check the netlist with ``fault_model`` installed on the pulse side."""
+    def verify(self, fault_model=None, localise: bool = True) -> VerificationVerdict:
+        """Check the netlist with ``fault_model`` installed on the pulse side.
+
+        ``localise=False`` skips the full-trace replay that finds a
+        combinational miscompare's first divergence net (it falls back to
+        the failing output port's net); callers that read only the
+        verdict's status save an elaboration and a batch run per failure.
+        """
         verdict = VerificationVerdict(circuit=self.result.name, status="skipped", seed=self.seed)
         sim = self.sim
         if sim is None:
@@ -436,6 +446,7 @@ class NetlistVerifier:
                 self.suite,
                 sim,
                 fault_model=fault_model,
+                localise=localise,
             )
         verdict.elaborations = sim.elaborations
         return verdict

@@ -116,6 +116,17 @@ class TestFaultRecords:
         assert len(record["margin_probes"]) > 1
         assert elaboration_count() - before == 1
 
+    def test_failing_combinational_probes_are_not_localised(self):
+        """A margin probe's miscompare only answers "no": it is not replayed
+        on a full-trace elaboration to find its first divergence net."""
+        from repro.sim.pulse import elaboration_count
+
+        spec = FaultSpec.create("ctrl", default_scenario("jitter"), patterns=16, margin=True)
+        before = elaboration_count()
+        record = fault_record(spec)
+        assert any(not ok for _, ok in record["margin_probes"])
+        assert elaboration_count() - before == 1
+
     def test_drop_everything_miscompares_with_localisation(self):
         spec = FaultSpec.create(
             "ctrl", default_scenario("drop", magnitude=1.0), patterns=8

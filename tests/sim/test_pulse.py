@@ -178,8 +178,102 @@ class TestNetlistSimulation:
             simulate_combinational(seq.netlist, [{"en": 1}])
 
 
-@pytest.mark.slow
+#: ``figure2_3`` scenarios: (output pulses, delay in ps), as first pinned.
+ANALOG_EXPECTED = {
+    "jtl": (1, 5.842180006432435),
+    "la_single": (0, None),
+    "la_both": (1, 3.9533140620690452),
+    "fa_single": (1, 2.990252823965256),
+    "fa_both": (2, 2.990252823965256),
+    "droc_empty": (1, 6.526746995601278),
+    "droc_loaded": (2, -2.8236035548648597),
+}
+
+
+def _analog_scenarios():
+    from repro.sim.analog import (
+        characterize_droc,
+        characterize_fa,
+        characterize_jtl,
+        characterize_la,
+    )
+
+    results = [characterize_jtl(), *characterize_la(), *characterize_fa(), *characterize_droc()]
+    return {
+        name: (result.output_pulses, result.delay_ps)
+        for name, result in zip(ANALOG_EXPECTED, results)
+    }
+
+
+@pytest.fixture(scope="module")
+def analog_scenarios():
+    return _analog_scenarios()
+
+
 class TestAnalogModel:
+    def test_figure2_3_outputs_are_pinned(self, analog_scenarios):
+        for name, (pulses, delay) in ANALOG_EXPECTED.items():
+            got_pulses, got_delay = analog_scenarios[name]
+            assert got_pulses == pulses, name
+            if delay is None:
+                assert got_delay is None, name
+            else:
+                assert got_delay == pytest.approx(delay, abs=1e-4), name
+
+    def test_delays_match_a_tight_dop853_reference(self, analog_scenarios, monkeypatch):
+        from repro.sim.analog import rcsj
+
+        solve_ivp = rcsj.solve_ivp
+
+        def reference(*args, **kwargs):
+            return solve_ivp(*args, **{**kwargs, "method": "DOP853", "rtol": 1e-10})
+
+        monkeypatch.setattr(rcsj, "solve_ivp", reference)
+        for name, (pulses, delay) in _analog_scenarios().items():
+            assert analog_scenarios[name][0] == pulses, name
+            if delay is not None:
+                assert analog_scenarios[name][1] == pytest.approx(delay, abs=1e-5), name
+
+    def test_inductor_to_ground_settles_at_the_static_phase(self):
+        """Node -1 is ground: a biased junction shunted to ground by L
+        settles where Ic sin(phi) + Phi0_bar phi / L equals the bias."""
+        import math
+
+        from repro.sim.analog.rcsj import PHI0_BAR, CurrentSource, Inductor, JjCircuit, Junction
+
+        critical, inductance, bias = 100e-6, 4e-12, 50e-6
+        circuit = JjCircuit(1)
+        circuit.add_junction(Junction(0, critical_current=critical))
+        circuit.add_inductor(Inductor(-1, 0, inductance))
+        circuit.add_source(CurrentSource(0, amplitude=bias))
+        low, high = 0.0, math.pi / 2
+        for _ in range(60):
+            mid = (low + high) / 2
+            if critical * math.sin(mid) + PHI0_BAR * mid / inductance < bias:
+                low = mid
+            else:
+                high = mid
+        waveforms = circuit.simulate(duration=100e-12)
+        assert waveforms.phases[0][-1] == pytest.approx(low, abs=1e-4)
+
+    def test_jtl_rhs_evaluation_budget(self, monkeypatch):
+        """Per-component tolerances keep a JTL run to a few thousand RHS
+        evaluations; one rad/s-scale tolerance took ~317k."""
+        from repro.sim.analog import characterize_jtl, rcsj
+
+        solve_ivp = rcsj.solve_ivp
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            solution = solve_ivp(*args, **kwargs)
+            evaluations.append(solution.nfev)
+            return solution
+
+        monkeypatch.setattr(rcsj, "solve_ivp", counted)
+        characterize_jtl()
+        assert len(evaluations) == 1
+        assert evaluations[0] <= 10_000
+
     def test_jtl_propagates_single_pulse_with_delay(self):
         from repro.sim.analog import characterize_jtl
 
