@@ -1,4 +1,4 @@
-"""Packaging for the xSFQ reproduction (src layout, numpy + scipy).
+"""Packaging for the xSFQ reproduction (src layout, numpy).
 
 Kept as a plain ``setup.py`` so editable installs work in offline
 environments that lack the ``wheel`` package (``python setup.py develop``
@@ -38,13 +38,14 @@ setup(
     # numpy backs the word-parallel AIG sweep and the SoA pulse kernel
     # (repro.aig.simulate / repro.sim.pulse.soa).  The scalar kernels keep
     # working without it — see repro._compat.load_numpy for the fallback.
-    # scipy backs the analog RCSJ integrator (repro.sim.analog.rcsj calls
-    # solve_ivp, RK45).  Its import is most of what `repro run figure2_3`
-    # still costs; removing it is ROADMAP item 3.
-    install_requires=["numpy>=1.21", "scipy>=1.5"],
-    # The test suite's own imports: pytest, and hypothesis for the
-    # property-based tests (tests/core, tests/aig, tests/sim, ...).
-    extras_require={"test": ["pytest", "hypothesis"]},
+    # The analog RCSJ simulator integrates with its own list-based RK45
+    # (repro.sim.analog.rk45) and imports neither numpy nor scipy.
+    install_requires=["numpy>=1.21"],
+    # The test suite's own imports: pytest, hypothesis for the
+    # property-based tests (tests/core, tests/aig, tests/sim, ...), and
+    # scipy, whose RK45 and DOP853 are the analog simulator's oracles
+    # (tests/sim/test_pulse.py::TestAnalogModel).
+    extras_require={"test": ["pytest", "hypothesis", "scipy>=1.5"]},
     entry_points={
         "console_scripts": [
             "repro=repro.eval.cli:main",

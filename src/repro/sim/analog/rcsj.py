@@ -9,7 +9,10 @@ shunted junction (RCSJ) equation
 
 over networks of junctions, inductors and bias current sources.
 :meth:`JjCircuit.simulate` compiles the network into flat tables once and
-integrates it with SciPy's adaptive RK45.  Error control is unit-consistent:
+integrates it with the adaptive Dormand–Prince 5(4) pair of
+:mod:`repro.sim.analog.rk45`, a list-based port of SciPy's RK45 (same
+steps, same samples), so the simulator imports neither numpy nor SciPy.
+Error control is unit-consistent:
 phases are held to ``PHASE_ATOL`` rad and phase velocities to ``PHASE_ATOL``
 rad per picosecond (1e-9 rad/s on the velocities would force femtosecond
 steps on junctions at rest and buy no accuracy).  A 2*pi phase slip of a
@@ -29,8 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.integrate import solve_ivp
+from .rk45 import solve_ivp
 
 #: Magnetic flux quantum (Wb).
 PHI0 = 2.067833848e-15
@@ -172,11 +174,10 @@ class JjCircuit:
             for j in (by_node[node] for node in order)
         ]
 
-        def derivatives(t: float, state: np.ndarray) -> List[float]:
-            values = state.tolist()
+        def derivatives(t: float, state: Sequence[float]) -> List[float]:
             # Slot -1 of ``phases`` and ``currents`` is ground: phase 0,
             # and whatever current flows into it is dropped.
-            phases, velocities = values[:n] + [0.0], values[n:]
+            phases, velocities = [*state[:n], 0.0], [*state[n:]]
             currents = bias + [0.0]
             for k, waveform in driven:
                 currents[k] += waveform(t)
@@ -189,16 +190,19 @@ class JjCircuit:
                 for k, (critical, damping, inverse_mass) in enumerate(junctions)
             ]
 
-        state0 = np.zeros(2 * n)
+        state0 = [0.0] * (2 * n)
         if initial_phases is not None:
-            state0[:n] = list(initial_phases)[:n]
-        times = np.arange(0.0, duration, dt)
+            phases0 = [float(phase) for phase in initial_phases][:n]
+            if len(phases0) != n:
+                raise ValueError(f"initial_phases needs {n} values, got {len(phases0)}")
+            state0[:n] = phases0
+        # The same grid as ``np.arange(0.0, duration, dt)``, value for value.
+        times = [k * dt for k in range(math.ceil(duration / dt))]
         solution = solve_ivp(
             derivatives,
             (0.0, duration),
             state0,
             t_eval=times,
-            method="RK45",
             max_step=dt * 5,
             rtol=1e-6,
             atol=[PHASE_ATOL] * n + [PHASE_ATOL / VELOCITY_TIME_SCALE] * n,
@@ -211,8 +215,8 @@ class JjCircuit:
 class JjWaveforms:
     """Phase waveforms of every junction node."""
 
-    times: np.ndarray
-    phases: Dict[int, np.ndarray]
+    times: Sequence[float]
+    phases: Dict[int, Sequence[float]]
 
     def pulse_times(self, node: int, threshold: float = math.pi) -> List[float]:
         """Times at which the node's phase crosses successive 2*pi slips.
@@ -235,9 +239,24 @@ class JjWaveforms:
         """Number of SFQ pulses (2*pi slips) observed on the node."""
         return len(self.pulse_times(node))
 
-    def voltage(self, node: int) -> np.ndarray:
-        """Node voltage waveform V = Phi0_bar * d(phi)/dt (numerical gradient)."""
-        return PHI0_BAR * np.gradient(self.phases[node], self.times)
+    def voltage(self, node: int) -> List[float]:
+        """Node voltage waveform V = Phi0_bar * d(phi)/dt.
+
+        The derivative is ``np.gradient(phase, times)``: second-order
+        central differences on the (possibly non-uniform) sample times and
+        one-sided first-order differences at both ends.
+        """
+        t, phase = self.times, self.phases[node]
+        slopes = [(phase[1] - phase[0]) / (t[1] - t[0])]
+        for k in range(1, len(phase) - 1):
+            left, right = t[k] - t[k - 1], t[k + 1] - t[k]
+            slopes.append(
+                -right / (left * (left + right)) * phase[k - 1]
+                + (right - left) / (left * right) * phase[k]
+                + left / (right * (left + right)) * phase[k + 1]
+            )
+        slopes.append((phase[-1] - phase[-2]) / (t[-1] - t[-2]))
+        return [PHI0_BAR * slope for slope in slopes]
 
 
 def propagation_delay(

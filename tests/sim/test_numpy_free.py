@@ -1,11 +1,13 @@
-"""Small pulse batches never import numpy.
+"""Small pulse batches and the analog simulator never import numpy or scipy.
 
 Importing numpy costs ~12 MB of resident memory and ~0.13 s, more than a
 whole fault-margin or fuzz command gains from it.  The per-net pulse
 kernel therefore compiles its plan without numpy and runs batches below
-``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train on Python lists.  Each
-check runs in a fresh interpreter, where ``sys.modules`` shows exactly
-what the code under test imported.
+``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train on Python lists.  The
+RCSJ simulator integrates on Python lists too (``sim.analog.rk45``), so
+``repro run figure2_3`` loads neither numpy nor scipy (~0.5 s and ~55 MB).
+Each check runs in a fresh interpreter, where ``sys.modules`` shows
+exactly what the code under test imported.
 """
 
 import os
@@ -31,7 +33,7 @@ assert soa.compile_plan(sim) is not None
 sim.set_fault_model(FaultModel(jitter=0.5, seed=1))
 sim.run({"a": [1.0, 20.0], "b": [3.0, 21.0], "b2": [2.0, 22.0]}, until=100.0)
 assert sim.vectorized_runs == 1
-print("numpy" in sys.modules)
+print(sorted({"numpy", "scipy"} & set(sys.modules)))
 """
 
 CLI_SNIPPET = r"""
@@ -40,11 +42,12 @@ from repro.eval import cli
 
 status = cli.main(sys.argv[1:])
 assert status == 0, status
-print("numpy" in sys.modules)
+print(sorted({"numpy", "scipy"} & set(sys.modules)))
 """
 
 
-def _numpy_imported(snippet, *args):
+def _heavy_imports(snippet, *args):
+    """The subset of numpy and scipy that ``snippet`` left in ``sys.modules``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_SCALAR_KERNELS", None)
@@ -60,7 +63,7 @@ def _numpy_imported(snippet, *args):
 
 
 def test_compile_plan_and_a_short_kernel_run_import_no_numpy():
-    assert _numpy_imported(COMPILE_SNIPPET) == "False"
+    assert _heavy_imports(COMPILE_SNIPPET) == "[]"
 
 
 @pytest.mark.parametrize(
@@ -72,4 +75,8 @@ def test_compile_plan_and_a_short_kernel_run_import_no_numpy():
     ids=["faults-margin", "fuzz"],
 )
 def test_fault_and_fuzz_commands_import_no_numpy(argv):
-    assert _numpy_imported(CLI_SNIPPET, *argv) == "False"
+    assert _heavy_imports(CLI_SNIPPET, *argv) == "[]"
+
+
+def test_analog_characterisation_imports_no_numpy_or_scipy():
+    assert _heavy_imports(CLI_SNIPPET, "run", "figure2_3", "--no-cache", "-q") == "[]"

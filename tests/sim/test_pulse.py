@@ -221,9 +221,9 @@ class TestAnalogModel:
                 assert got_delay == pytest.approx(delay, abs=1e-4), name
 
     def test_delays_match_a_tight_dop853_reference(self, analog_scenarios, monkeypatch):
-        from repro.sim.analog import rcsj
+        from scipy.integrate import solve_ivp
 
-        solve_ivp = rcsj.solve_ivp
+        from repro.sim.analog import rcsj
 
         def reference(*args, **kwargs):
             return solve_ivp(*args, **{**kwargs, "method": "DOP853", "rtol": 1e-10})
@@ -233,6 +233,73 @@ class TestAnalogModel:
             assert analog_scenarios[name][0] == pulses, name
             if delay is not None:
                 assert analog_scenarios[name][1] == pytest.approx(delay, abs=1e-5), name
+
+    def test_list_rk45_takes_the_steps_of_scipy_rk45(self, monkeypatch):
+        """The list port is scipy's RK45 step for step: equal ``nfev`` and
+        the same samples on every ``figure2_3`` scenario."""
+        import numpy as np
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        from repro.sim.analog import rcsj
+
+        solve_ivp = rcsj.solve_ivp
+        runs = []
+
+        def both(fun, t_span, y0, **kwargs):
+            ours = solve_ivp(fun, t_span, y0, **kwargs)
+            reference = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+            runs.append((ours, reference, len(y0) // 2))
+            return ours
+
+        monkeypatch.setattr(rcsj, "solve_ivp", both)
+        _analog_scenarios()
+        assert len(runs) == len(ANALOG_EXPECTED)
+        for name, (ours, reference, n) in zip(ANALOG_EXPECTED, runs):
+            assert reference.status == 0, name
+            assert ours.nfev == reference.nfev, name
+            assert list(ours.t) == reference.t.tolist(), name
+            phase_error = np.abs(np.array(ours.y[:n]) - reference.y[:n]).max()
+            assert phase_error <= 1e-10, (name, phase_error)
+
+    @pytest.mark.parametrize("duration", [100e-12, 150e-12, 200e-12, 300e-12])
+    def test_sample_times_equal_numpy_arange(self, duration):
+        import numpy as np
+
+        from repro.sim.analog import jtl_chain
+
+        waveforms = jtl_chain(1).circuit.simulate(duration=duration)
+        assert waveforms.times == np.arange(0.0, duration, 0.1e-12).tolist()
+
+    def test_a_step_below_the_float_spacing_raises(self):
+        """A drive that turns NaN at 50 ps fails every error test from there
+        on; the run must raise, not return the samples before 50 ps."""
+        import math
+
+        from repro.sim.analog import CurrentSource, jtl_chain
+        from repro.sim.analog.rk45 import StepSizeError
+
+        cell = jtl_chain(1)
+        cell.circuit.add_source(CurrentSource(0, waveform=lambda t: math.nan if t >= 50e-12 else 0.0))
+        with pytest.raises(StepSizeError, match="below the float spacing"):
+            cell.circuit.simulate(duration=100e-12)
+
+    def test_voltage_is_the_numpy_gradient(self):
+        """``voltage`` is ``Phi0_bar * np.gradient(phase, times)``, on the
+        simulator's grid and on a non-uniform one."""
+        import random
+
+        import numpy as np
+
+        from repro.sim.analog import PHI0_BAR, JjWaveforms, characterize_jtl
+
+        rng = random.Random(7)
+        times = sorted(rng.uniform(0.0, 1e-10) for _ in range(50))
+        uneven = JjWaveforms(times=times, phases={0: [rng.uniform(-7.0, 7.0) for _ in times]})
+        for waveforms in (characterize_jtl().waveforms, uneven):
+            for node, phase in waveforms.phases.items():
+                expected = PHI0_BAR * np.gradient(np.asarray(phase), np.asarray(waveforms.times))
+                got = np.asarray(waveforms.voltage(node))
+                assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected)), node
 
     def test_inductor_to_ground_settles_at_the_static_phase(self):
         """Node -1 is ground: a biased junction shunted to ground by L
