@@ -257,6 +257,9 @@ def test_sigint_mid_campaign_leaves_no_worker_processes(backend, tmp_path):
         """
     ).format(fixture_dir=os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
+    # The child must import `repro` from an uninstalled checkout too.
+    here = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.path.join(here, os.pardir, os.pardir, "src")
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
         stdout=subprocess.PIPE,
