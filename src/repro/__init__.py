@@ -130,11 +130,11 @@ from .faults import (  # noqa: E402
 )
 from .eval import (  # noqa: E402
     EXPERIMENTS,
+    ExperimentReport,
     ExperimentResult,
     ExperimentSpec,
     ResultCache,
     Runner,
-    RunReport,
     SynthesisEngine,
     SynthesisJob,
     run_experiment,
@@ -226,10 +226,10 @@ __all__ = [
     # Experiment engine
     "EXPERIMENTS",
     "ExperimentSpec",
+    "ExperimentReport",
     "ExperimentResult",
     "ResultCache",
     "Runner",
-    "RunReport",
     "SynthesisEngine",
     "SynthesisJob",
     "run_experiment",

@@ -42,13 +42,13 @@ from .experiments import (
 )
 from .runner import (
     EXPERIMENTS,
+    ExperimentCampaign,
+    ExperimentReport,
     ExperimentSpec,
     Runner,
-    RunReport,
     render_stage_timings,
     run_experiment,
     write_csv,
-    write_json,
 )
 
 __all__ = [
@@ -78,11 +78,11 @@ __all__ = [
     "set_default_engine",
     "use_engine",
     "EXPERIMENTS",
+    "ExperimentCampaign",
+    "ExperimentReport",
     "ExperimentSpec",
     "Runner",
-    "RunReport",
     "render_stage_timings",
     "run_experiment",
-    "write_json",
     "write_csv",
 ]

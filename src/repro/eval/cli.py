@@ -66,13 +66,11 @@ from typing import Callable, List, Optional, Sequence
 from .engine import ResultCache
 from .runner import (
     EXPERIMENTS,
+    ExperimentCampaign,
     Runner,
-    RunReport,
     load_report,
     render_report,
     render_stage_timings,
-    write_csv,
-    write_json,
 )
 
 SCALES = ("quick", "paper")
@@ -174,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(run_cmd, "--scale")
     run_cmd.add_argument("--effort", choices=EFFORTS, default=None,
                          help="AIG optimisation effort (default: per experiment)")
-    run_cmd.add_argument("--circuits", nargs="+", metavar="NAME", default=None,
-                         help="restrict table4/table6 to these circuits")
+    run_cmd.add_argument("--circuits", nargs="+", action="extend", metavar="NAME",
+                         default=None,
+                         help="restrict table4/table6 to these circuits (repeatable)")
     run_cmd.add_argument("--save", default=None, metavar="DIR",
                          help="also write <experiment>-<scale>.json/.csv into DIR")
     run_cmd.add_argument("--stage-timing", action="store_true",
@@ -461,32 +460,29 @@ def _report_errors(errors, out) -> bool:
 def _cmd_run(args: argparse.Namespace, out) -> int:
     names = _resolve_experiments(args.experiments)
     _validate_circuits(args.circuits)
+    if args.circuits and not any(EXPERIMENTS[name].supports_circuits for name in names):
+        subsets = ", ".join(name for name, spec in EXPERIMENTS.items() if spec.supports_circuits)
+        raise SystemExit(f"repro: --circuits applies only to: {subsets}")
     runner = _runner(args, out)
     cache = runner.cache
 
+    code = 0
     failures: List[str] = []
     for name in names:
         spec = EXPERIMENTS[name]
         out.write(f"\n=== {name}: {spec.title} ===\n")
-        report = runner.run(
-            name, scale=args.scale, effort=args.effort, circuits=args.circuits
+        report = runner.campaign(
+            ExperimentCampaign(spec, args.scale, args.effort, args.circuits)
         )
-        out.write(report.result.text + "\n")
-        _write_summary(report, out)
+        extra = ""
         if args.stage_timing:
             if report.stage_timings:
-                out.write("stage timing:\n")
-                out.write(render_stage_timings(report.stage_timings) + "\n")
+                extra = "stage timing:\n" + render_stage_timings(report.stage_timings) + "\n"
             else:
-                out.write("stage timing: (no synthesis stages ran)\n")
-        if args.save:
-            base = Path(args.save) / f"{name}-{report.scale}"
-            json_path = write_json(report, base.with_suffix(".json"))
-            csv_path = write_csv(report, base.with_suffix(".csv"))
-            out.write(f"saved {json_path} and {csv_path}\n")
-        if not all(
-            value for value in report.result.summary.values() if isinstance(value, bool)
-        ):
+                extra = "stage timing: (no synthesis stages ran)\n"
+        save = Path(args.save) / f"{name}-{args.scale}.json" if args.save else None
+        code = max(code, _finish_campaign(report, out, save, extra=extra))
+        if report.failures:
             failures.append(name)
     if cache is not None:
         stats = cache.stats()
@@ -496,40 +492,25 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         )
     if failures:
         out.write(f"FAILED shape checks: {', '.join(failures)}\n")
-        return 1
-    return 0
-
-
-def _write_summary(report: RunReport, out) -> None:
-    summary = report.result.summary
-    if summary:
-        out.write("summary:\n")
-        for key in sorted(summary):
-            value = summary[key]
-            rendered = f"{value:.3f}" if isinstance(value, float) else str(value)
-            out.write(f"  {key}: {rendered}\n")
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached_jobs}/{report.total_jobs} jobs cached, "
-        f"{report.computed_jobs} synthesised, {report.jobs} workers)\n"
-    )
+    return code
 
 
 def _finish_campaign(report, out, save: Optional[Path] = None,
                      extra: str = "", failed: str = "") -> int:
-    """The shared tail of ``verify``/``fuzz``/``faults``; returns the exit code.
+    """The shared tail of ``run``/``verify``/``fuzz``/``faults``; returns the exit code.
 
     Prints the table, the summary, ``extra`` and the timing line, saves
     the report to ``save``, reports errored units and, when the campaign
     has failures, prints the command's ``failed`` text.
     """
-    from ..schema import atomic_write_json
-
     out.write(report.table() + "\n")
-    out.write("summary:\n")
     summary = report.summary()
+    if summary:
+        out.write("summary:\n")
     for key in sorted(summary):
-        out.write(f"  {key}: {summary[key]}\n")
+        value = summary[key]
+        rendered = f"{value:.3f}" if isinstance(value, float) else str(value)
+        out.write(f"  {key}: {rendered}\n")
     noun, verb = report.timing_words
     out.write(
         f"{extra}timing: {report.elapsed_s:.2f}s wall "
@@ -537,8 +518,7 @@ def _finish_campaign(report, out, save: Optional[Path] = None,
         f"{report.completed} {verb}, {report.jobs} workers)\n"
     )
     if save is not None:
-        atomic_write_json(save, report.to_dict())
-        out.write(f"saved {save}\n")
+        out.write(f"saved {' and '.join(map(str, report.save(save)))}\n")
     errored = _report_errors(report.errored_units, out)
     if report.failures:
         out.write(failed)

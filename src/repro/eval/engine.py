@@ -17,9 +17,10 @@ of the ablation and table-sweep wall clock.
 
 The :class:`SynthesisEngine` is the seam between the experiment
 assemblers in :mod:`repro.eval.experiments` and the scheduler in
-:mod:`repro.eval.runner`: assemblers ask the engine for records, and the
-runner pre-populates the engine's cache from worker processes so
-the assembly step never synthesises anything itself.  A module-level
+:mod:`repro.eval.runner`: assemblers ask the engine for records, and an
+experiment campaign hands them an engine whose ``memory`` already holds
+every record its jobs produced, so the assembly step never synthesises
+anything itself.  A module-level
 default engine lets long-running hosts (the benchmark harness, the CLI)
 install a shared cache once and have every experiment pick it up.
 """
@@ -365,10 +366,6 @@ class SynthesisEngine:
         if self.cache is not None:
             self.cache.put(job, record)
         return record
-
-    def prime(self, job: SynthesisJob, record: Mapping[str, object]) -> None:
-        """Memoise an externally computed record (used by the parallel runner)."""
-        self.memory[job.key()] = dict(record)
 
 
 _DEFAULT_ENGINE = SynthesisEngine()

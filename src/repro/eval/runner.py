@@ -6,16 +6,17 @@ and figure of the paper's evaluation is registered here as a declarative
 from :mod:`repro.eval.experiments`, and an enumerator of the
 :class:`~repro.eval.engine.SynthesisJob` units the assembler will need.
 
-The :class:`Runner` schedules those jobs across worker processes,
-memoises every record in a content-addressed
-:class:`~repro.eval.engine.ResultCache`, then hands the pre-populated
-cache to the assembler — so a warm cache reproduces any table with zero
+An :class:`ExperimentCampaign` makes one experiment a campaign over
+those jobs, and :meth:`Runner.campaign` — the one scheduler, which also
+runs the verify, fuzz and faults campaigns — computes them across worker
+processes, memoising every record in a content-addressed
+:class:`~repro.eval.engine.ResultCache`.  The campaign then hands the
+records to the assembler, so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
-rather than the sum of all of them.  :class:`RunReport` carries the
-assembled :class:`~repro.eval.experiments.ExperimentResult` together
-with per-stage timings and cache statistics, and can be emitted as JSON or
-CSV for downstream tooling.  :meth:`Runner.campaign` runs verify, fuzz
-and faults campaigns through the same scheduling and cache.
+rather than the sum of all of them.  :class:`ExperimentReport` carries
+the assembled :class:`~repro.eval.experiments.ExperimentResult` together
+with per-stage timings and cache statistics, and saves as JSON plus CSV
+for downstream tooling.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Set
+from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence
 
 from . import experiments
 from ..exec import ExecEvent, SpecUnit, render_event, run_units, spec_units
-from ..schema import atomic_write_json, canonical_json, parse_tag
+from ..schema import canonical_json, parse_tag
+from ..verify.campaign import CampaignReport, error_detail
 from .engine import (
     ResultCache,
     SynthesisEngine,
@@ -160,57 +162,6 @@ _register(ExperimentSpec(
 ))
 
 
-@dataclass
-class RunReport:
-    """Everything one :meth:`Runner.run` invocation produced.
-
-    Attributes:
-        result: The assembled experiment result.
-        scale: Circuit scale used.
-        effort: AIG effort used.
-        jobs: Worker-process count.
-        total_jobs: Synthesis jobs the experiment needed.
-        computed_jobs: Jobs actually synthesised this run (cache misses).
-        cached_jobs: Jobs served from the result cache.
-        stage_timings: Per-stage aggregate over every record the run
-            touched: ``{stage: {"runs", "cached", "total_s", "mean_s"}}``.
-            ``runs``/``total_s`` cover only stages executed this run;
-            stage-cache hits and records replayed from the result cache
-            count under ``cached``.  Rendered by ``repro run --stage-timing``.
-        elapsed_s: Wall-clock for the whole run (synthesis + assembly).
-    """
-
-    result: ExperimentResult
-    scale: str = "quick"
-    effort: str = "medium"
-    jobs: int = 1
-    total_jobs: int = 0
-    computed_jobs: int = 0
-    cached_jobs: int = 0
-    stage_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    elapsed_s: float = 0.0
-
-    @property
-    def experiment(self) -> str:
-        return self.result.experiment
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "experiment": self.result.experiment,
-            "scale": self.scale,
-            "effort": self.effort,
-            "jobs": self.jobs,
-            "total_jobs": self.total_jobs,
-            "computed_jobs": self.computed_jobs,
-            "cached_jobs": self.cached_jobs,
-            "stage_timings": {k: dict(v) for k, v in self.stage_timings.items()},
-            "elapsed_s": self.elapsed_s,
-            "rows": self.result.rows,
-            "summary": self.result.summary,
-            "text": self.result.text,
-        }
-
-
 def _aggregate_stage_timings(
     records_by_key: Mapping[str, Mapping[str, object]],
     computed_keys: Iterable[str],
@@ -273,14 +224,17 @@ def _job_label(job: SynthesisJob) -> str:
 
 
 class Campaign(Protocol):
-    """What :meth:`Runner.campaign` needs from a verify, fuzz or faults run.
+    """What :meth:`Runner.campaign` needs from an experiment, verify, fuzz or faults run.
 
-    Implemented by :class:`~repro.verify.VerificationCampaign`,
+    Implemented by :class:`ExperimentCampaign`,
+    :class:`~repro.verify.VerificationCampaign`,
     :class:`~repro.gen.FuzzBatch` and :class:`~repro.faults.FaultBatch`.
     """
 
     #: Past-tense verb of the per-unit progress lines and the done-line.
     verb: str
+    #: Job noun of the ``scheduling N <noun> jobs`` progress line.
+    noun: str
 
     def work_units(self) -> List[SpecUnit]:
         """Work units in campaign order, each with its compute function
@@ -289,7 +243,107 @@ class Campaign(Protocol):
     def report(self, records: List[Dict[str, object]], **stats):
         """The :class:`~repro.verify.campaign.CampaignReport` over
         ``records`` (one per work unit, in order); ``stats`` are
-        ``jobs``/``computed``/``cached``/``elapsed_s``."""
+        ``jobs``/``computed``/``cached``/``fresh``."""
+
+
+@dataclass
+class ExperimentReport(CampaignReport):
+    """The report of an :class:`ExperimentCampaign` (``repro run``).
+
+    ``records`` are the synthesis records of the experiment's jobs, in
+    job order.  ``result`` is the assembled experiment, or ``None`` when
+    a job errored and the experiment was not assembled.  A false boolean
+    shape check in the summary fails the run.
+
+    Attributes:
+        result: The assembled experiment result.
+        stage_timings: Per-stage aggregate over the experiment's records:
+            ``{stage: {"runs", "cached", "total_s", "mean_s"}}``.
+            ``runs``/``total_s`` cover only stages executed this run;
+            stage-cache hits and records replayed from the result cache
+            count under ``cached``.  Rendered by ``repro run --stage-timing``.
+    """
+
+    result: Optional[ExperimentResult] = None
+    stage_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    timing_words = ("jobs", "synthesised")
+
+    @property
+    def name(self) -> str:
+        return self.campaign.spec.name
+
+    @property
+    def failures(self) -> List[str]:
+        """The boolean shape checks of the summary that are false."""
+        return [
+            key for key, value in self.summary().items()
+            if isinstance(value, bool) and not value
+        ]
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        """The table rows; the job records when the experiment was not assembled."""
+        return self.result.rows if self.result is not None else self.records
+
+    def table(self) -> str:
+        return self.result.text if self.result is not None else "(not assembled)"
+
+    def summary(self) -> Dict[str, object]:
+        return self.result.summary if self.result is not None else {}
+
+    def identity(self) -> Dict[str, object]:
+        campaign = self.campaign
+        return {"scale": campaign.scale, "effort": campaign.effort or campaign.spec.default_effort}
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            **super().to_dict(),
+            "rows": self.rows,
+            "stage_timings": {k: dict(v) for k, v in self.stage_timings.items()},
+        }
+
+    def save(self, path: Path) -> List[Path]:
+        """The JSON document at ``path`` and the table rows next to it as CSV."""
+        return [*super().save(path), write_csv(self, Path(path).with_suffix(".csv"))]
+
+
+@dataclass(frozen=True)
+class ExperimentCampaign:
+    """One registered experiment as a campaign over its synthesis jobs.
+
+    The units are the jobs the experiment's spec enumerates; ``report``
+    assembles the experiment from their records, so assembly never
+    synthesises anything itself.
+    """
+
+    spec: ExperimentSpec
+    scale: str = "quick"
+    effort: Optional[str] = None
+    circuits: Optional[Sequence[str]] = None
+    verb: ClassVar[str] = "synthesised"
+    noun: ClassVar[str] = "synthesis"
+
+    def jobs(self) -> List[SynthesisJob]:
+        return self.spec.enumerate_jobs(self.scale, self.effort, self.circuits)
+
+    def work_units(self) -> List[SpecUnit]:
+        return spec_units(self.jobs(), synthesis_record, _job_label)
+
+    def report(self, records: List[Dict[str, object]], **stats) -> ExperimentReport:
+        memory = {job.key(): record for job, record in zip(self.jobs(), records)}
+        # A job listed twice is synthesised once; the repeat counts as cached.
+        stats["cached"] = len(records) - stats["computed"]
+        report = ExperimentReport(
+            self,
+            records,
+            stage_timings=_aggregate_stage_timings(memory, stats["fresh"]),
+            **stats,
+        )
+        if not report.errors:
+            engine = SynthesisEngine(memory=memory)
+            report.result = self.spec.assemble(self.scale, self.effort, engine, self.circuits)
+        return report
 
 
 class Runner:
@@ -330,51 +384,8 @@ class Runner:
         if line is not None:
             self.progress(line)
 
-    def run(
-        self,
-        experiment: str,
-        scale: str = "quick",
-        effort: Optional[str] = None,
-        circuits: Optional[Sequence[str]] = None,
-    ) -> RunReport:
-        """Execute one registered experiment end to end."""
-        spec = EXPERIMENTS.get(experiment)
-        if spec is None:
-            known = ", ".join(sorted(EXPERIMENTS))
-            raise KeyError(f"unknown experiment {experiment!r}; known: {known}")
-        effort = effort or spec.default_effort
-        started = time.perf_counter()
-
-        engine = SynthesisEngine(cache=self.cache)
-        job_list = spec.enumerate_jobs(scale, effort, circuits)
-        computed_keys = self._prefetch(engine, job_list)
-
-        result = spec.assemble(scale, effort, engine, circuits)
-        # Jobs the assembler needed beyond the enumerated set (there should
-        # be none — specs enumerate exactly what their assembler requests).
-        computed_keys.update(job.key() for job in engine.computed)
-
-        elapsed = time.perf_counter() - started
-        computed = len(computed_keys)
-        report = RunReport(
-            result=result,
-            scale=scale,
-            effort=effort,
-            jobs=self.jobs,
-            total_jobs=len(job_list),
-            computed_jobs=computed,
-            cached_jobs=max(0, len(job_list) - computed),
-            stage_timings=_aggregate_stage_timings(engine.memory, computed_keys),
-            elapsed_s=elapsed,
-        )
-        self.progress(
-            f"[{experiment}] done in {elapsed:.2f}s "
-            f"({report.cached_jobs} cached, {report.computed_jobs} synthesised)"
-        )
-        return report
-
     def campaign(self, campaign: Campaign):
-        """Run a verify, fuzz or faults campaign; return its report.
+        """Run an experiment, verify, fuzz or faults campaign; return its report.
 
         Units whose content-addressed key is already in the result cache
         replay for free, the rest are computed (on workers when
@@ -392,7 +403,7 @@ class Runner:
             jobs=self.jobs,
             emit=self.emit,
             verb=campaign.verb,
-            noun="verification",
+            noun=campaign.noun,
             unit_timeout=self.unit_timeout,
         )
         report = campaign.report(
@@ -400,41 +411,12 @@ class Runner:
             jobs=self.jobs,
             computed=outcome.computed,
             cached=outcome.cached,
-            elapsed_s=time.perf_counter() - started,
+            fresh=outcome.fresh,
         )
+        # Taken after report(): an experiment's wall clock includes assembly.
+        report.elapsed_s = time.perf_counter() - started
         self.progress(report.done_line(campaign.verb))
         return report
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def _prefetch(
-        self, engine: SynthesisEngine, job_list: Sequence[SynthesisJob]
-    ) -> Set[str]:
-        """Compute every enumerated job missing from the cache.
-
-        Returns the cache keys of the jobs actually synthesised this run
-        (vs replayed from the result cache).
-        """
-        units = spec_units(job_list, synthesis_record, _job_label)
-        # The lifecycle replays cache hits and writes fresh records back;
-        # priming below only fills the engine's in-process memory.
-        outcome = run_units(
-            units,
-            cache=self.cache,
-            jobs=self.jobs,
-            emit=self.emit,
-            verb="synthesised",
-            noun="synthesis",
-            unit_timeout=self.unit_timeout,
-        )
-        by_key = {unit.key(): unit for unit in units}
-        for key, record in outcome.records.items():
-            # An errored job stays cold: the assembler recomputes it
-            # serially and surfaces the real exception.
-            if record.get("status") != "error":
-                engine.prime(by_key[key].spec, record)
-        return outcome.fresh
 
 
 def run_experiment(
@@ -447,31 +429,32 @@ def run_experiment(
     circuits: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
     unit_timeout: Optional[float] = None,
-) -> RunReport:
+) -> ExperimentReport:
     """One-call convenience wrapper around :class:`Runner`.
 
     ``repro.run_experiment("table4", jobs=4)`` reproduces Table 4 on 4
     worker processes, reusing (and growing) the on-disk result cache.
+    Raises ``KeyError`` for an unknown experiment and ``RuntimeError``
+    when a synthesis job errored, so the experiment was not assembled.
     """
+    spec = EXPERIMENTS.get(experiment)
+    if spec is None:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise KeyError(f"unknown experiment {experiment!r}; known: {known}")
     cache = ResultCache(cache_dir) if use_cache else None
     runner = Runner(
         jobs=jobs, cache=cache, progress=progress, unit_timeout=unit_timeout
     )
-    return runner.run(experiment, scale=scale, effort=effort, circuits=circuits)
+    report = runner.campaign(ExperimentCampaign(spec, scale, effort, circuits))
+    if report.result is None:
+        details = "; ".join(error_detail(record) for record in report.errored_units)
+        raise RuntimeError(f"{experiment} was not assembled: {details}")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Structured emission
 # ---------------------------------------------------------------------------
-
-
-def write_json(report: RunReport, path: Path) -> Path:
-    """Write the full run report (rows, summary, timings) as JSON.
-
-    Atomic and strict: the shared schema-layer writer rejects
-    non-wire-safe values instead of ``default=str``-stringifying them.
-    """
-    return atomic_write_json(Path(path), report.to_dict())
 
 
 def _flatten(value: object) -> object:
@@ -480,11 +463,11 @@ def _flatten(value: object) -> object:
     return value
 
 
-def write_csv(report: RunReport, path: Path) -> Path:
+def write_csv(report: ExperimentReport, path: Path) -> Path:
     """Write the experiment's per-row results as CSV (one row per table row)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = report.result.rows
+    rows = report.rows
     headers: List[str] = []
     for row in rows:
         for key in row:
@@ -499,7 +482,7 @@ def write_csv(report: RunReport, path: Path) -> Path:
 
 
 def load_report(path: Path) -> Dict[str, object]:
-    """Load a JSON report previously written by :func:`write_json`."""
+    """Load a JSON report previously saved by ``repro run``/``verify``/``fuzz``/``faults``."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -507,9 +490,9 @@ def load_report(path: Path) -> Dict[str, object]:
 def render_report(data: Mapping[str, object]) -> str:
     """Render a loaded JSON report back into the CLI's text format.
 
-    Reads both a :class:`RunReport` and the saved verify/fuzz/faults
-    campaign documents (named by ``experiment`` or, for the faults
-    report, by its schema tag; it has no wall-clock or cache fields).
+    Reads the saved run/verify/fuzz/faults campaign documents (named by
+    ``experiment`` or, for the faults report, by its schema tag; it has
+    no wall-clock or cache fields).
     """
     campaign = data.get("campaign") or {}
     name = data.get("experiment") or (parse_tag(data["schema"])[0] if "schema" in data else "?")
@@ -519,9 +502,7 @@ def render_report(data: Mapping[str, object]) -> str:
     )
     if "elapsed_s" in data:
         header += f" elapsed={data['elapsed_s']:.2f}s"
-    if "computed_jobs" in data:
-        header += f" ({data.get('cached_jobs', 0)} cached, {data['computed_jobs']} synthesised)"
-    elif "computed" in data:
+    if "computed" in data:
         header += f" ({data.get('cached', 0)} cached, {data['computed']} computed)"
     lines = [header, str(data.get("text", ""))]
     summary = data.get("summary") or {}

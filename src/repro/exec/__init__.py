@@ -5,8 +5,8 @@ schema-validate → cache put) over two executor backends — in-process
 serial and supervised persistent workers, picked per batch from the
 job count, the pending-unit count and the per-unit timeout — emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
-f-strings.  ``Runner.run`` / ``campaign`` and soak runs are thin
-compositions over this package.
+f-strings.  ``Runner.campaign`` and soak runs are thin compositions
+over this package.
 """
 
 from .events import EmitFn, ExecEvent, render_event

@@ -1,7 +1,8 @@
 """The one execution lifecycle every campaign path runs through.
 
-:func:`run_units` is the shared pipeline behind the runner's synthesis
-prefetch, ``Runner.campaign`` and the soak batch loop:
+:func:`run_units` is the shared pipeline behind ``Runner.campaign``
+(every ``repro run``/``verify``/``fuzz``/``faults`` campaign) and the
+soak batch loop:
 
     dedupe by key → cache replay → execute → cache put
 

@@ -517,6 +517,7 @@ class FaultBatch:
     campaign: FaultCampaign
     units: Tuple[FaultUnit, ...]
     verb: ClassVar[str] = "probed"
+    noun: ClassVar[str] = "verification"
 
     def work_units(self) -> List[SpecUnit]:
         return [

@@ -290,6 +290,7 @@ class FuzzBatch:
     campaign: FuzzCampaign
     units: Tuple[FuzzUnit, ...]
     verb: ClassVar[str] = "fuzzed"
+    noun: ClassVar[str] = "verification"
 
     def work_units(self) -> List[SpecUnit]:
         return [

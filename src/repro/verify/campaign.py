@@ -22,7 +22,8 @@ check of the whole synthesis stack — and flatten the verdict to JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
@@ -30,7 +31,7 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..exec import SpecUnit, spec_units
-from ..schema import _package_version, content_key, schema_tag
+from ..schema import _package_version, atomic_write_json, content_key, schema_tag
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
@@ -215,6 +216,8 @@ class CampaignReport:
         computed: Units computed this run (cache misses).
         cached: Units replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.
+        fresh: Keys of the records computed this run (cache replays and
+            errored units are absent); not part of the saved document.
     """
 
     campaign: Any
@@ -223,6 +226,7 @@ class CampaignReport:
     computed: int = 0
     cached: int = 0
     elapsed_s: float = 0.0
+    fresh: Set[str] = field(default_factory=set, repr=False)
 
     #: ``experiment`` of the saved document and ``[name]`` of the done-line.
     name: ClassVar[str]
@@ -296,6 +300,10 @@ class CampaignReport:
             "summary": self.summary(),
         }
 
+    def save(self, path: Path) -> List[Path]:
+        """Write the saved document to ``path``; returns every file written."""
+        return [atomic_write_json(path, self.to_dict())]
+
 
 class VerificationReport(CampaignReport):
     """The report of a :class:`VerificationCampaign` (``repro verify``)."""
@@ -353,6 +361,7 @@ class VerificationCampaign:
 
     specs: Sequence[VerificationSpec]
     verb: ClassVar[str] = "verified"
+    noun: ClassVar[str] = "verification"
 
     def work_units(self) -> List[SpecUnit]:
         return spec_units(self.specs, verification_record, VerificationSpec.label)

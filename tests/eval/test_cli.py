@@ -36,6 +36,11 @@ def test_parse_run_all_flags():
     assert args.save == "out" and args.quiet
 
 
+def test_parse_run_circuits_repeats_accumulate():
+    args = cli.parse_args(["run", "table4", "--circuits", "ctrl", "--circuits", "dec", "c880"])
+    assert args.circuits == ["ctrl", "dec", "c880"]
+
+
 def test_parse_rejects_bad_choices():
     with pytest.raises(SystemExit):
         cli.parse_args(["run", "table4", "--scale", "huge"])
@@ -96,6 +101,12 @@ def test_unknown_experiment_exits():
         cli.main(["run", "table99", "--no-cache"])
 
 
+def test_run_rejects_circuits_no_experiment_takes(capsys):
+    with pytest.raises(SystemExit, match="--circuits applies only to: table4, table6"):
+        cli.main(["run", "figure1", "table1", "--circuits", "ctrl", "--no-cache"])
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # End-to-end subcommands
 # ---------------------------------------------------------------------------
@@ -144,6 +155,22 @@ def test_run_figure1_no_synthesis(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert "roundtrip_ok: True" in out
+
+
+def test_run_errored_synthesis_unit_fails_the_run(capsys):
+    rc = cli.main(
+        [
+            "run", "table4", "--circuits", "dec", "--effort", "none", "--no-cache",
+            "--unit-timeout", "0.001", "-j", "2",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "ERROR dec: Timeout" in out
+    assert "FAILED: 1 unit(s) did not complete" in out
+    # The timed-out job is not recomputed in-process to assemble the table.
+    assert "(0 cached, 0 synthesised, 1 errors)" in out
+    assert "(not assembled)" in out and "JJ Savings" not in out
 
 
 def test_run_save_and_report_roundtrip(capsys, tmp_path):

@@ -6,17 +6,25 @@ import pytest
 
 from repro.core import Flow, FlowOptions, StageCache, set_stage_cache
 from repro.eval import (
+    ExperimentCampaign,
     ResultCache,
     Runner,
     SynthesisEngine,
     SynthesisJob,
+    run_experiment,
     run_table4,
+    synthesis_record,
+    use_engine,
 )
-from repro.eval.runner import EXPERIMENTS, load_report, write_csv, write_json
+from repro.eval.runner import EXPERIMENTS, load_report
 
 # Small, fast circuits: the point of these tests is the engine, not the flow.
 FAST_CIRCUITS = ["ctrl", "int2float"]
 FAST_OPTIONS = {"effort": "none"}
+
+
+def table4_campaign(circuits=("ctrl",)):
+    return ExperimentCampaign(EXPERIMENTS["table4"], effort="none", circuits=list(circuits))
 
 
 def fast_job(circuit="ctrl", scale="quick", **overrides):
@@ -166,28 +174,65 @@ def test_parallel_run_matches_serial_assembly(tmp_path):
     serial = run_table4(effort="none", circuits=FAST_CIRCUITS, engine=SynthesisEngine())
 
     runner = Runner(jobs=2, cache=ResultCache(tmp_path / "cache"))
-    report = runner.run("table4", effort="none", circuits=FAST_CIRCUITS)
+    report = runner.campaign(table4_campaign(FAST_CIRCUITS))
 
     assert report.result.rows == serial.rows
     assert report.result.summary == serial.summary
     assert report.result.text == serial.text
-    assert report.total_jobs == len(FAST_CIRCUITS)
-    assert report.computed_jobs == len(FAST_CIRCUITS)
-    assert report.cached_jobs == 0
+    assert len(report.records) == len(FAST_CIRCUITS)
+    assert report.computed == len(FAST_CIRCUITS)
+    assert report.cached == 0
+    assert len(report.fresh) == len(FAST_CIRCUITS)
 
     # Second invocation: everything from cache, zero re-synthesis.
-    replay = Runner(jobs=2, cache=ResultCache(tmp_path / "cache")).run(
-        "table4", effort="none", circuits=FAST_CIRCUITS
+    replay = Runner(jobs=2, cache=ResultCache(tmp_path / "cache")).campaign(
+        table4_campaign(FAST_CIRCUITS)
     )
-    assert replay.computed_jobs == 0
-    assert replay.cached_jobs == len(FAST_CIRCUITS)
+    assert replay.computed == 0 and not replay.fresh
+    assert replay.cached == len(FAST_CIRCUITS)
     assert replay.result.rows == serial.rows
     assert replay.result.summary == serial.summary
+    # Replayed records count every stage under Cached, none under Runs.
+    assert replay.stage_timings
+    assert all(entry["runs"] == 0 for entry in replay.stage_timings.values())
 
 
 def test_runner_rejects_unknown_experiment():
     with pytest.raises(KeyError, match="unknown experiment"):
-        Runner().run("table99")
+        run_experiment("table99", use_cache=False)
+
+
+def test_errored_job_is_not_assembled_or_recomputed(monkeypatch):
+    def crash(job):
+        raise RuntimeError("synthesis crashed")
+
+    recomputed = []
+    monkeypatch.setattr("repro.eval.runner.synthesis_record", crash)
+    monkeypatch.setattr("repro.eval.engine.synthesis_record", recomputed.append)
+    report = Runner(jobs=1, cache=None).campaign(table4_campaign())
+
+    assert report.result is None and report.table() == "(not assembled)"
+    assert [r["circuit"] for r in report.errored_units] == ["ctrl"]
+    assert report.completed == 0 and not report.fresh
+    assert recomputed == []
+    with pytest.raises(RuntimeError, match="synthesis crashed"):
+        run_experiment("table4", effort="none", circuits=["ctrl"], use_cache=False)
+
+
+def test_assembly_requests_only_enumerated_jobs():
+    # Assembly is handed only the records of the enumerated jobs: no
+    # experiment may ask its engine (or the default one) for any other.
+    records = {}
+    for name, spec in EXPERIMENTS.items():
+        jobs = spec.enumerate_jobs("quick", "none")
+        memory = {
+            job.key(): records.setdefault(job.key(), synthesis_record(job))
+            for job in jobs
+        }
+        engine = SynthesisEngine(memory=memory)
+        with use_engine(engine):
+            spec.assemble("quick", "none", engine)
+        assert engine.computed == [], name
 
 
 def test_every_spec_enumerates_consistently():
@@ -208,16 +253,17 @@ def test_every_spec_enumerates_consistently():
 
 def test_json_and_csv_emission(tmp_path):
     runner = Runner(jobs=1, cache=ResultCache(tmp_path / "cache"))
-    report = runner.run("table4", effort="none", circuits=["ctrl"])
+    report = runner.campaign(table4_campaign())
 
-    json_path = write_json(report, tmp_path / "out" / "table4.json")
+    json_path, csv_path = report.save(tmp_path / "out" / "table4.json")
+    assert csv_path == tmp_path / "out" / "table4.csv"
     data = load_report(json_path)
     assert data["experiment"] == "table4"
     assert data["rows"] == json.loads(json.dumps(report.result.rows))
-    assert data["total_jobs"] == 1
-    assert "text" in data and "summary" in data
+    assert data["computed"] == 1 and data["cached"] == 0
+    assert data["scale"] == "quick" and data["effort"] == "none"
+    assert "text" in data and "summary" in data and "stage_timings" in data
 
-    csv_path = write_csv(report, tmp_path / "out" / "table4.csv")
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 + len(report.result.rows)
     assert lines[0].startswith("circuit,")
