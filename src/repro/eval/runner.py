@@ -251,12 +251,11 @@ class ExperimentReport(CampaignReport):
     """The report of an :class:`ExperimentCampaign` (``repro run``).
 
     ``records`` are the synthesis records of the experiment's jobs, in
-    job order.  ``result`` is the assembled experiment, or ``None`` when
-    a job errored and the experiment was not assembled.  A false boolean
-    shape check in the summary fails the run.
+    job order.  A false boolean shape check in the summary fails the run.
 
     Attributes:
-        result: The assembled experiment result.
+        result: The assembled experiment result; an empty one reading
+            ``(not assembled)`` when a job errored.
         stage_timings: Per-stage aggregate over the experiment's records:
             ``{stage: {"runs", "cached", "total_s", "mean_s"}}``.
             ``runs``/``total_s`` cover only stages executed this run;
@@ -276,21 +275,13 @@ class ExperimentReport(CampaignReport):
     @property
     def failures(self) -> List[str]:
         """The boolean shape checks of the summary that are false."""
-        return [
-            key for key, value in self.summary().items()
-            if isinstance(value, bool) and not value
-        ]
-
-    @property
-    def rows(self) -> List[Dict[str, object]]:
-        """The table rows; the job records when the experiment was not assembled."""
-        return self.result.rows if self.result is not None else self.records
+        return [key for key, value in self.summary().items() if value is False]
 
     def table(self) -> str:
-        return self.result.text if self.result is not None else "(not assembled)"
+        return self.result.text
 
     def summary(self) -> Dict[str, object]:
-        return self.result.summary if self.result is not None else {}
+        return self.result.summary
 
     def identity(self) -> Dict[str, object]:
         campaign = self.campaign
@@ -299,7 +290,7 @@ class ExperimentReport(CampaignReport):
     def to_dict(self) -> Dict[str, object]:
         return {
             **super().to_dict(),
-            "rows": self.rows,
+            "rows": self.result.rows,
             "stage_timings": {k: dict(v) for k, v in self.stage_timings.items()},
         }
 
@@ -334,16 +325,17 @@ class ExperimentCampaign:
         memory = {job.key(): record for job, record in zip(self.jobs(), records)}
         # A job listed twice is synthesised once; the repeat counts as cached.
         stats["cached"] = len(records) - stats["computed"]
-        report = ExperimentReport(
+        result = ExperimentResult(self.spec.name, text="(not assembled)")
+        if not any(record.get("status") == "error" for record in records):
+            engine = SynthesisEngine(memory=memory)
+            result = self.spec.assemble(self.scale, self.effort, engine, self.circuits)
+        return ExperimentReport(
             self,
             records,
+            result=result,
             stage_timings=_aggregate_stage_timings(memory, stats["fresh"]),
             **stats,
         )
-        if not report.errors:
-            engine = SynthesisEngine(memory=memory)
-            report.result = self.spec.assemble(self.scale, self.effort, engine, self.circuits)
-        return report
 
 
 class Runner:
@@ -446,7 +438,7 @@ def run_experiment(
         jobs=jobs, cache=cache, progress=progress, unit_timeout=unit_timeout
     )
     report = runner.campaign(ExperimentCampaign(spec, scale, effort, circuits))
-    if report.result is None:
+    if report.errors:
         details = "; ".join(error_detail(record) for record in report.errored_units)
         raise RuntimeError(f"{experiment} was not assembled: {details}")
     return report
@@ -467,7 +459,7 @@ def write_csv(report: ExperimentReport, path: Path) -> Path:
     """Write the experiment's per-row results as CSV (one row per table row)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = report.rows
+    rows = report.result.rows
     headers: List[str] = []
     for row in rows:
         for key in row:

@@ -211,7 +211,7 @@ def test_errored_job_is_not_assembled_or_recomputed(monkeypatch):
     monkeypatch.setattr("repro.eval.engine.synthesis_record", recomputed.append)
     report = Runner(jobs=1, cache=None).campaign(table4_campaign())
 
-    assert report.result is None and report.table() == "(not assembled)"
+    assert report.table() == "(not assembled)" and report.result.rows == []
     assert [r["circuit"] for r in report.errored_units] == ["ctrl"]
     assert report.completed == 0 and not report.fresh
     assert recomputed == []
