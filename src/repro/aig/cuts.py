@@ -16,9 +16,9 @@ to estimate the gain of replacing a cone with a resynthesised version.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set
 
-from .graph import Aig, NodeType, lit_node
+from .graph import Aig, NodeType
 
 
 def reconvergence_cut(aig: Aig, node: int, max_leaves: int = 10) -> List[int]:
@@ -31,17 +31,21 @@ def reconvergence_cut(aig: Aig, node: int, max_leaves: int = 10) -> List[int]:
 
     Returns the sorted list of leaf node ids.
     """
+    types = aig._type
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    and_type = NodeType.AND
     leaves: Set[int] = {node}
     while True:
         best_leaf = None
         best_cost = None
         for leaf in leaves:
-            if not aig.is_and(leaf):
+            if types[leaf] is not and_type:
                 continue
-            f0, f1 = aig.fanins(leaf)
-            fanin_nodes = {lit_node(f0), lit_node(f1)}
-            new_leaves = len(fanin_nodes - leaves)
-            cost = new_leaves - 1  # removing the expanded leaf itself
+            n0 = fanin0[leaf] >> 1
+            n1 = fanin1[leaf] >> 1
+            # Leaves the expansion adds, minus the expanded leaf itself.
+            cost = (n0 not in leaves) + (n1 != n0 and n1 not in leaves) - 1
             if len(leaves) + cost > max_leaves:
                 continue
             if best_cost is None or cost < best_cost:
@@ -51,10 +55,9 @@ def reconvergence_cut(aig: Aig, node: int, max_leaves: int = 10) -> List[int]:
                     break
         if best_leaf is None:
             break
-        f0, f1 = aig.fanins(best_leaf)
         leaves.discard(best_leaf)
-        leaves.add(lit_node(f0))
-        leaves.add(lit_node(f1))
+        leaves.add(fanin0[best_leaf] >> 1)
+        leaves.add(fanin1[best_leaf] >> 1)
     return sorted(leaves)
 
 
@@ -64,49 +67,55 @@ def cone_nodes(aig: Aig, root: int, leaves: Sequence[int]) -> List[int]:
     fanin0 = aig._fanin0
     fanin1 = aig._fanin1
     and_type = NodeType.AND
-    leaf_set = set(leaves)
-    cone: Set[int] = set()
+    seen = set(leaves)
+    cone: List[int] = []
     stack = [root]
     while stack:
         current = stack.pop()
-        if current in cone or current in leaf_set:
+        if current in seen:
             continue
-        if types[current] is not and_type:
-            continue
-        cone.add(current)
-        stack.append(fanin0[current] >> 1)
-        stack.append(fanin1[current] >> 1)
-    return sorted(cone)
+        seen.add(current)
+        if types[current] is and_type:
+            cone.append(current)
+            stack.append(fanin0[current] >> 1)
+            stack.append(fanin1[current] >> 1)
+    cone.sort()
+    return cone
 
 
-def mffc_size(aig: Aig, root: int, cone: Sequence[int], fanout_counts: Sequence[int]) -> int:
-    """Number of cone nodes freed when the cone of ``root`` is replaced.
+def mffc_size(aig: Aig, root: int, leaves: Sequence[int], refs: List[int]) -> int:
+    """Number of nodes freed when the cone of ``root`` over ``leaves`` is replaced.
 
-    ``cone`` is the :func:`cone_nodes` of ``root`` over the cut.  A cone
-    node (other than the root) is counted only when *all* of its fanouts
-    lie inside the counted set — i.e. it belongs to the maximum fanout-free
-    cone of the root restricted to the cut.
+    This is ABC's reference-counted MFFC: dereferencing the root's fanins
+    frees every AND node whose last fanout was freed, stopping at the
+    cut.  A node other than the root is thus counted only when *all* of
+    its fanouts are freed, and the root is always counted.
+
+    ``refs`` holds the fanout count of every node
+    (:meth:`~repro.aig.graph.Aig.fanout_counts`); it is updated in place
+    during the walk and restored before returning.
     """
-    # Build fanout counts and consumer lists restricted to the cone in one
-    # pass (the consumer rescan per node made this quadratic in cone size).
-    inside_fanouts: Dict[int, int] = {n: 0 for n in cone}
-    consumers: Dict[int, List[int]] = {n: [] for n in cone}
-    for n in cone:
-        f0, f1 = aig.fanins(n)
-        for fanin in {lit_node(f0), lit_node(f1)}:
-            if fanin in inside_fanouts:
-                inside_fanouts[fanin] += 1
-                consumers[fanin].append(n)
-    freed = {root}
-    # Process in reverse topological order (descending ids).
-    for n in sorted(cone, reverse=True):
-        if n == root:
-            continue
-        if fanout_counts[n] == inside_fanouts[n]:
-            # All fanouts are inside the cone; freed only if all consumers
-            # (which have larger ids and are already decided) are freed.
-            if all(m in freed for m in consumers[n]):
-                freed.add(n)
+    types = aig._type
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    and_type = NodeType.AND
+    # An extra reference on every leaf stops the walk at the cut.
+    for leaf in leaves:
+        refs[leaf] += 1
+    freed = [root]
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for fanin in (fanin0[node] >> 1, fanin1[node] >> 1):
+            refs[fanin] -= 1
+            if not refs[fanin] and types[fanin] is and_type:
+                freed.append(fanin)
+                stack.append(fanin)
+    for node in freed:
+        refs[fanin0[node] >> 1] += 1
+        refs[fanin1[node] >> 1] += 1
+    for leaf in leaves:
+        refs[leaf] -= 1
     return len(freed)
 
 
@@ -120,29 +129,35 @@ def enumerate_cuts(
     (supersets of other cuts) removed.  PIs, latches and the constant node
     only have their trivial cut.
     """
+    types = aig._type
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    and_type = NodeType.AND
     cuts: Dict[int, List[FrozenSet[int]]] = {}
-    for node in aig.nodes():
-        if not aig.is_and(node):
+    for node in range(len(types)):
+        if types[node] is not and_type:
             cuts[node] = [frozenset({node})]
             continue
-        f0, f1 = aig.fanins(node)
-        n0, n1 = lit_node(f0), lit_node(f1)
+        cuts1 = cuts[fanin1[node] >> 1]
         merged: List[FrozenSet[int]] = []
         seen: Set[FrozenSet[int]] = set()
-        for c0 in cuts[n0]:
-            for c1 in cuts[n1]:
+        for c0 in cuts[fanin0[node] >> 1]:
+            for c1 in cuts1:
                 cut = c0 | c1
                 if len(cut) > k or cut in seen:
                     continue
                 seen.add(cut)
                 merged.append(cut)
         # Dominance pruning: drop any cut that is a superset of another.
+        # Pruning only looks back, so the first ``max_cuts_per_node``
+        # survivors are final.
         merged.sort(key=len)
         pruned: List[FrozenSet[int]] = []
         for cut in merged:
+            if len(pruned) == max_cuts_per_node:
+                break
             if not any(other < cut for other in pruned):
                 pruned.append(cut)
-        pruned = pruned[:max_cuts_per_node]
         pruned.append(frozenset({node}))
         cuts[node] = pruned
     return cuts

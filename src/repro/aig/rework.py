@@ -5,13 +5,16 @@ commands.  Both passes work the same way:
 
 1. choose a cut for each AND node (one large reconvergence-driven cut for
    refactoring, several small enumerated cuts for rewriting);
-2. compute the truth table of the cone over the cut;
+2. compute the truth table of the cone over the cut, evaluating the cone's
+   nodes once in topological order;
 3. resynthesise the function with Minato-Morreale ISOP + algebraic
    factoring (the cheaper of the function and its complement);
 4. accept the replacement when the estimated number of new AND nodes is
-   smaller than the size of the maximum fanout-free cone that would be
-   freed.  A factored form needs at least ``|support| - 1`` AND nodes, so
-   a cut whose support floor already rules out acceptance skips step 3;
+   smaller than the size of the maximum fanout-free cone (MFFC) that would
+   be freed.  A factored form needs at least ``|support| - 1`` AND nodes
+   and the MFFC holds at most the cone, so a cut whose support floor
+   already rules out acceptance against ``|cone|`` skips the MFFC count,
+   and one that fails against the MFFC skips step 3;
 5. rebuild the AIG with the accepted replacements and sweep dangling nodes.
 
 As a safety net, the rebuilt AIG is only returned when it is not larger than
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cuts import cone_nodes, enumerate_cuts, mffc_size, reconvergence_cut
 from .graph import FALSE, Aig, lit_is_complemented, lit_node, lit_not, make_lit
-from .simulate import cone_truth_table
+from .simulate import cone_table
 from .sop import FactorNode, build_factor_into_aig, factored_form_cost, support
 
 
@@ -77,6 +80,13 @@ def _rebuild_with_replacements(aig: Aig, replacements: Dict[int, _Replacement]) 
     return dest.cleanup()
 
 
+def _may_gain(bound: int, best: Optional[Tuple[int, _Replacement, List[int]]], zero_gain: bool) -> bool:
+    """Whether a cut whose gain is at most ``bound`` can still be chosen."""
+    if bound < 0 or (bound == 0 and not zero_gain):
+        return False
+    return best is None or bound > best[0]
+
+
 def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
     """Collapse-and-resynthesise large cones (ABC's ``refactor``).
 
@@ -89,7 +99,7 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
     Returns:
         A functionally equivalent AIG with at most as many AND nodes.
     """
-    fanout_counts = aig.fanout_counts()
+    refs = aig.fanout_counts()
     replacements: Dict[int, _Replacement] = {}
     claimed: set[int] = set()
 
@@ -103,12 +113,17 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
         if len(cone) < 2:
             continue
         try:
-            table = cone_truth_table(aig, make_lit(node), leaves)
+            table = cone_table(aig, node, cone, leaves)
         except ValueError:
             continue
-        freed = mffc_size(aig, node, cone, fanout_counts)
+        # The support floor bounds the gain from above, and
+        # ``freed <= len(cone)`` bounds that bound: skip the MFFC, then the
+        # factoring, when the bound could not be accepted.
         floor = len(support(table, len(leaves))) - 1
-        if floor > freed or (floor == freed and not zero_gain):
+        if not _may_gain(len(cone) - floor, None, zero_gain):
+            continue
+        freed = mffc_size(aig, node, leaves, refs)
+        if not _may_gain(freed - floor, None, zero_gain):
             continue
         cost, factor, complemented = factored_form_cost(table, len(leaves))
         if cost < freed or (zero_gain and cost == freed):
@@ -127,7 +142,7 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
     Each node's k-feasible cuts are evaluated; the one whose resynthesised
     implementation gives the best improvement over the freed MFFC is applied.
     """
-    fanout_counts = aig.fanout_counts()
+    refs = aig.fanout_counts()
     all_cuts = enumerate_cuts(aig, cut_size, max_cuts_per_node)
     replacements: Dict[int, _Replacement] = {}
     claimed: set[int] = set()
@@ -144,16 +159,18 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
             if not cone:
                 continue
             try:
-                table = cone_truth_table(aig, make_lit(node), leaves)
+                table = cone_table(aig, node, cone, leaves)
             except ValueError:
                 continue
-            freed = mffc_size(aig, node, cone, fanout_counts)
-            # The support floor bounds the gain from above: skip factoring
-            # when even that bound could not be accepted or beat ``best``.
-            bound = freed - (len(support(table, len(leaves))) - 1)
-            if bound < 0 or (bound == 0 and not zero_gain):
+            # The support floor bounds the gain from above, and
+            # ``freed <= len(cone)`` bounds that bound: skip the MFFC, then
+            # the factoring, when the bound could not be accepted or beat
+            # ``best``.
+            floor = len(support(table, len(leaves))) - 1
+            if not _may_gain(len(cone) - floor, best, zero_gain):
                 continue
-            if best is not None and bound <= best[0]:
+            freed = mffc_size(aig, node, leaves, refs)
+            if not _may_gain(freed - floor, best, zero_gain):
                 continue
             cost, factor, complemented = factored_form_cost(table, len(leaves))
             gain = freed - cost

@@ -7,7 +7,7 @@ Used for three purposes in the flow:
 * exhaustive truth-table computation of whole (small) AIGs for the test
   suite, and
 * truth-table computation of cut cones for the refactoring / rewriting
-  passes (:mod:`repro.aig.refactor`, :mod:`repro.aig.rewrite`).
+  passes (:mod:`repro.aig.rework`).
 
 Two interchangeable kernels back :func:`simulate_patterns`:
 
@@ -33,7 +33,9 @@ import random
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .._compat import load_numpy, scalar_kernels_forced
+from .cuts import cone_nodes
 from .graph import Aig, NodeType, lit_is_complemented, lit_node
+from .sop import table_mask, var_tables
 
 #: Below this node count the numpy kernel is never considered: schedule
 #: construction and per-level dispatch overhead dominate tiny graphs.
@@ -404,16 +406,40 @@ def exhaustive_truth_tables(aig: Aig, max_inputs: int = 16) -> List[int]:
     if n > max_inputs:
         raise ValueError(f"AIG has {n} inputs, exceeding limit of {max_inputs}")
     num_patterns = 1 << n
-    patterns: Dict[int, int] = {}
-    for k, node in enumerate(aig.pi_nodes):
-        # Standard truth-table variable pattern for variable k.
-        word = 0
-        block = 1 << k
-        for start in range(block, num_patterns, 2 * block):
-            word |= ((1 << block) - 1) << start
-        patterns[node] = word
+    patterns = dict(zip(aig.pi_nodes, var_tables(n)))
     values = simulate_patterns(aig, patterns, num_patterns)
     return [lit_values(values, lit, num_patterns) for lit in aig.po_lits]
+
+
+def cone_table(aig: Aig, root: int, cone: Sequence[int], leaves: Sequence[int]) -> int:
+    """Truth table of node ``root`` over ``leaves``, evaluating ``cone`` in order.
+
+    ``cone`` must list the AND nodes between ``root`` and ``leaves`` in
+    topological (ascending id) order, as :func:`repro.aig.cuts.cone_nodes`
+    returns them.  Leaf ``k`` is variable ``k`` and node 0 is constant 0.
+    A fanin that is neither a leaf nor an earlier cone node raises
+    :class:`ValueError`, as does a ``root`` that is none of these.
+    """
+    k = len(leaves)
+    mask = table_mask(k)
+    values: Dict[int, int] = {0: 0}
+    values.update(zip(leaves, var_tables(k)))
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    try:
+        for node in cone:
+            f0 = fanin0[node]
+            f1 = fanin1[node]
+            v0 = values[f0 >> 1]
+            if f0 & 1:
+                v0 ^= mask
+            v1 = values[f1 >> 1]
+            if f1 & 1:
+                v1 ^= mask
+            values[node] = v0 & v1
+        return values[root]
+    except KeyError as exc:
+        raise ValueError(f"node {exc.args[0]} is not inside the cut cone") from None
 
 
 def cone_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> int:
@@ -421,58 +447,11 @@ def cone_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> int:
 
     ``leaves`` are node ids forming a cut of the cone; the returned table has
     ``2**len(leaves)`` bits with leaf ``k`` as variable ``k``.  All paths from
-    the root must stop at leaves (or constants); otherwise a ``KeyError``-like
+    the root must stop at leaves (or constants); otherwise a
     :class:`ValueError` is raised.
     """
-    k = len(leaves)
-    num_patterns = 1 << k
-    mask = (1 << num_patterns) - 1
-    values: Dict[int, int] = {0: 0}
-    for var, leaf in enumerate(leaves):
-        word = 0
-        block = 1 << var
-        for start in range(block, num_patterns, 2 * block):
-            word |= ((1 << block) - 1) << start
-        values[leaf] = word
-
-    types = aig._type
-    fanin0 = aig._fanin0
-    fanin1 = aig._fanin1
-    and_type = NodeType.AND
-
-    def node_value(node: int) -> int:
-        if node in values:
-            return values[node]
-        if types[node] is not and_type:
-            raise ValueError(f"node {node} is not inside the cut cone")
-        stack = [node]
-        while stack:
-            current = stack[-1]
-            if current in values:
-                stack.pop()
-                continue
-            f0 = fanin0[current]
-            f1 = fanin1[current]
-            n0 = f0 >> 1
-            n1 = f1 >> 1
-            v0 = values.get(n0)
-            v1 = values.get(n1)
-            if v0 is None or v1 is None:
-                for m in (n0, n1):
-                    if m not in values:
-                        if types[m] is not and_type:
-                            raise ValueError(f"node {m} is not inside the cut cone")
-                        stack.append(m)
-                continue
-            if f0 & 1:
-                v0 ^= mask
-            if f1 & 1:
-                v1 ^= mask
-            values[current] = v0 & v1
-            stack.pop()
-        return values[node]
-
-    root_value = node_value(lit_node(root_lit))
+    root = lit_node(root_lit)
+    table = cone_table(aig, root, cone_nodes(aig, root, leaves), leaves)
     if lit_is_complemented(root_lit):
-        root_value ^= mask
-    return root_value & mask
+        table ^= table_mask(len(leaves))
+    return table

@@ -9,18 +9,19 @@ Truth tables over ``n`` variables are plain Python integers with ``2**n``
 bits; variable ``k`` follows the standard ordering where bit ``i`` of the
 table corresponds to the assignment ``x_k = (i >> k) & 1``.
 
-Cubes are dictionaries mapping variable index to 0 or 1 (missing variables
-are don't-cares); a cover is a list of cubes, with the empty cube denoting
-the tautology.
+Cubes are bitmask pairs ``(pos, neg)``: bit ``k`` of ``pos`` is the literal
+``x_k``, bit ``k`` of ``neg`` the literal ``!x_k``, and a variable in neither
+mask is a don't-care.  A cover is a list of cubes, with the empty cube
+``(0, 0)`` denoting the tautology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
-Cube = Dict[int, int]
+Cube = Tuple[int, int]
 Cover = List[Cube]
 
 # The ISOP recursion evaluates these projection masks millions of times per
@@ -28,7 +29,8 @@ Cover = List[Cube]
 # ``repro verify``/``repro fuzz``), so both are memoised.  The key space is
 # tiny: ``num_vars`` is bounded by the cut size of the resynthesis passes.
 _TABLE_MASKS: Dict[int, int] = {}
-_VAR_TABLES: Dict[Tuple[int, int], int] = {}
+_VAR_TABLES: Dict[int, List[int]] = {}
+_PROJECTIONS: Dict[int, List[Tuple[int, int, int]]] = {}
 
 
 def table_mask(num_vars: int) -> int:
@@ -40,16 +42,39 @@ def table_mask(num_vars: int) -> int:
     return mask
 
 
+def var_tables(num_vars: int) -> List[int]:
+    """Truth tables of the projection functions ``x_0 .. x_{num_vars-1}``.
+
+    The list is memoised and shared: callers must not modify it.
+    """
+    words = _VAR_TABLES.get(num_vars)
+    if words is None:
+        words = []
+        for var in range(num_vars):
+            block = 1 << var
+            word = 0
+            for start in range(block, 1 << num_vars, 2 * block):
+                word |= ((1 << block) - 1) << start
+            words.append(word)
+        _VAR_TABLES[num_vars] = words
+    return words
+
+
 def var_table(var: int, num_vars: int) -> int:
     """Truth table of the projection function ``x_var``."""
-    word = _VAR_TABLES.get((var, num_vars))
-    if word is None:
-        block = 1 << var
-        word = 0
-        for start in range(block, 1 << num_vars, 2 * block):
-            word |= ((1 << block) - 1) << start
-        _VAR_TABLES[(var, num_vars)] = word
-    return word
+    return var_tables(num_vars)[var]
+
+
+def _projections(num_vars: int) -> List[Tuple[int, int, int]]:
+    """``(x_var table, !x_var table, 2**var)`` for every variable, memoised."""
+    rows = _PROJECTIONS.get(num_vars)
+    if rows is None:
+        mask = table_mask(num_vars)
+        rows = [
+            (high, ~high & mask, 1 << var) for var, high in enumerate(var_tables(num_vars))
+        ]
+        _PROJECTIONS[num_vars] = rows
+    return rows
 
 
 def cofactor(table: int, var: int, value: int, num_vars: int) -> int:
@@ -58,33 +83,38 @@ def cofactor(table: int, var: int, value: int, num_vars: int) -> int:
     The result is still expressed over all ``num_vars`` variables (it simply
     no longer depends on ``x_var``).
     """
-    mask = table_mask(num_vars)
-    vmask = var_table(var, num_vars)
-    block = 1 << var
+    high, low, block = _projections(num_vars)[var]
     if value:
-        positive = table & vmask
-        return (positive | (positive >> block)) & mask
-    negative = table & ~vmask & mask
-    return (negative | (negative << block)) & mask
+        positive = table & high
+        return positive | (positive >> block)
+    negative = table & low
+    return negative | (negative << block)
 
 
 def depends_on(table: int, var: int, num_vars: int) -> bool:
     """True when the function depends on variable ``var``."""
-    low = ~var_table(var, num_vars) & table_mask(num_vars)
-    return ((table >> (1 << var)) & low) != (table & low)
+    _, low, block = _projections(num_vars)[var]
+    return ((table >> block) & low) != (table & low)
 
 
 def support(table: int, num_vars: int) -> List[int]:
     """Variables the function actually depends on."""
-    return [v for v in range(num_vars) if depends_on(table, v, num_vars)]
+    return [
+        var
+        for var, (_, low, block) in enumerate(_projections(num_vars))
+        if ((table >> block) & low) != (table & low)
+    ]
 
 
 def cube_table(cube: Cube, num_vars: int) -> int:
     """Truth table of a single cube."""
+    pos, neg = cube
     table = table_mask(num_vars)
-    for var, value in cube.items():
-        vt = var_table(var, num_vars)
-        table &= vt if value else (~vt & table_mask(num_vars))
+    for var, (high, low, _) in enumerate(_projections(num_vars)):
+        if pos >> var & 1:
+            table &= high
+        if neg >> var & 1:
+            table &= low
     return table
 
 
@@ -108,48 +138,44 @@ def isop(on_set: int, upper: int, num_vars: int) -> Tuple[Cover, int]:
     upper &= mask
     if on_set & ~upper & mask:
         raise ValueError("isop requires on_set to be contained in upper")
-    return _isop_recursive(on_set, upper, num_vars, num_vars)
+    return _isop_recursive(on_set, upper, mask, _projections(num_vars), num_vars)
 
 
-def _isop_recursive(lower: int, upper: int, num_vars: int, var_limit: int) -> Tuple[Cover, int]:
-    mask = table_mask(num_vars)
+def _isop_recursive(
+    lower: int, upper: int, mask: int, projections: List[Tuple[int, int, int]], var_limit: int
+) -> Tuple[Cover, int]:
     if lower == 0:
         return [], 0
     if upper == mask:
-        return [{}], mask
+        return [(0, 0)], mask
     # Pick the highest-index variable that either bound depends on.
-    var = None
-    for v in reversed(range(var_limit)):
-        if depends_on(lower, v, num_vars) or depends_on(upper, v, num_vars):
-            var = v
+    for var in reversed(range(var_limit)):
+        high, low, block = projections[var]
+        if ((lower >> block) & low) != (lower & low) or ((upper >> block) & low) != (upper & low):
             break
-    if var is None:
+    else:
         # lower is a non-zero constant but upper is not the tautology —
         # cannot happen for consistent bounds.
         raise ValueError("inconsistent ISOP bounds")
-    l0 = cofactor(lower, var, 0, num_vars)
-    l1 = cofactor(lower, var, 1, num_vars)
-    u0 = cofactor(upper, var, 0, num_vars)
-    u1 = cofactor(upper, var, 1, num_vars)
+    l0 = lower & low
+    l0 |= l0 << block
+    l1 = lower & high
+    l1 |= l1 >> block
+    u0 = upper & low
+    u0 |= u0 << block
+    u1 = upper & high
+    u1 |= u1 >> block
 
-    cover0, table0 = _isop_recursive(l0 & ~u1 & mask, u0, num_vars, var)
-    cover1, table1 = _isop_recursive(l1 & ~u0 & mask, u1, num_vars, var)
-    l_new = (l0 & ~table0 & mask) | (l1 & ~table1 & mask)
-    cover2, table2 = _isop_recursive(l_new, u0 & u1, num_vars, var)
+    cover0, table0 = _isop_recursive(l0 & ~u1, u0, mask, projections, var)
+    cover1, table1 = _isop_recursive(l1 & ~u0, u1, mask, projections, var)
+    l_new = (l0 & ~table0) | (l1 & ~table1)
+    cover2, table2 = _isop_recursive(l_new, u0 & u1, mask, projections, var)
 
-    vt = var_table(var, num_vars)
-    result_cover: Cover = []
-    for cube in cover0:
-        new_cube = dict(cube)
-        new_cube[var] = 0
-        result_cover.append(new_cube)
-    for cube in cover1:
-        new_cube = dict(cube)
-        new_cube[var] = 1
-        result_cover.append(new_cube)
+    bit = 1 << var
+    result_cover: Cover = [(pos, neg | bit) for pos, neg in cover0]
+    result_cover.extend((pos | bit, neg) for pos, neg in cover1)
     result_cover.extend(cover2)
-    result_table = (table0 & ~vt & mask) | (table1 & vt) | table2
-    return result_cover, result_table
+    return result_cover, (table0 & low) | (table1 & high) | table2
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +198,6 @@ class FactorNode:
     negated: bool = False
     children: Tuple["FactorNode", ...] = ()
 
-    def num_ops(self) -> int:
-        """Number of two-input AND/OR operations needed to realise the tree."""
-        if self.kind in ("lit", "const0", "const1"):
-            return 0
-        child_ops = sum(c.num_ops() for c in self.children)
-        return child_ops + max(0, len(self.children) - 1)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind == "lit":
             return ("!" if self.negated else "") + f"x{self.var}"
@@ -188,63 +207,132 @@ class FactorNode:
         return "(" + sep.join(str(c) for c in self.children) + ")"
 
 
-def _literal_counts(cover: Cover) -> Dict[Tuple[int, int], int]:
-    counts: Dict[Tuple[int, int], int] = {}
-    for cube in cover:
-        for var, value in cube.items():
-            counts[(var, value)] = counts.get((var, value), 0) + 1
-    return counts
+class _Spread(dict):
+    """Mask -> its bits moved ``width`` bits apart, one counter field per bit.
+
+    Summing the spread masks of a cover's cubes counts every literal at
+    once: field ``k`` of the sum is the number of cubes with bit ``k`` set.
+    """
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, mask: int) -> int:
+        spread = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            spread |= 1 << (self.width * (low.bit_length() - 1))
+            rest ^= low
+        self[mask] = spread
+        return spread
 
 
-def factor_cover(cover: Cover) -> FactorNode:
+_SPREADS: Dict[int, _Spread] = {}
+
+
+def _best_literal(cover: Cover) -> Tuple[int, bool, int]:
+    """The most frequent literal of ``cover`` as ``(var, positive, count)``.
+
+    Ties go to the lower variable; when ``x`` and ``!x`` tie, the polarity
+    in the first cube that mentions ``x`` wins.
+    """
+    width = len(cover).bit_length()
+    spread = _SPREADS.get(width)
+    if spread is None:
+        spread = _SPREADS[width] = _Spread(width)
+    pos_counts = sum(spread[pos] for pos, _ in cover)
+    neg_counts = sum(spread[neg] for _, neg in cover)
+    field = (1 << width) - 1
+    best_var, best_count = -1, 0
+    var = 0
+    while pos_counts or neg_counts:
+        count = max(pos_counts & field, neg_counts & field)
+        if count > best_count:
+            best_var, best_count = var, count
+            positive = pos_counts & field
+            negative = neg_counts & field
+        pos_counts >>= width
+        neg_counts >>= width
+        var += 1
+    if positive != negative:
+        return best_var, positive > negative, best_count
+    bit = 1 << best_var
+    first = next(pos for pos, neg in cover if (pos | neg) & bit)
+    return best_var, bool(first & bit), best_count
+
+
+def _cube_factor(cube: Cube) -> Tuple[FactorNode, int]:
+    pos, neg = cube
+    literals = []
+    for var in range((pos | neg).bit_length()):
+        if pos >> var & 1:
+            literals.append(FactorNode("lit", var=var))
+        elif neg >> var & 1:
+            literals.append(FactorNode("lit", var=var, negated=True))
+    if len(literals) == 1:
+        return literals[0], 0
+    return FactorNode("and", children=tuple(literals)), len(literals) - 1
+
+
+def factor_cover(cover: Cover) -> Tuple[FactorNode, int]:
     """Algebraically factor a cover into an AND/OR expression tree.
 
     Uses "quick factoring": the most frequent literal is chosen as divisor,
     the cover is divided into quotient and remainder, and both parts are
     factored recursively.  Single-cube covers become pure AND terms.
+
+    Returns the tree and the number of two-input AND/OR operations needed
+    to realise it.
     """
     if not cover:
-        return FactorNode("const0")
-    if any(len(cube) == 0 for cube in cover):
-        return FactorNode("const1")
+        return FactorNode("const0"), 0
+    if (0, 0) in cover:
+        return FactorNode("const1"), 0
     if len(cover) == 1:
-        cube = cover[0]
-        literals = [FactorNode("lit", var=v, negated=(val == 0)) for v, val in sorted(cube.items())]
-        if len(literals) == 1:
-            return literals[0]
-        return FactorNode("and", children=tuple(literals))
+        return _cube_factor(cover[0])
 
-    counts = _literal_counts(cover)
-    (best_var, best_val), best_count = max(counts.items(), key=lambda item: (item[1], -item[0][0]))
-    if best_count <= 1:
+    var, positive, count = _best_literal(cover)
+    if count <= 1:
         # No common literal: plain sum of products.
-        terms = [factor_cover([cube]) for cube in cover]
-        return FactorNode("or", children=tuple(terms))
+        terms = [_cube_factor(cube) for cube in cover]
+        ops = sum(term_ops for _, term_ops in terms) + len(terms) - 1
+        return FactorNode("or", children=tuple(term for term, _ in terms)), ops
 
-    divisor_lit = FactorNode("lit", var=best_var, negated=(best_val == 0))
+    divisor_lit = FactorNode("lit", var=var, negated=not positive)
+    bit = 1 << var
     quotient: Cover = []
     remainder: Cover = []
-    for cube in cover:
-        if cube.get(best_var) == best_val:
-            reduced = {v: val for v, val in cube.items() if v != best_var}
-            quotient.append(reduced)
-        else:
-            remainder.append(cube)
+    if positive:
+        for cube in cover:
+            if cube[0] & bit:
+                quotient.append((cube[0] ^ bit, cube[1]))
+            else:
+                remainder.append(cube)
+    else:
+        for cube in cover:
+            if cube[1] & bit:
+                quotient.append((cube[0], cube[1] ^ bit))
+            else:
+                remainder.append(cube)
 
-    quotient_expr = factor_cover(quotient)
+    quotient_expr, ops = factor_cover(quotient)
     if quotient_expr.kind == "const1":
         factored_part: FactorNode = divisor_lit
     else:
         factored_part = FactorNode("and", children=(divisor_lit, quotient_expr))
+        ops += 1
     if not remainder:
-        return factored_part
-    remainder_expr = factor_cover(remainder)
-    return FactorNode("or", children=(factored_part, remainder_expr))
+        return factored_part, ops
+    remainder_expr, remainder_ops = factor_cover(remainder)
+    return FactorNode("or", children=(factored_part, remainder_expr)), ops + remainder_ops + 1
 
 
-def factor_table(table: int, num_vars: int) -> FactorNode:
+def factor_table(table: int, num_vars: int) -> Tuple[FactorNode, int]:
     """ISOP + factoring of a completely specified truth table.
 
+    Returns the tree and its operation count, like :func:`factor_cover`.
     Complemented forms are handled by the caller through the top literal
     polarity — see :func:`factored_form_cost`, which factors both the
     function and its complement and memoises the cheaper form.
@@ -252,9 +340,9 @@ def factor_table(table: int, num_vars: int) -> FactorNode:
     mask = table_mask(num_vars)
     table &= mask
     if table == 0:
-        return FactorNode("const0")
+        return FactorNode("const0"), 0
     if table == mask:
-        return FactorNode("const1")
+        return FactorNode("const1"), 0
     cover, _ = isop(table, table, num_vars)
     return factor_cover(cover)
 
@@ -319,8 +407,8 @@ def factored_form_cost(table: int, num_vars: int) -> Tuple[int, FactorNode, bool
     its cost is never below ``len(support(table, num_vars)) - 1``; the
     resynthesis passes use that floor to skip cuts that cannot gain.
     """
-    direct = factor_table(table, num_vars)
-    inverse = factor_table(~table & table_mask(num_vars), num_vars)
-    if inverse.num_ops() < direct.num_ops():
-        return inverse.num_ops(), inverse, True
-    return direct.num_ops(), direct, False
+    direct, direct_ops = factor_table(table, num_vars)
+    inverse, inverse_ops = factor_table(~table & table_mask(num_vars), num_vars)
+    if inverse_ops < direct_ops:
+        return inverse_ops, inverse, True
+    return direct_ops, direct, False

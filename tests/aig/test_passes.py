@@ -90,7 +90,9 @@ class TestMffc:
         cone = cone_nodes(aig, root, leaves)
         assert cone == sorted([shared, inner, root])
         # root and inner are freed; shared survives for ``side``.
-        assert mffc_size(aig, root, cone, aig.fanout_counts()) == 2
+        refs = aig.fanout_counts()
+        assert mffc_size(aig, root, leaves, refs) == 2
+        assert refs == aig.fanout_counts()
 
     def test_root_is_always_freed(self):
         aig, root, inner, shared, leaves = self.shared_cone()
@@ -98,7 +100,7 @@ class TestMffc:
         # still frees the root itself.
         cone = cone_nodes(aig, shared, leaves)
         assert cone == [shared]
-        assert mffc_size(aig, shared, cone, aig.fanout_counts()) == 1
+        assert mffc_size(aig, shared, leaves, aig.fanout_counts()) == 1
 
 
 class TestIndividualPasses:

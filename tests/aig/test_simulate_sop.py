@@ -85,7 +85,7 @@ class TestTruthTableOps:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16 - 1))
     def test_factoring_preserves_function(self, table):
-        factor = factor_table(table, 4)
+        factor, _ = factor_table(table, 4)
         aig = Aig()
         leaves = [aig.add_pi(f"x{i}") for i in range(4)]
         from repro.aig import lit_not
@@ -121,6 +121,6 @@ class TestTruthTableOps:
         assert cost <= 3
 
     def test_factor_cover_single_cube(self):
-        factor = factor_cover([{0: 1, 2: 0}])
-        assert factor.num_ops() == 1
+        factor, ops = factor_cover([(0b001, 0b100)])
+        assert ops == 1
         assert "x0" in str(factor) and "x2" in str(factor)
