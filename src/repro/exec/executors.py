@@ -312,11 +312,17 @@ class PersistentWorkerExecutor(Executor):
                 failure = self._timed_out(task, total)
             else:
                 continue
-            self._replace(slot)
             if failure is None:
                 pending.appendleft(_Task(task.index, task.unit, task.attempt + 1))
             else:
                 results.append(failure)
+            if pending:
+                self._replace(slot)
+            else:
+                # Nothing left to run here: retire the worker instead of
+                # respawning one; ``_dispatch`` replaces it if work returns.
+                self._kill_worker(worker)
+                worker.task = None
         return results
 
     @staticmethod

@@ -185,6 +185,24 @@ def test_timeout_emits_a_structured_event():
     assert all(isinstance(e, ExecEvent) for e in events)
 
 
+@pytest.mark.parametrize(
+    "unit, options, respawns",
+    [
+        (PoisonUnit(index=0, mode="sleep", sleep_s=30.0), {"timeout": 0.3}, 0),
+        (PoisonUnit(index=0, mode="exit"), {"retries": 2, "backoff_s": 0.01}, 2),
+    ],
+    ids=["timeout", "crash"],
+)
+def test_no_worker_is_respawned_once_nothing_is_left_to_run(unit, options, respawns):
+    # Only a queued retry earns a fresh worker; the last unit's failure
+    # leaves the slot empty.
+    events = []
+    executor = PersistentWorkerExecutor(jobs=1, **options)
+    executor.emit = events.append
+    assert not _results(executor, [unit])[0].ok
+    assert [e.kind for e in events].count("respawn") == respawns
+
+
 # ---------------------------------------------------------------------------
 # Cleanup discipline
 # ---------------------------------------------------------------------------
