@@ -74,8 +74,11 @@ class ExperimentSpec:
             return []
         effort = effort or self.default_effort
         if self.supports_circuits:
-            return self.jobs(scale, effort, circuits)
-        return self.jobs(scale, effort)
+            jobs = self.jobs(scale, effort, circuits)
+        else:
+            jobs = self.jobs(scale, effort)
+        # Two parts of an experiment that need the same job share one unit.
+        return list({job.key(): job for job in jobs}.values())
 
     def assemble(
         self,
@@ -323,8 +326,6 @@ class ExperimentCampaign:
 
     def report(self, records: List[Dict[str, object]], **stats) -> ExperimentReport:
         memory = {job.key(): record for job, record in zip(self.jobs(), records)}
-        # A job listed twice is synthesised once; the repeat counts as cached.
-        stats["cached"] = len(records) - stats["computed"]
         result = ExperimentResult(self.spec.name, text="(not assembled)")
         if not any(record.get("status") == "error" for record in records):
             engine = SynthesisEngine(memory=memory)

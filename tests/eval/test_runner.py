@@ -246,6 +246,18 @@ def test_every_spec_enumerates_consistently():
             job.flow_options()
 
 
+def test_a_job_two_parts_of_an_experiment_share_is_one_unit():
+    # At ``--effort none`` the ablation's "direct" and "AIG opt only"
+    # variants are the same job: one unit, synthesised once, not a
+    # phantom cache hit.
+    report = Runner(jobs=1, cache=None).campaign(
+        ExperimentCampaign(EXPERIMENTS["ablation"], effort="none")
+    )
+    assert len(report.records) == report.computed == 6
+    assert report.cached == 0
+    assert len(report.result.rows) == 7
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
