@@ -88,11 +88,12 @@ class CurrentSource:
 
 def sfq_pulse_train(times: Sequence[float], amplitude: float = 250e-6, width: float = 4e-12) -> Callable[[float], float]:
     """Gaussian current pulses approximating incoming SFQ pulses."""
+    spread = 2.0 * (width / 2.355) ** 2
 
     def waveform(t: float) -> float:
         total = 0.0
         for center in times:
-            total += amplitude * math.exp(-((t - center) ** 2) / (2.0 * (width / 2.355) ** 2))
+            total += amplitude * math.exp(-((t - center) ** 2) / spread)
         return total
 
     return waveform
