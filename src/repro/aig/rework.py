@@ -11,8 +11,9 @@ commands.  Both passes work the same way:
    factoring (the cheaper of the function and its complement);
 4. accept the replacement when the estimated number of new AND nodes is
    smaller than the size of the maximum fanout-free cone (MFFC) that would
-   be freed.  A factored form needs at least ``|support| - 1`` AND nodes
-   and the MFFC holds at most the cone, so a cut whose support floor
+   be freed.  A factored form needs at least one literal leaf per support
+   variable and two per binate one (:func:`~repro.aig.sop.literal_floor`),
+   and the MFFC holds at most the cone, so a cut whose literal floor
    already rules out acceptance against ``|cone|`` skips the MFFC count,
    and one that fails against the MFFC skips step 3;
 5. rebuild the AIG with the accepted replacements and sweep dangling nodes.
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cuts import cone_nodes, enumerate_cuts, mffc_size, reconvergence_cut
 from .graph import FALSE, Aig, lit_is_complemented, lit_node, lit_not, make_lit
 from .simulate import cone_table
-from .sop import FactorNode, build_factor_into_aig, factored_form_cost, support
+from .sop import FactorNode, build_factor_into_aig, factored_form_cost, literal_floor
 
 
 class _Replacement:
@@ -116,10 +117,10 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
             table = cone_table(aig, node, cone, leaves)
         except ValueError:
             continue
-        # The support floor bounds the gain from above, and
+        # The literal floor bounds the gain from above, and
         # ``freed <= len(cone)`` bounds that bound: skip the MFFC, then the
         # factoring, when the bound could not be accepted.
-        floor = len(support(table, len(leaves))) - 1
+        floor = literal_floor(table, len(leaves)) - 1
         if not _may_gain(len(cone) - floor, None, zero_gain):
             continue
         freed = mffc_size(aig, node, leaves, refs)
@@ -162,11 +163,11 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
                 table = cone_table(aig, node, cone, leaves)
             except ValueError:
                 continue
-            # The support floor bounds the gain from above, and
+            # The literal floor bounds the gain from above, and
             # ``freed <= len(cone)`` bounds that bound: skip the MFFC, then
             # the factoring, when the bound could not be accepted or beat
             # ``best``.
-            floor = len(support(table, len(leaves))) - 1
+            floor = literal_floor(table, len(leaves)) - 1
             if not _may_gain(len(cone) - floor, best, zero_gain):
                 continue
             freed = mffc_size(aig, node, leaves, refs)

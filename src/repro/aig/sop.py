@@ -106,6 +106,24 @@ def support(table: int, num_vars: int) -> List[int]:
     ]
 
 
+def literal_floor(table: int, num_vars: int) -> int:
+    """Fewest literal leaves of any AND/OR form of ``f`` or ``!f``.
+
+    Such a form is monotone in every variable it uses in one polarity
+    only, so it needs a leaf per support variable and two per binate one
+    (one that ``f`` depends on both ways).  A form with ``L`` leaves
+    costs ``L - 1`` operations, so ``literal_floor - 1`` bounds
+    :func:`factored_form_cost` from below.
+    """
+    leaves = 0
+    for _, low, block in _projections(num_vars):
+        negative = table & low
+        positive = (table >> block) & low
+        if negative != positive:
+            leaves += 2 if negative & ~positive and positive & ~negative else 1
+    return leaves
+
+
 def cube_table(cube: Cube, num_vars: int) -> int:
     """Truth table of a single cube."""
     pos, neg = cube
@@ -242,22 +260,23 @@ def _best_literal(cover: Cover) -> Tuple[int, bool, int]:
     spread = _SPREADS.get(width)
     if spread is None:
         spread = _SPREADS[width] = _Spread(width)
-    pos_counts = sum(spread[pos] for pos, _ in cover)
-    neg_counts = sum(spread[neg] for _, neg in cover)
+    positives, negatives = zip(*cover)
+    pos_counts = sum(map(spread.__getitem__, positives))
+    neg_counts = sum(map(spread.__getitem__, negatives))
     field = (1 << width) - 1
-    best_var, best_count = -1, 0
+    best_var = best_count = best_pos = best_neg = 0
     var = 0
     while pos_counts or neg_counts:
-        count = max(pos_counts & field, neg_counts & field)
-        if count > best_count:
-            best_var, best_count = var, count
-            positive = pos_counts & field
-            negative = neg_counts & field
+        positive = pos_counts & field
+        negative = neg_counts & field
+        if positive > best_count or negative > best_count:
+            best_var, best_pos, best_neg = var, positive, negative
+            best_count = positive if positive > negative else negative
         pos_counts >>= width
         neg_counts >>= width
         var += 1
-    if positive != negative:
-        return best_var, positive > negative, best_count
+    if best_pos != best_neg:
+        return best_var, best_pos > best_neg, best_count
     bit = 1 << best_var
     first = next(pos for pos, neg in cover if (pos | neg) & bit)
     return best_var, bool(first & bit), best_count
@@ -302,20 +321,12 @@ def factor_cover(cover: Cover) -> Tuple[FactorNode, int]:
 
     divisor_lit = FactorNode("lit", var=var, negated=not positive)
     bit = 1 << var
-    quotient: Cover = []
-    remainder: Cover = []
     if positive:
-        for cube in cover:
-            if cube[0] & bit:
-                quotient.append((cube[0] ^ bit, cube[1]))
-            else:
-                remainder.append(cube)
+        quotient = [(pos ^ bit, neg) for pos, neg in cover if pos & bit]
+        remainder = [cube for cube in cover if not cube[0] & bit]
     else:
-        for cube in cover:
-            if cube[1] & bit:
-                quotient.append((cube[0], cube[1] ^ bit))
-            else:
-                remainder.append(cube)
+        quotient = [(pos, neg ^ bit) for pos, neg in cover if neg & bit]
+        remainder = [cube for cube in cover if not cube[1] & bit]
 
     quotient_expr, ops = factor_cover(quotient)
     if quotient_expr.kind == "const1":
@@ -402,10 +413,9 @@ def factored_form_cost(table: int, num_vars: int) -> Tuple[int, FactorNode, bool
     Results are memoised — the resynthesis passes re-factor the same small
     cone functions constantly — so callers must treat the returned
     :class:`FactorNode` tree as immutable (they all do: the only consumer
-    is :func:`build_factor_into_aig`, which reads it).  Every factored form
-    of a function has at least one literal leaf per support variable, so
-    its cost is never below ``len(support(table, num_vars)) - 1``; the
-    resynthesis passes use that floor to skip cuts that cannot gain.
+    is :func:`build_factor_into_aig`, which reads it).  The cost is never
+    below ``literal_floor(table, num_vars) - 1``; the resynthesis passes
+    use that floor to skip cuts that cannot gain.
     """
     direct, direct_ops = factor_table(table, num_vars)
     inverse, inverse_ops = factor_table(~table & table_mask(num_vars), num_vars)

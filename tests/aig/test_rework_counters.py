@@ -6,7 +6,7 @@ with a cold factoring cache, counting the calls to ``mffc_size`` and the
 misses of ``factored_form_cost``.  Work counts are exact, so an
 algorithmic regression fails here on every run where a wall-time gate
 would drown in noise: computing the MFFC before the ``len(cone)`` bound,
-or factoring a cut the support floor already rules out, raises a count.
+or factoring a cut the literal floor already rules out, raises a count.
 """
 
 from repro.aig import network_to_aig, rework
@@ -17,12 +17,12 @@ from repro.circuits.registry import build
 #: ``(pass, mffc_size calls, factored_form_cost misses)`` per resynthesis
 #: pass, in script order.
 CEILINGS = [
-    ("rewrite", 299, 41),
-    ("refactor", 103, 19),
-    ("rewrite", 261, 41),
-    ("rewrite -z", 322, 50),
-    ("refactor -z", 107, 24),
-    ("rewrite -z", 332, 35),
+    ("rewrite", 71, 5),
+    ("refactor", 63, 6),
+    ("rewrite", 61, 8),
+    ("rewrite -z", 179, 13),
+    ("refactor -z", 107, 7),
+    ("rewrite -z", 190, 7),
 ]
 
 

@@ -14,6 +14,7 @@ from repro.aig.sop import (
     factor_table,
     factored_form_cost,
     isop,
+    literal_floor,
     support,
     table_mask,
     var_table,
@@ -106,10 +107,11 @@ class TestTruthTableOps:
     @example((6, table_mask(6)))
     def test_factored_form_cost_is_at_least_the_support_floor(self, case):
         # The floor the resynthesis passes skip factoring on: every form of
-        # f or !f has a literal leaf per support variable.
+        # f or !f has a literal leaf per support variable, two per binate one.
         num_vars, table = case
         cost, _, _ = factored_form_cost(table, num_vars)
         assert cost >= len(support(table, num_vars)) - 1
+        assert cost >= literal_floor(table, num_vars) - 1
 
     def test_factored_form_cost_prefers_cheaper_polarity(self):
         # f = majority complement is as expensive as majority; an OR of all
