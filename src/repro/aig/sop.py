@@ -26,8 +26,9 @@ Cover = List[Cube]
 
 # The ISOP recursion evaluates these projection masks millions of times per
 # synthesis run (they dominated the pre-optimisation profile of
-# ``repro verify``/``repro fuzz``), so both are memoised.  The key space is
-# tiny: ``num_vars`` is bounded by the cut size of the resynthesis passes.
+# ``repro verify``/``repro fuzz``), so all three are memoised.  The key
+# space is tiny: ``num_vars`` is bounded by the cut size of the resynthesis
+# passes and by the input limit of ``exhaustive_truth_tables``.
 _TABLE_MASKS: Dict[int, int] = {}
 _VAR_TABLES: Dict[int, List[int]] = {}
 _PROJECTIONS: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -89,12 +90,6 @@ def cofactor(table: int, var: int, value: int, num_vars: int) -> int:
         return positive | (positive >> block)
     negative = table & low
     return negative | (negative << block)
-
-
-def depends_on(table: int, var: int, num_vars: int) -> bool:
-    """True when the function depends on variable ``var``."""
-    _, low, block = _projections(num_vars)[var]
-    return ((table >> block) & low) != (table & low)
 
 
 def support(table: int, num_vars: int) -> List[int]:
