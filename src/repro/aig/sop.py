@@ -283,7 +283,7 @@ def _cube_factor(cube: Cube) -> Tuple[FactorNode, int]:
     for var in range((pos | neg).bit_length()):
         if pos >> var & 1:
             literals.append(FactorNode("lit", var=var))
-        elif neg >> var & 1:
+        if neg >> var & 1:
             literals.append(FactorNode("lit", var=var, negated=True))
     if len(literals) == 1:
         return literals[0], 0
