@@ -1,11 +1,14 @@
-"""Small pulse batches and the analog simulator never import numpy or scipy.
+"""Verify, fault, fuzz and analog commands never import numpy or scipy.
 
-Importing numpy costs ~12 MB of resident memory and ~0.13 s, more than a
-whole fault-margin or fuzz command gains from it.  The per-net pulse
-kernel therefore compiles its plan without numpy and runs batches below
-``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train on Python lists.  The
-RCSJ simulator integrates on Python lists too (``sim.analog.rk45``), so
-``repro run figure2_3`` loads neither numpy nor scipy (~0.5 s and ~55 MB).
+Importing numpy costs +13.6 MB of resident memory and 0.07-0.18 s, more
+than a whole verify, fault-margin or fuzz command gains from it.  The
+per-net pulse kernel therefore compiles its plan without numpy and runs
+batches below ``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train (the
+256-pattern verify batches included) on Python lists, and the golden
+AIG simulation decides its backend from level widths computed without
+numpy.  The RCSJ simulator integrates on Python lists too
+(``sim.analog.rk45``), so ``repro run figure2_3`` loads neither numpy
+nor scipy (~0.5 s and ~55 MB).
 Each check runs in a fresh interpreter, where ``sys.modules`` shows
 exactly what the code under test imported.
 """
@@ -75,6 +78,20 @@ def test_compile_plan_and_a_short_kernel_run_import_no_numpy():
     ids=["faults-margin", "fuzz"],
 )
 def test_fault_and_fuzz_commands_import_no_numpy(argv):
+    assert _heavy_imports(CLI_SNIPPET, *argv) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A 256-pattern combinational batch plus a sequential circuit.
+        ["verify", "--circuit", "c880", "--circuit", "s344", "--no-cache"],
+        # 720 AIG nodes, narrow levels: the golden simulation stays on ints.
+        ["verify", "--circuit", "sin", "--no-cache"],
+    ],
+    ids=["c880-s344", "sin"],
+)
+def test_verify_commands_import_no_numpy(argv):
     assert _heavy_imports(CLI_SNIPPET, *argv) == "[]"
 
 
