@@ -357,16 +357,9 @@ class PulseSimulator:
             return None
         total, frontier, tolist = outcome.events, outcome.frontier, outcome.tolist
         trace_lists = self._trace_lists
-        capture = self._capture
-        sink_table = self._sink_table
-        dangling = self._dangling_ids
-        for nid, pulses in enumerate(outcome.pulses):
-            if pulses is None:
-                continue
-            if capture[nid]:
-                trace_lists[nid].extend(tolist(pulses))
-            if not sink_table[nid]:
-                dangling.add(nid)
+        for nid, pulses in outcome.captured:
+            trace_lists[nid].extend(tolist(pulses))
+        self._dangling_ids.update(outcome.dangling)
         if outcome.draws:
             self._fault_model.consume_draws(outcome.draws)
         self._pending_sources.clear()

@@ -43,9 +43,17 @@ The kernel is written once over a handful of array primitives (shift,
 pairwise max/min with the interleave check, merge-sort, jitter) with two
 forms: sorted Python float lists, and numpy float64 arrays.  A batch
 whose longest stimulus train reaches :data:`NUMPY_MIN_TRAIN` pulses uses
-numpy; shorter batches use lists, so small fault, fuzz and exhaustive
-batches never import numpy (importing it costs ~12 MB of resident
-memory and ~0.13 s).
+numpy; shorter batches use lists, so fault, fuzz, exhaustive and
+256-pattern verify batches never import numpy (importing it costs
+13.6 MB of resident memory and 0.07-0.18 s).
+
+The working set is bounded by the DAG's live cut, not its net count.
+The plan records, for each op, the input nets whose last consumer it
+is; right after that op, each such net retires: its pulses are counted,
+the frontier rises to its last pulse, it is noted as dangling if it has
+no sinks, and its train is kept only if its trace is captured (the
+primary-output rails under ``observe_only``).  Nets no op consumes
+retire at the end of the run.
 
 The differential suites in ``tests/sim/test_kernel_differential.py`` pin
 traces, event counts, dangling-net records, injection counts and decode
@@ -78,11 +86,19 @@ _PAIRED_TYPES = {LaCell: _OP_LA, FaCell: _OP_FA}
 _FAN_TYPES = (SplitterCell, MergerCell, JtlCell)
 
 #: Batches whose longest stimulus train holds at least this many pulses
-#: run on numpy arrays, shorter ones on Python lists.  It sits between
-#: the 64-pattern fault and fuzz batches, where list ops win and numpy's
-#: import would add ~12 MB of resident memory, and the 256-pattern
-#: verify and 512-pattern benchmark batches, where numpy wins.
-NUMPY_MIN_TRAIN = 128
+#: run on numpy arrays, shorter ones on Python lists.  Numpy saves up
+#: to ~17 ms per 256-pulse run, but importing it costs 0.07-0.18 s and
+#: 13.6 MB of resident memory, and a verify command runs one
+#: combinational batch per circuit.  So the 64-pattern fault and fuzz
+#: batches and the 256-pattern verify batches stay on lists, and the
+#: 512- and 1024-pattern kernel benchmarks run on numpy.
+NUMPY_MIN_TRAIN = 512
+
+
+#: One compiled op: ``(kind, input net ids, output net ids, delay,
+#: released net ids)``.  The released nets are the inputs whose last
+#: consumer this op is.
+_Op = Tuple[int, Tuple[int, ...], Tuple[int, ...], float, Tuple[int, ...]]
 
 
 class FeedForwardPlan:
@@ -90,8 +106,8 @@ class FeedForwardPlan:
 
     __slots__ = ("ops",)
 
-    def __init__(self, ops: Sequence[Tuple[int, Tuple[int, ...], Tuple[int, ...], float]]) -> None:
-        #: ``(kind, input net ids, output net ids, delay)`` in dataflow order.
+    def __init__(self, ops: Sequence[_Op]) -> None:
+        #: :data:`_Op` tuples in dataflow order.
         self.ops = list(ops)
 
 
@@ -154,7 +170,17 @@ def compile_plan(sim) -> Optional[FeedForwardPlan]:
                     ready.append(consumer)
     if len(order) != len(ops):
         return None  # combinational cycle: scalar loop handles it
-    return FeedForwardPlan([ops[index] for index in order])
+    # Release schedule: each input net retires after its last consumer.
+    last_use: Dict[int, int] = {}
+    for position, index in enumerate(order):
+        for net in ops[index][1]:
+            last_use[net] = position
+    released: List[List[int]] = [[] for _ in order]
+    for net, position in last_use.items():
+        released[position].append(net)
+    return FeedForwardPlan(
+        [ops[index] + (tuple(released[position]),) for position, index in enumerate(order)]
+    )
 
 
 class _Fallback(Exception):
@@ -253,14 +279,16 @@ def _array_ops(longest_train: int):
 class KernelRun(NamedTuple):
     """A successful kernel run, not yet committed to the simulator."""
 
-    #: ``pulses[nid]``: every pulse on net ``nid`` in time order (an
-    #: array of the run's form), or ``None`` for a silent net.
-    pulses: List[Optional[object]]
+    #: ``(nid, pulses)`` for every pulsed net whose trace is captured
+    #: (``sim._capture``), pulses in time order in the run's array form.
+    captured: List[Tuple[int, object]]
+    #: Ids of pulsed nets that have no sinks.
+    dangling: List[int]
     events: int
     frontier: float
     #: Jitter draws taken per net id (empty without jitter).
     draws: Dict[int, int]
-    #: Converts one ``pulses`` entry to a list of Python floats.
+    #: Converts one ``captured`` train to a list of Python floats.
     tolist: object
 
 
@@ -308,34 +336,60 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
         if times:
             contrib.setdefault(nid, []).append(ops.array(times))
 
+    #: Finalised trains of nets that still have a consumer to run.
     finalized: Dict[int, object] = {}
 
     def final(nid: int):
         pulses = finalized.get(nid)
         if pulses is None:
-            parts = contrib.get(nid, [])
-            entry = jittered.get(nid)
+            parts = contrib.pop(nid, [])
+            entry = jittered.pop(nid, None)
             if entry is not None:
                 delay, causes = entry
                 causes = ops.merge(causes)
                 count = len(causes)
                 draws[nid] = count
-                parts = parts + [
-                    ops.jitter(causes, delay, fault.peek_draws(nid, count), jitter)
-                ]
+                parts.append(ops.jitter(causes, delay, fault.peek_draws(nid, count), jitter))
             pulses = ops.merge(parts) if parts else ops.empty
             finalized[nid] = pulses
         return pulses
 
+    capture = sim._capture
+    sink_table = sim._sink_table
+    captured: List[Tuple[int, object]] = []
+    dangling: List[int] = []
+    total = 0
+    frontier = float("-inf")
+
+    def retire(nid: int) -> None:
+        # A retired net is complete: count it and drop its train unless
+        # its trace is captured.
+        nonlocal total, frontier
+        pulses = finalized.pop(nid, None)
+        if pulses is None or not len(pulses):
+            return
+        total += len(pulses)
+        last = float(pulses[-1])
+        if last > frontier:
+            frontier = last
+        if capture[nid]:
+            captured.append((nid, pulses))
+        if not sink_table[nid]:
+            dangling.append(nid)
+
     shift, paired = ops.shift, ops.paired
-    for kind, ins, outs, delay in plan.ops:
+    for kind, ins, outs, delay, released in plan.ops:
         if kind == _OP_FAN:
             causes = final(ins[0])
+            for nid in released:
+                retire(nid)
             if not len(causes):
                 continue
         else:
             a = final(ins[0])
             b = final(ins[1])
+            for nid in released:
+                retire(nid)
             if len(a) != len(b):
                 raise _Fallback  # unpaired pulses: cell state carries across
             if not len(a):
@@ -355,20 +409,13 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
             else:
                 entry[1].append(causes)
 
-    net_pulses: List[Optional[object]] = [None] * len(sim._net_names)
-    total = 0
-    frontier = float("-inf")
-    for nid in range(len(net_pulses)):
-        pulses = final(nid)
-        if len(pulses):
-            net_pulses[nid] = pulses
-            total += len(pulses)
-            last = float(pulses[-1])
-            if last > frontier:
-                frontier = last
+    # Nets no op consumes: primary outputs, dangling legs, unused inputs.
+    for nid in dict.fromkeys([*contrib, *jittered]):
+        final(nid)
+        retire(nid)
     limit = float("inf") if until is None else until
     if frontier > limit:
         # Some events would stay pending past ``until``; resumable
         # pending state only exists in the scalar loop.
         raise _Fallback
-    return KernelRun(net_pulses, total, frontier, draws, ops.tolist)
+    return KernelRun(captured, dangling, total, frontier, draws, ops.tolist)
