@@ -8,8 +8,8 @@ goes through :func:`load_numpy`:
 * auto-dispatched fast paths call ``load_numpy()`` and fall back when
   numpy is absent: the word-parallel AIG sweep to the bigint kernel, the
   SoA pulse core to its Python-list form (which it also uses for every
-  batch below ``repro.sim.pulse.soa.NUMPY_MIN_TRAIN`` pulses, so small
-  batches never import numpy);
+  batch below ``repro.sim.pulse.soa.NUMPY_MIN_TRAIN`` pulses, so verify,
+  fault and fuzz batches never import numpy);
 * explicit requests (``simulate_patterns(..., backend="numpy")``) call
   ``load_numpy(required=True)`` and get an :class:`ImportError` that
   points at the install command instead of a bare module-not-found.

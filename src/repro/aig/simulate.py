@@ -50,33 +50,37 @@ _NUMPY_WIDTH_PER_WORD = 8.0
 
 
 class _LevelSchedule:
-    """Levelised evaluation plan for the numpy kernel, cached per graph.
+    """Levelised evaluation plan of an AIG, cached per graph.
 
-    Nodes are permuted level-major (non-AND nodes first, then AND levels
-    in ascending depth) so each level's results scatter into a contiguous
-    row slice.  Per level we precompute the gather index vector (fanin0
-    rows followed by fanin1 rows) and the complement mask column (all-ones
-    words where the literal is complemented).
+    Nodes are bucketed by AND depth (non-AND nodes first).  The level
+    widths, all :func:`select_backend` reads, are plain Python.  The
+    numpy kernel's arrays are built on its first run (:func:`_numpy_levels`):
+    nodes permuted level-major, so each level's results scatter into a
+    contiguous row slice, and per level the gather index vector (fanin0
+    rows followed by fanin1 rows) and the complement mask column
+    (all-ones words where the literal is complemented).
     """
 
-    __slots__ = ("stamp", "pos", "levels", "max_width", "avg_width")
+    __slots__ = ("stamp", "buckets", "max_width", "avg_width", "pos", "levels")
 
-    def __init__(self, stamp, pos, levels, max_width, avg_width) -> None:
+    def __init__(self, stamp, buckets, max_width, avg_width) -> None:
         self.stamp = stamp
-        self.pos = pos
-        self.levels = levels
+        self.buckets = buckets
         self.max_width = max_width
         self.avg_width = avg_width
+        #: Numpy row of each node and ``(start, end, idx, cmask)`` per
+        #: AND level; ``None`` until the numpy kernel first runs.
+        self.pos = None
+        self.levels = None
 
 
-def _level_schedule(aig: Aig):
+def _level_schedule(aig: Aig) -> _LevelSchedule:
     """Build (or fetch the cached) :class:`_LevelSchedule` of ``aig``.
 
     ``Aig`` node arrays are append-only, so the node count is a valid
     cache stamp: any structural growth invalidates the plan.
     """
-    np = load_numpy(required=True)
-    schedule = getattr(aig, "_np_schedule", None)
+    schedule = getattr(aig, "_level_plan", None)
     if schedule is not None and schedule.stamp == len(aig._type):
         return schedule
 
@@ -98,7 +102,23 @@ def _level_schedule(aig: Aig):
     for node in range(n):
         buckets[level[node]].append(node)
 
-    pos = [0] * n
+    widths = [len(bucket) for bucket in buckets[1:] if bucket]
+    max_width = max(widths) if widths else 0
+    avg_width = (sum(widths) / len(widths)) if widths else 0.0
+    schedule = _LevelSchedule(n, buckets, max_width, avg_width)
+    aig._level_plan = schedule
+    return schedule
+
+
+def _numpy_levels(aig: Aig, np) -> _LevelSchedule:
+    """``aig``'s schedule with its numpy arrays built (once per stamp)."""
+    schedule = _level_schedule(aig)
+    if schedule.levels is not None:
+        return schedule
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    buckets = schedule.buckets
+    pos = [0] * schedule.stamp
     row = 0
     for bucket in buckets:
         for node in bucket:
@@ -109,7 +129,6 @@ def _level_schedule(aig: Aig):
     zero = np.uint64(0)
     levels: List[Tuple[int, int, object, object]] = []
     start = len(buckets[0])
-    widths: List[int] = []
     for bucket in buckets[1:]:
         k = len(bucket)
         if not k:
@@ -124,13 +143,9 @@ def _level_schedule(aig: Aig):
             cmask[i] = full if f0 & 1 else zero
             cmask[k + i] = full if f1 & 1 else zero
         levels.append((start, start + k, idx, cmask.reshape(2 * k, 1)))
-        widths.append(k)
         start += k
-
-    max_width = max(widths) if widths else 0
-    avg_width = (sum(widths) / len(widths)) if widths else 0.0
-    schedule = _LevelSchedule(n, pos, levels, max_width, avg_width)
-    aig._np_schedule = schedule
+    schedule.pos = pos
+    schedule.levels = levels
     return schedule
 
 
@@ -212,13 +227,14 @@ def select_backend(aig: Aig, num_patterns: int, backend: str = "auto") -> str:
         )
     if scalar_kernels_forced() or len(aig._type) < _NUMPY_MIN_NODES:
         return "int"
-    if load_numpy() is None:
-        return "int"
-    schedule = _level_schedule(aig)
+    # The width test reads plain-Python level widths, so a graph that
+    # fails it never imports numpy.
+    avg_width = _level_schedule(aig).avg_width
     words = (num_patterns + 63) // 64
     if (
-        schedule.avg_width >= _NUMPY_MIN_WIDTH
-        and schedule.avg_width >= _NUMPY_WIDTH_PER_WORD * max(words, 1)
+        avg_width >= _NUMPY_MIN_WIDTH
+        and avg_width >= _NUMPY_WIDTH_PER_WORD * max(words, 1)
+        and load_numpy() is not None
     ):
         return "numpy"
     return "int"
@@ -229,7 +245,7 @@ def _simulate_patterns_numpy(
 ) -> PackedValues:
     """Word-parallel levelised sweep: 64 patterns per lane, W lanes per block."""
     np = load_numpy(required=True)
-    schedule = _level_schedule(aig)
+    schedule = _numpy_levels(aig, np)
     mask = (1 << num_patterns) - 1
     width = (num_patterns + 63) // 64
     pos = schedule.pos
