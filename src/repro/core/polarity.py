@@ -185,24 +185,77 @@ def assign_output_polarities(
     output phase assignment heuristic from the domino-logic literature the
     paper applies (Section 3.1.5).
 
-    Returns the chosen assignment together with its :class:`RailAnalysis`.
+    Each trial flip is evaluated incrementally on :class:`_RailDemand`
+    (only the flipped sink's cone is revisited) and undone unless it
+    helps; the choices are those of a full :func:`analyze_rails` per
+    trial.  Returns the chosen assignment together with its
+    :class:`RailAnalysis`.
     """
     polarities: Dict[str, Rail] = dict(initial) if initial else positive_polarities(aig)
-    best = analyze_rails(aig, polarities)
-    sink_names = [sink.name for sink in sinks_of(aig)]
+    sinks = sinks_of(aig)
+    demand = _RailDemand(aig)
+    for sink in sinks:
+        demand.add(sink.lit, polarities.get(sink.name, Rail.POS))
     for _ in range(max_sweeps):
         improved = False
-        for name in sink_names:
-            trial = dict(polarities)
-            trial[name] = polarities[name].flipped()
-            candidate = analyze_rails(aig, trial)
-            if candidate.num_cells < best.num_cells:
-                polarities = trial
-                best = candidate
+        for sink in sinks:
+            rail = polarities[sink.name]
+            cells = demand.cells
+            demand.flip(sink.lit, rail)
+            if demand.cells < cells:
+                polarities[sink.name] = rail.flipped()
                 improved = True
+            else:
+                demand.flip(sink.lit, rail.flipped())
         if not improved:
             break
-    return polarities, best
+    return polarities, analyze_rails(aig, polarities)
+
+
+class _RailDemand:
+    """Reference counts of the demands on every ``(node, rail)`` pair.
+
+    A sink kept on ``rail`` demands its node's matching rail, and every
+    demanded rail of an AND node demands the matching rails of both
+    fanins.  A rail is required while its count is positive; ``cells``
+    counts the required rails of AND nodes, i.e. the LA + FA cells of
+    :func:`analyze_rails` under the same sink polarities.
+    """
+
+    def __init__(self, aig: Aig) -> None:
+        self.aig = aig
+        self.counts: Dict[Tuple[int, Rail], int] = {}
+        self.cells = 0
+
+    def add(self, lit: int, rail: Rail) -> None:
+        """Demand ``rail`` of the sink literal ``lit``."""
+        self._update(lit, rail, 1)
+
+    def flip(self, lit: int, rail: Rail) -> None:
+        """Move a sink on ``lit`` from ``rail`` to the other rail."""
+        self._update(lit, rail, -1)
+        self._update(lit, rail.flipped(), 1)
+
+    def _update(self, lit: int, rail: Rail, step: int) -> None:
+        aig = self.aig
+        counts = self.counts
+        pending = [(lit_node(lit), rail.flipped() if lit_is_complemented(lit) else rail)]
+        while pending:
+            key = pending.pop()
+            count = counts.get(key, 0) + step
+            if count:
+                counts[key] = count
+            else:
+                del counts[key]
+            # A rail appears (0 -> 1) or disappears (1 -> 0): so do its
+            # demands on the fanins.
+            if count != (1 if step > 0 else 0) or not aig.is_and(key[0]):
+                continue
+            self.cells += step
+            node, node_rail = key
+            for fanin in aig.fanins(node):
+                fanin_rail = node_rail.flipped() if lit_is_complemented(fanin) else node_rail
+                pending.append((lit_node(fanin), fanin_rail))
 
 
 def direct_mapping_analysis(aig: Aig) -> RailAnalysis:

@@ -5,9 +5,14 @@ is used as the golden reference: the cell, splitter and JJ counts of every
 optimisation step are known exactly.
 """
 
+import random
+
 import pytest
 
-from repro.aig import lit_not, network_to_aig, optimize
+from repro.aig import Aig, lit_not, network_to_aig, optimize
+from repro.aig.graph import FALSE
+from repro.circuits import build as build_circuit
+from repro.circuits import names as circuit_names
 from repro.core import (
     CellKind,
     FlowOptions,
@@ -22,6 +27,7 @@ from repro.core import (
     sinks_of,
     synthesize_xsfq,
 )
+from repro.core.polarity import _RailDemand
 from repro.eval import full_adder_network
 from repro.eval.paper_data import FULL_ADDER_STEPS, FULL_ADDER_MIN_AIG_NODES
 
@@ -144,3 +150,66 @@ class TestDualRailMapping:
         counts = netlist.counts_by_kind()
         assert counts[CellKind.LA] + counts[CellKind.FA] == netlist.num_logic_cells
         assert counts[CellKind.SPLITTER] == netlist.num_splitters
+
+
+def _reference_assignment(aig, max_sweeps=4):
+    """The greedy heuristic with one full :func:`analyze_rails` per trial flip."""
+    polarities = positive_polarities(aig)
+    best = analyze_rails(aig, polarities)
+    for _ in range(max_sweeps):
+        improved = False
+        for sink in sinks_of(aig):
+            trial = dict(polarities)
+            trial[sink.name] = polarities[sink.name].flipped()
+            candidate = analyze_rails(aig, trial)
+            if candidate.num_cells < best.num_cells:
+                polarities, best, improved = trial, candidate, True
+        if not improved:
+            break
+    return polarities, best
+
+
+def _random_aig(seed):
+    """A random sequential AIG: shared, complemented fanins and constants."""
+    rng = random.Random(seed)
+    aig = Aig(f"random{seed}")
+    lits = [aig.add_pi() for _ in range(rng.randint(1, 5))]
+    latches = [aig.add_latch() for _ in range(rng.randint(0, 3))]
+    lits += latches + [FALSE]
+    for _ in range(rng.randint(1, 40)):
+        a, b = rng.sample(lits, 2) if len(lits) > 1 else (lits[0], lits[0])
+        lits.append(aig.add_and(a ^ rng.randint(0, 1), b ^ rng.randint(0, 1)))
+    for _ in range(rng.randint(1, 5)):
+        aig.add_po(rng.choice(lits) ^ rng.randint(0, 1))
+    for latch in latches:
+        aig.set_latch_next(latch, rng.choice(lits) ^ rng.randint(0, 1))
+    return aig
+
+
+def _catalog_and_random_aigs():
+    aigs = [(name, network_to_aig(build_circuit(name, "quick"))) for name in circuit_names()]
+    aigs += [(f"random{seed}", _random_aig(seed)) for seed in range(40)]
+    return aigs
+
+
+@pytest.mark.parametrize("name, aig", _catalog_and_random_aigs(), ids=lambda v: v if isinstance(v, str) else "")
+def test_incremental_rail_demand_matches_full_analysis(name, aig):
+    """Every flip evaluated incrementally costs what a full analysis says,
+    so the greedy assignment and its analysis are the full-analysis ones."""
+    polarities = positive_polarities(aig)
+    demand = _RailDemand(aig)
+    for sink in sinks_of(aig):
+        demand.add(sink.lit, polarities[sink.name])
+    assert demand.cells == analyze_rails(aig, polarities).num_cells
+    rng = random.Random(name)
+    sinks = sinks_of(aig)
+    for _ in range(12):
+        sink = rng.choice(sinks)
+        demand.flip(sink.lit, polarities[sink.name])
+        polarities[sink.name] = polarities[sink.name].flipped()
+        assert demand.cells == analyze_rails(aig, polarities).num_cells
+    chosen, analysis = assign_output_polarities(aig)
+    expected, reference = _reference_assignment(aig)
+    assert chosen == expected
+    assert analysis.required == reference.required
+    assert analysis.num_cells == reference.num_cells
