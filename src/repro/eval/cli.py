@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
@@ -919,7 +920,17 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
-    return COMMANDS[args.command](args, sys.stdout)
+    try:
+        status = COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro verify ... | head -1``): stop
+        # quietly with status 1.  Python flushes stdout again at exit,
+        # so point it at devnull first (the Python docs' SIGPIPE note).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
 """CLI tests: argument parsing and end-to-end subcommand behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.eval import cli
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +255,30 @@ def test_verify_single_circuit_and_cache_replay(capsys, tmp_path):
 def test_verify_rejects_unknown_circuit(capsys):
     with pytest.raises(SystemExit, match="unknown circuit"):
         cli.main(["verify", "--circuit", "nope", "--no-cache", "-q"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--circuit", "ctrl", "--no-cache"],
+        ["faults", "--circuit", "ctrl", "--kinds", "jitter", "--no-cache"],
+        ["run", "table4", "--circuits", "dec", "--effort", "low", "--no-cache"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_pipe_exits_without_traceback(argv):
+    """``repro ... | head -1``: the reader leaves after the first line."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.eval.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(REPO_ROOT),
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr, stderr
