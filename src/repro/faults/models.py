@@ -20,10 +20,14 @@ Determinism contract (the whole point of the subsystem):
 * streams advance one draw per *active* aspect per emission, in the
   fixed order drop → jitter → dup, so adding an aspect never reshuffles
   another aspect's draws;
-* each stream is seeded once per model and keeps every value it has
-  drawn behind a cursor; :meth:`reset_streams` rewinds the cursors (the
-  pulse simulator calls it from
-  :meth:`~repro.sim.pulse.PulseSimulator.reset`), mirroring the
+* a stream's values depend only on the seed and the net name, so the
+  models of one seed bound to the same simulator share one value table
+  (owned by the simulator, see
+  :meth:`~repro.sim.pulse.PulseSimulator.set_fault_model`): each net is
+  seeded once however many models probe it, and each model reads the
+  table through its own per-net cursors;
+* :meth:`reset_streams` rewinds the cursors (the pulse simulator calls
+  it from :meth:`~repro.sim.pulse.PulseSimulator.reset`), mirroring the
   simulator's own sequence-counter rewind: each sequential trajectory
   replays bit-identical injections without re-seeding anything;
 * the per-net pulse kernel (:mod:`repro.sim.pulse.soa`) takes a net's
@@ -55,33 +59,22 @@ DUP_SPACING = 2.0
 
 
 class _NetStream:
-    """One net's seeded draw sequence, replayable from a cursor."""
+    """One net's seeded draw sequence: every value drawn so far, in order."""
 
-    __slots__ = ("_rng", "values", "cursor")
+    __slots__ = ("_rng", "values")
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
-        #: Every value drawn so far, in draw order.
+        #: Every value drawn so far, in draw order (read through cursors).
         self.values: List[float] = []
-        #: Index of the next value to hand out.
-        self.cursor = 0
 
-    def draw(self) -> float:
-        cursor = self.cursor
-        self.cursor = cursor + 1
-        values = self.values
-        if cursor == len(values):
-            values.append(self._rng.random())
-        return values[cursor]
-
-    def peek(self, count: int) -> List[float]:
-        """The next ``count`` values, drawn as needed, cursor unmoved."""
-        end = self.cursor + count
+    def extend(self, end: int) -> List[float]:
+        """Draw until at least ``end`` values exist; return the values."""
         values = self.values
         if len(values) < end:
             rand = self._rng.random
             values.extend([rand() for _ in range(end - len(values))])
-        return values[self.cursor:end]
+        return values
 
 
 def stream_seed(seed: int, net: str) -> int:
@@ -136,15 +129,27 @@ class FaultModel:
         #: Live reference to the simulator's interned net-name list
         #: (grown by the simulator as nets appear); bound lazily.
         self._net_names: Sequence[str] = ()
+        #: Per-net value tables by net id (``None`` until first drawn);
+        #: shared with every model of this seed bound to the same table.
         self._streams: List[Optional[_NetStream]] = []
+        #: This model's read position in each net's values, by net id.
+        self._cursors: List[int] = []
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def bind(self, net_names: Sequence[str]) -> None:
-        """Attach to a simulator's (live) net-id -> name table."""
+    def bind(
+        self, net_names: Sequence[str], streams: Optional[List[Optional[_NetStream]]] = None
+    ) -> None:
+        """Attach to a simulator's (live) net-id -> name table.
+
+        ``streams`` is the per-net value table of this model's seed on
+        that simulator (a fresh private table when omitted); binding
+        rewinds every cursor.
+        """
         self._net_names = net_names
-        self._streams = []
+        self._streams = [] if streams is None else streams
+        self._cursors = []
 
     def reset_streams(self) -> None:
         """Rewind every per-net stream (totals and the log persist).
@@ -155,13 +160,20 @@ class FaultModel:
         sequence counter.  Drawn values are kept, so a replay re-reads
         them instead of re-seeding the stream.
         """
-        for stream in self._streams:
-            if stream is not None:
-                stream.cursor = 0
+        self._cursors = [0] * len(self._cursors)
 
     def is_noop(self) -> bool:
         """True when no aspect can perturb anything."""
         return not (self.drop_rate or self.dup_rate or self.jitter or self.skew)
+
+    def perturbs_emissions(self) -> bool:
+        """False when :meth:`emissions` returns every time unchanged.
+
+        Zero drop, dup and jitter make a model emission-inert (``skew``
+        only moves the stimulus): the pulse simulator then runs its
+        fault-free loop and never calls the hook.
+        """
+        return bool(self.drop_rate or self.dup_rate or self.jitter)
 
     def keeps_pairing(self) -> bool:
         """True when the per-net pulse kernel can replay this model exactly.
@@ -208,6 +220,34 @@ class FaultModel:
             stream = streams[nid] = _NetStream(stream_seed(self.seed, self._net_names[nid]))
         return stream
 
+    def draw_tables(self, size: int) -> Tuple[List[Optional[_NetStream]], List[int]]:
+        """The per-net value tables and this model's cursors, grown to ``size`` nets.
+
+        The scalar loop reads a jitter-only model's draws inline through
+        these two lists (creating a missing stream with :meth:`_stream`),
+        exactly as :meth:`emissions` would.
+        """
+        streams, cursors = self._streams, self._cursors
+        if len(streams) < size:
+            streams.extend([None] * (size - len(streams)))
+        if len(cursors) < size:
+            cursors.extend([0] * (size - len(cursors)))
+        return streams, cursors
+
+    def _draw(self, nid: int) -> float:
+        streams, cursors = self._streams, self._cursors
+        if nid >= len(cursors) or nid >= len(streams):
+            streams, cursors = self.draw_tables(nid + 1)
+        cursor = cursors[nid]
+        cursors[nid] = cursor + 1
+        stream = streams[nid]
+        if stream is None:
+            stream = self._stream(nid)
+        values = stream.values
+        if cursor >= len(values):
+            values = stream.extend(cursor + 1)
+        return values[cursor]
+
     def emissions(self, nid: int, time: float, now: float) -> Tuple[float, ...]:
         """Perturbed delivery times for one cell emission.
 
@@ -222,24 +262,21 @@ class FaultModel:
         """
         if not (self.drop_rate or self.dup_rate or self.jitter):
             return (time,)
-        streams = self._streams
-        stream = streams[nid] if nid < len(streams) else None
-        if stream is None:
-            stream = self._stream(nid)
-        if self.drop_rate and stream.draw() < self.drop_rate:
+        draw = self._draw
+        if self.drop_rate and draw(nid) < self.drop_rate:
             self.totals["drop"] += 1
             if self._log is not None:
                 self._log.append(("drop", self._net_names[nid], time))
             return ()
         out = time
         if self.jitter:
-            out = time + (2.0 * stream.draw() - 1.0) * self.jitter
+            out = time + (2.0 * draw(nid) - 1.0) * self.jitter
             if out < now:
                 out = now
             self.totals["jitter"] += 1
             if self._log is not None:
                 self._log.append(("jitter", self._net_names[nid], out))
-        if self.dup_rate and stream.draw() < self.dup_rate:
+        if self.dup_rate and draw(nid) < self.dup_rate:
             self.totals["dup"] += 1
             echo = out + DUP_SPACING
             if self._log is not None:
@@ -254,18 +291,29 @@ class FaultModel:
         :meth:`consume_draws` only once the whole run has succeeded, so
         an aborted kernel run leaves every stream where it was.
         """
-        return self._stream(nid).peek(count)
+        cursor = self.draw_tables(nid + 1)[1][nid]
+        return self._stream(nid).extend(cursor + count)[cursor:cursor + count]
 
-    def consume_draws(self, counts: Mapping[int, int]) -> None:
+    def stream_values(self, nid: int, count: int) -> List[float]:
+        """The first ``count`` values of net ``nid``'s stream (cursor unmoved).
+
+        Every lane of a sequential lane sweep replays a stream from its
+        start, as each scalar trajectory does after :meth:`reset_streams`.
+        """
+        return self._stream(nid).extend(count)[:count]
+
+    def consume_draws(self, counts: Mapping[int, int], injections: Optional[int] = None) -> None:
         """Advance each net's cursor past the draws the kernel used.
 
         ``counts`` maps net id to the number of jittered emissions; each
-        is one injection, as in :meth:`emissions`.
+        is one injection, as in :meth:`emissions`, unless ``injections``
+        gives the total (a lane sweep counts every lane's emissions but
+        leaves the cursors where its last lane ends).
         """
-        streams = self._streams
+        cursors = self.draw_tables(max(counts, default=-1) + 1)[1]
         for nid, count in counts.items():
-            streams[nid].cursor += count
-            self.totals["jitter"] += count
+            cursors[nid] += count
+        self.totals["jitter"] += sum(counts.values()) if injections is None else injections
 
     # ------------------------------------------------------------------
     # Inspection

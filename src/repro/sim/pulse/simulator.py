@@ -25,7 +25,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from ..._compat import scalar_kernels_forced
 from . import soa
 from .elements import (
+    DrocCell,
+    FaCell,
     JtlCell,
+    LaCell,
     MergerCell,
     PulseElement,
     SourceCell,
@@ -36,6 +39,13 @@ from .elements import (
 #: events — the simulator inlines them instead of calling ``on_pulse``.
 #: Exact types only: subclasses may override ``on_pulse`` (test probes do).
 _STATELESS_TYPES = (SplitterCell, MergerCell, JtlCell)
+
+#: Sink kinds of :attr:`PulseSimulator._sink_table` entries.  The loop
+#: runs the state machines of the exact LA, FA and DROC types inline
+#: (their state stays on the element, so ``reset`` and
+#: ``is_initial_state`` still hold); any other element is called.
+_FAN, _LA, _FA, _DROC_DATA, _DROC_CLOCK, _CALL = range(6)
+_INLINE_KINDS = {LaCell: _LA, FaCell: _FA}
 
 
 class SimulationError(Exception):
@@ -66,10 +76,11 @@ class PulseSimulator:
         self.events_processed = 0
         self._net_id: Dict[str, int] = {}
         self._net_names: List[str] = []
-        #: Per-net fanout: ``(bound on_pulse, port, 0.0)`` for stateful
-        #: sinks, ``(None, output-net-id tuple, delay)`` for inlined
-        #: stateless fan cells (splitter / merger / JTL).
-        self._sink_table: List[List[Tuple[object, object, float]]] = []
+        #: Per-net fanout: ``(kind, cell, port, output-net-id tuple(s),
+        #: delay)`` entries.  ``cell`` is the element for the inlined LA /
+        #: FA / DROC kinds, ``None`` for stateless fans (splitter /
+        #: merger / JTL) and the bound ``on_pulse`` for :data:`_CALL`.
+        self._sink_table: List[List[Tuple[int, object, int, object, float]]] = []
         self._trace_lists: List[List[float]] = []
         self._capture: List[bool] = []
         self._observed: Optional[Set[str]] = None
@@ -91,9 +102,14 @@ class PulseSimulator:
         #: Number of :meth:`run` calls served by the SoA fast path (the
         #: differential tests assert both engagement and fallback).
         self.vectorized_runs = 0
+        #: Kernel runs handed back to the scalar loop, by the reason the
+        #: kernel gave (:mod:`.soa`); no fallback goes unrecorded.
+        self.kernel_aborts: Dict[str, int] = {}
         #: Compiled feed-forward plan: ``None`` = not compiled for the
         #: current element set, ``False`` = netlist ineligible.
         self._ff_plan = None
+        #: Per-seed fault-stream value tables (see :meth:`set_fault_model`).
+        self._stream_tables: Dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -113,23 +129,34 @@ class PulseSimulator:
         """Register an element and its input connections."""
         self.elements.append(element)
         self._ff_plan = None  # structural change: recompile the SoA plan
-        if type(element) in _STATELESS_TYPES:
+        cell_type = type(element)
+        out_ids = tuple(self._intern(net) for net in element.outputs)
+        if cell_type in _STATELESS_TYPES:
             # Stateless fan cell: a pulse on any input port becomes one
             # delayed event per output net (all outputs for a splitter,
-            # the single output for merger/JTL) — inlined in the loop.
-            out_ids = tuple(self._intern(net) for net in element.outputs)
-            if type(element) is not SplitterCell:
+            # the single output for merger/JTL).
+            if cell_type is not SplitterCell:
                 out_ids = out_ids[:1]
-            sink = (None, out_ids, element.delay)
+            sink = (_FAN, None, 0, out_ids, element.delay)
             for net in element.inputs:
                 self._sink_table[self._intern(net)].append(sink)
+        elif cell_type in _INLINE_KINDS and len(element.inputs) == 2 and out_ids:
+            kind = _INLINE_KINDS[cell_type]
+            for port, net in enumerate(element.inputs):
+                self._sink_table[self._intern(net)].append(
+                    (kind, element, port, out_ids[:1], element.delay)
+                )
+        elif cell_type is DrocCell and len(element.inputs) == 2 and len(out_ids) == 2:
+            data, clock = (self._intern(net) for net in element.inputs)
+            self._sink_table[data].append((_DROC_DATA, element, 0, (), 0.0))
+            self._sink_table[clock].append(
+                (_DROC_CLOCK, element, 1, (out_ids[:1], out_ids[1:]), element.delay)
+            )
         else:
             for port, net in enumerate(element.inputs):
                 self._sink_table[self._intern(net)].append(
-                    (element.on_pulse, port, 0.0)
+                    (_CALL, element.on_pulse, port, (), 0.0)
                 )
-            for net in element.outputs:
-                self._intern(net)
         if isinstance(element, SourceCell):
             self._pending_sources.append(element)
         return element
@@ -164,13 +191,18 @@ class PulseSimulator:
         are *not* perturbed: stimulus-side faults (clock skew) are
         applied where the stimulus is built.  The model binds to the
         live interned net-name table so its per-net streams are keyed on
-        stable names, never ids.  The struct-of-arrays fast path replays
-        models that keep the LA/FA pairing without calling the hook per
-        emission, drawing the same per-net values (:mod:`.soa`).
+        stable names, never ids, and reads them from this simulator's
+        value table for its seed: every model of one seed installed here
+        (a fault unit's margin probes) shares the drawn values, and each
+        net is seeded once.  The tables live as long as the simulator.
+        Emission-inert models run the fault-free loop, and jitter-only
+        ones are drawn inline, without calling the hook; the
+        struct-of-arrays fast path replays both, drawing the same per-net
+        values (:mod:`.soa`).
         """
         self._fault_model = model
         if model is not None:
-            model.bind(self._net_names)
+            model.bind(self._net_names, self._stream_tables.setdefault(model.seed, []))
 
     # ------------------------------------------------------------------
     # Simulation
@@ -216,8 +248,18 @@ class PulseSimulator:
         pairing (emission-inert or jitter-only, see
         :meth:`_vectorize_enabled`); every other run — resumed,
         sequential, dropping/duplicating or logging faults, ineligible —
-        takes the scalar event loop below.  Both produce bit-identical
-        traces, counters, dangling records and injection counts.
+        takes the scalar event loop below.  (Several fresh trajectories
+        of a sequential netlist run on the kernel through
+        :meth:`run_lanes`.)  Both produce bit-identical traces, counters,
+        dangling records and injection counts.
+
+        The loop runs the state machines of the exact LA, FA and DROC
+        types inline, with their state on the elements; other cells
+        (subclassed test probes, DRO) are called.  An emission-inert
+        fault model runs the fault-free branch, a jitter-only one draws
+        each offset inline from the model's per-net streams, and drop,
+        dup and ``record_log`` models go through
+        :meth:`~repro.faults.FaultModel.emissions`.
         """
         if self._vectorize_enabled():
             result = self._run_vectorized(stimulus, until)
@@ -256,7 +298,18 @@ class PulseSimulator:
         limit = float("inf") if until is None else until
         sequence = self._sequence
         frontier = self._processed_until
+        # Emission modes: 0 fault-free (no model, or an emission-inert
+        # one), 1 jitter-only (drawn inline from the model's per-net
+        # streams, as ``emissions`` would), 2 the generic hook.
         fault = self._fault_model
+        mode = 0
+        if fault is not None and fault.perturbs_emissions():
+            mode = 1 if fault.keeps_pairing() else 2
+        if mode == 1:
+            jitter = fault.jitter
+            streams, cursors = fault.draw_tables(len(self._net_names))
+            new_stream = fault._stream
+        jittered = 0
         processed = 0
         while queue:
             event = heappop(queue)
@@ -277,34 +330,74 @@ class PulseSimulator:
                 # the net so verifiers can surface a dangling-net warning.
                 dangling.add(nid)
                 continue
-            if fault is None:
-                for on_pulse, payload, delay in sinks:
-                    if on_pulse is None:
-                        out_time = time + delay
-                        for oid in payload:
+            for kind, cell, port, targets, delay in sinks:
+                # The state machines of elements.py, inlined: each branch
+                # either falls through with the fired ``targets`` or
+                # continues with the state updated and nothing emitted.
+                if kind == _FAN:
+                    pass
+                elif kind == _LA:
+                    arrived = cell._arrived
+                    if arrived[port]:
+                        continue  # a repeated pulse is ignored
+                    if not arrived[1 - port]:
+                        arrived[port] = True
+                        continue
+                    arrived[1 - port] = False
+                elif kind == _FA:
+                    if cell._fired:
+                        cell._fired = False  # the second arrival is absorbed
+                        continue
+                    cell._fired = True
+                elif kind == _DROC_CLOCK:
+                    targets = targets[0] if cell.state else targets[1]
+                    cell.state = False
+                elif kind == _DROC_DATA:
+                    cell.state = True
+                    continue
+                else:
+                    for out_net, out_time in cell(port, time):
+                        oid = net_id[out_net]
+                        if mode == 0:
                             sequence += 1
                             heappush(queue, (out_time, sequence, oid))
-                    else:
-                        for out_net, out_time in on_pulse(payload, time):
+                        else:
+                            for t in fault.emissions(oid, out_time, time):
+                                sequence += 1
+                                heappush(queue, (t, sequence, oid))
+                    continue
+                out_time = time + delay
+                if mode == 0:
+                    for oid in targets:
+                        sequence += 1
+                        heappush(queue, (out_time, sequence, oid))
+                elif mode == 1:
+                    # ``FaultModel.emissions`` for a jitter-only model.
+                    for oid in targets:
+                        cursor = cursors[oid]
+                        cursors[oid] = cursor + 1
+                        stream = streams[oid]
+                        if stream is None:
+                            stream = new_stream(oid)
+                        values = stream.values
+                        if cursor >= len(values):
+                            values = stream.extend(cursor + 1)
+                        t = out_time + (2.0 * values[cursor] - 1.0) * jitter
+                        if t < time:
+                            t = time
+                        jittered += 1
+                        sequence += 1
+                        heappush(queue, (t, sequence, oid))
+                else:
+                    # Drop / dup / logging models: the model may swallow
+                    # the emission, echo it, or shift its delivery (never
+                    # behind ``time``).
+                    for oid in targets:
+                        for t in fault.emissions(oid, out_time, time):
                             sequence += 1
-                            heappush(queue, (out_time, sequence, net_id[out_net]))
-            else:
-                # Fault-injected variant of the branch above: every cell
-                # emission is routed through the model, which may drop it,
-                # echo it, or shift its delivery (never behind ``time``).
-                for on_pulse, payload, delay in sinks:
-                    if on_pulse is None:
-                        out_time = time + delay
-                        for oid in payload:
-                            for t in fault.emissions(oid, out_time, time):
-                                sequence += 1
-                                heappush(queue, (t, sequence, oid))
-                    else:
-                        for out_net, out_time in on_pulse(payload, time):
-                            oid = net_id[out_net]
-                            for t in fault.emissions(oid, out_time, time):
-                                sequence += 1
-                                heappush(queue, (t, sequence, oid))
+                            heappush(queue, (t, sequence, oid))
+        if jittered:
+            fault.totals["jitter"] += jittered
         self._sequence = sequence
         self._processed_until = frontier
         self.events_processed += processed
@@ -316,6 +409,97 @@ class PulseSimulator:
             if times
         }
 
+    def run_lanes(
+        self,
+        stimuli: Sequence[Mapping[str, Sequence[float]]],
+        until: Optional[float] = None,
+        accept=None,
+    ) -> Optional[List[Tuple[Dict[str, List[float]], List[str], bool]]]:
+        """Run each stimulus as one fresh run, all as lanes of one kernel sweep.
+
+        Lane ``i`` is what :meth:`reset` followed by ``run(stimuli[i],
+        until)`` would compute for a sequential netlist
+        (:func:`.soa.run_lanes`): the result is one ``(trace, dangling
+        nets, elements in initial state)`` triple per lane, bit-equal to
+        those scalar runs, and the
+        simulator is left as the last of them leaves it — traces,
+        dangling record, element states, sequence counter, frontier and
+        fault-stream cursors — with every lane's events and injections
+        counted.  Returns ``None``, with nothing moved and the reason
+        counted in :attr:`kernel_aborts`, when the netlist or a fault
+        model is not kernel-eligible or any lane fails a kernel check;
+        the caller then runs the trajectories on the scalar loop.
+        ``accept(lanes)`` may veto the result before anything is
+        committed (a verifier that finds a miscompare re-derives it on
+        the scalar loop); a veto also returns ``None``.
+        """
+        if not stimuli or not self._kernel_allowed():
+            return None
+        plan = self._compiled_plan()
+        if plan is False or not plan.sequential:
+            return None
+        try:
+            outcome = soa.run_lanes(self, plan, stimuli, until, self._fault_model)
+        except soa._Fallback as abort:
+            self._record_abort(abort)
+            return None
+        names = self._net_names
+        lanes = [
+            (
+                {names[nid]: pulses for nid, pulses in traces.items()},
+                sorted(names[nid] for nid in dangling),
+                not states,
+            )
+            for traces, dangling, states in zip(outcome.traces, outcome.dangling, outcome.states)
+        ]
+        if accept is not None and not accept(lanes):
+            return None
+        self.reset()
+        last = len(stimuli) - 1
+        trace_lists = self._trace_lists
+        for nid, pulses in outcome.traces[last].items():
+            trace_lists[nid].extend(pulses)
+        self._dangling_ids.update(outcome.dangling[last])
+        self._pending_sources.clear()
+        for cell, state in outcome.states[last]:
+            if type(cell) is LaCell:
+                cell._arrived = state
+            elif type(cell) is FaCell:
+                cell._fired = state
+            else:
+                cell.state = state
+        self._sequence = outcome.events[last]
+        self._processed_until = outcome.frontier
+        fault = self._fault_model
+        if fault is not None and outcome.draws:
+            fault.consume_draws(outcome.draws, sum(outcome.injections))
+        total = sum(outcome.events)
+        self.events_processed += total
+        self.vectorized_runs += len(stimuli)
+        global _TOTAL_EVENTS
+        _TOTAL_EVENTS += total
+        return lanes
+
+    def _kernel_allowed(self) -> bool:
+        """The :attr:`vectorize` switch and the fault-model check of both kernels."""
+        if self.vectorize is not None:
+            if not self.vectorize:
+                return False
+        elif scalar_kernels_forced():
+            return False
+        fault = self._fault_model
+        return fault is None or fault.keeps_pairing()
+
+    def _compiled_plan(self):
+        """The cached :class:`.soa.FeedForwardPlan`, or ``False`` if ineligible."""
+        plan = self._ff_plan
+        if plan is None:
+            plan = soa.compile_plan(self)
+            # Cache ``False`` for ineligible netlists so the (linear)
+            # compile is attempted once per structure, not once per run.
+            self._ff_plan = plan = plan if plan is not None else False
+        return plan
+
     def _vectorize_enabled(self) -> bool:
         """Whether this :meth:`run` call may try the SoA fast path.
 
@@ -326,14 +510,8 @@ class PulseSimulator:
         emission-inert and jitter-only models do; drop, dup and a
         recorded injection log stay on the scalar loop.
         """
-        if self.vectorize is not None:
-            if not self.vectorize:
-                return False
-        elif scalar_kernels_forced():
-            return False
-        fault = self._fault_model
         return (
-            (fault is None or fault.keeps_pairing())
+            self._kernel_allowed()
             and not self._queue
             and self._processed_until == float("-inf")
         )
@@ -344,16 +522,13 @@ class PulseSimulator:
         until: Optional[float],
     ) -> Optional[Dict[str, List[float]]]:
         """Try the SoA fast path; commit and return its trace, or ``None``."""
-        plan = self._ff_plan
-        if plan is None:
-            plan = soa.compile_plan(self)
-            # Cache ``False`` for ineligible netlists so the (linear)
-            # compile is attempted once per structure, not once per run.
-            self._ff_plan = plan if plan is not None else False
-        if plan is False or plan is None:
-            return None
-        outcome = soa.run_vectorized(self, plan, stimulus, until, self._fault_model)
-        if outcome is None:
+        plan = self._compiled_plan()
+        if plan is False or plan.sequential:
+            return None  # sequential trajectories run as lanes (run_lanes)
+        try:
+            outcome = soa.run_vectorized(self, plan, stimulus, until, self._fault_model)
+        except soa._Fallback as abort:
+            self._record_abort(abort)
             return None
         total, frontier, tolist = outcome.events, outcome.frontier, outcome.tolist
         trace_lists = self._trace_lists
@@ -378,6 +553,10 @@ class PulseSimulator:
             for name, times in zip(self._net_names, trace_lists)
             if times
         }
+
+    def _record_abort(self, abort: Exception) -> None:
+        reason = abort.args[0] if abort.args else "kernel abort"
+        self.kernel_aborts[reason] = self.kernel_aborts.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
     # Inspection

@@ -21,9 +21,19 @@ same number of pulses — exactly the protocol the batched stimulus
 generators produce.  Whenever any check fails — cycles, unknown or
 subclassed cell types, interleaved pairs, events beyond ``until``,
 non-float stimulus times — the fast path aborts *without having mutated
-any simulator or fault-stream state* and the caller falls back to the
-scalar event loop, which remains the semantics oracle.  Sequential
-netlists always take the scalar path.
+any simulator or fault-stream state*, the simulator counts the reason
+(:attr:`~repro.sim.pulse.PulseSimulator.kernel_aborts`) and the caller
+falls back to the scalar event loop, which remains the semantics oracle.
+
+Sequential netlists run as *lanes* (:func:`run_lanes`): several
+independent trajectories of one netlist in one sweep.  The same plan,
+compiled with DROC ops, is cut at every preloaded DROC, which makes it a
+DAG; the DROC clock cone (clock and trigger through the merger) is the
+same in every lane and runs once through :func:`_evaluate` on whole
+trains, and the data path is swept once per pulse index with one value
+per lane, the DROCs resolving their clocks in time order.  A single
+resumable :meth:`~repro.sim.pulse.PulseSimulator.run` of a sequential
+netlist stays on the scalar loop.
 
 Fault models that keep the pairing run here too
 (:meth:`repro.faults.FaultModel.keeps_pairing`): emission-inert models
@@ -57,16 +67,20 @@ retire at the end of the run.
 
 The differential suites in ``tests/sim/test_kernel_differential.py`` pin
 traces, event counts, dangling-net records, injection counts and decode
-results bit-equal to the scalar core and to ``ReferencePulseSimulator``.
+results bit-equal to the scalar core and to ``ReferencePulseSimulator``,
+for combinational batches and for lanes.
 """
 
 from __future__ import annotations
 
-from operator import lt
+from bisect import bisect_right
+from itertools import islice
+from operator import le, lt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..._compat import load_numpy
 from .elements import (
+    DrocCell,
     FaCell,
     JtlCell,
     LaCell,
@@ -79,6 +93,13 @@ from .elements import (
 _OP_LA = 0
 _OP_FA = 1
 _OP_FAN = 2  # delay-shift one input onto one or more outputs
+#: DROC ops (sequential plans only; ``ins`` is ``(data, clock)``).  A
+#: plain DROC latches its data and emits in dataflow order; a preloaded
+#: one is split into an emit op (a source) and a latch op (a sink), which
+#: is what cuts every feedback loop (see :func:`run_lanes`).
+_OP_DROC = 3
+_OP_EMIT = 4
+_OP_LATCH = 5
 
 #: Cell types the fast path understands.  Exact types only: subclasses
 #: (test probes) may override ``on_pulse`` and must run scalar.
@@ -96,43 +117,76 @@ NUMPY_MIN_TRAIN = 512
 
 
 #: One compiled op: ``(kind, input net ids, output net ids, delay,
-#: released net ids)``.  The released nets are the inputs whose last
-#: consumer this op is.
-_Op = Tuple[int, Tuple[int, ...], Tuple[int, ...], float, Tuple[int, ...]]
+#: released net ids, cell)``.  The released nets are the inputs whose
+#: last consumer this op is; ``cell`` is the element (DROC ops read
+#: and commit its state).
+_Op = Tuple[int, Tuple[int, ...], Tuple[int, ...], float, Tuple[int, ...], object]
 
 
 class FeedForwardPlan:
-    """Topologically ordered vector ops compiled from a feed-forward netlist."""
+    """Topologically ordered vector ops compiled from a pulse netlist.
 
-    __slots__ = ("ops",)
+    ``ops`` covers the whole netlist.  A sequential plan (one with DROC
+    ops) also splits it for :func:`run_lanes`: ``clock_ops`` is the
+    cone of the DROC clock inputs, evaluated once per run on whole
+    trains, and ``step_ops`` the DROC-cut data path, swept once per
+    pulse index; each part carries its own release schedule.
+    """
 
-    def __init__(self, ops: Sequence[_Op]) -> None:
+    __slots__ = ("ops", "sequential", "clock_ops", "step_ops", "clock_nets", "driven")
+
+    def __init__(self, ops: Sequence[_Op], sequential: bool = False) -> None:
         #: :data:`_Op` tuples in dataflow order.
         self.ops = list(ops)
+        self.sequential = sequential
+        self.clock_ops: List[_Op] = []
+        self.step_ops: List[_Op] = []
+        #: Net ids on DROC clock inputs.
+        self.clock_nets: Tuple[int, ...] = ()
+        #: Net ids some op drives.
+        self.driven = frozenset(out for op in self.ops for out in op[2])
+
+
+def _released(ops: Sequence[Tuple]) -> List[_Op]:
+    """``ops`` with each op's release list: the inputs it consumes last."""
+    last_use: Dict[int, int] = {}
+    for position, op in enumerate(ops):
+        for net in op[1]:
+            last_use[net] = position
+    released: List[List[int]] = [[] for _ in ops]
+    for net, position in last_use.items():
+        released[position].append(net)
+    return [
+        (kind, ins, outs, delay, tuple(released[position]), cell)
+        for position, (kind, ins, outs, delay, cell) in enumerate(ops)
+    ]
 
 
 def compile_plan(sim) -> Optional[FeedForwardPlan]:
     """Compile ``sim``'s element graph into a :class:`FeedForwardPlan`.
 
     Returns ``None`` when the netlist is ineligible: any element outside
-    the supported exact types, an LA/FA without exactly two inputs, or a
-    combinational cycle.  Compiling imports nothing: the array form is
+    the supported exact types, an LA/FA without exactly two inputs, a
+    DROC without exactly two inputs and two outputs, or a cycle that no
+    preloaded DROC cuts.  Compiling imports nothing: the array form is
     picked per run (:data:`NUMPY_MIN_TRAIN`).
     """
     net_id = sim._net_id
-    ops: List[Tuple[int, Tuple[int, ...], Tuple[int, ...], float]] = []
+    ops: List[Tuple[int, Tuple[int, ...], Tuple[int, ...], float, object]] = []
+    sources = False
     for element in sim.elements:
         cell_type = type(element)
         if cell_type is SourceCell:
             # Sources carry no dataflow deps; their emissions enter as
             # stimulus-like contributions at run time.
+            sources = True
             continue
         kind = _PAIRED_TYPES.get(cell_type)
         if kind is not None:
             if len(element.inputs) != 2 or not element.outputs:
                 return None
             ins = (net_id[element.inputs[0]], net_id[element.inputs[1]])
-            ops.append((kind, ins, (net_id[element.outputs[0]],), element.delay))
+            ops.append((kind, ins, (net_id[element.outputs[0]],), element.delay, element))
         elif cell_type in _FAN_TYPES:
             outs = tuple(net_id[net] for net in element.outputs)
             if cell_type is not SplitterCell:
@@ -142,20 +196,30 @@ def compile_plan(sim) -> Optional[FeedForwardPlan]:
             # Each input contributes an independent delay-fan; merger
             # confluence happens when the output net is finalised.
             for net in element.inputs:
-                ops.append((_OP_FAN, (net_id[net],), outs, element.delay))
+                ops.append((_OP_FAN, (net_id[net],), outs, element.delay, element))
+        elif cell_type is DrocCell:
+            if len(element.inputs) != 2 or len(element.outputs) != 2:
+                return None
+            ins = (net_id[element.inputs[0]], net_id[element.inputs[1]])
+            outs = (net_id[element.outputs[0]], net_id[element.outputs[1]])
+            if element._preload:
+                ops.append((_OP_EMIT, ins[1:], outs, element.delay, element))
+                ops.append((_OP_LATCH, ins[:1], (), element.delay, element))
+            else:
+                ops.append((_OP_DROC, ins, outs, element.delay, element))
         else:
             return None
 
     # Kahn topological sort over net producers.  ``indegree[i]`` counts,
     # with multiplicity, the producer ops feeding op i's input nets.
     producers: Dict[int, List[int]] = {}
-    for index, (_, _, outs, _) in enumerate(ops):
-        for out in outs:
+    for index, op in enumerate(ops):
+        for out in op[2]:
             producers.setdefault(out, []).append(index)
     consumers: Dict[int, List[int]] = {}
     indegree = [0] * len(ops)
-    for index, (_, ins, _, _) in enumerate(ops):
-        for net in ins:
+    for index, op in enumerate(ops):
+        for net in op[1]:
             indegree[index] += len(producers.get(net, ()))
             consumers.setdefault(net, []).append(index)
     ready = [index for index, degree in enumerate(indegree) if degree == 0]
@@ -169,22 +233,63 @@ def compile_plan(sim) -> Optional[FeedForwardPlan]:
                 if indegree[consumer] == 0:
                     ready.append(consumer)
     if len(order) != len(ops):
-        return None  # combinational cycle: scalar loop handles it
-    # Release schedule: each input net retires after its last consumer.
-    last_use: Dict[int, int] = {}
-    for position, index in enumerate(order):
-        for net in ops[index][1]:
-            last_use[net] = position
-    released: List[List[int]] = [[] for _ in order]
-    for net, position in last_use.items():
-        released[position].append(net)
-    return FeedForwardPlan(
-        [ops[index] + (tuple(released[position]),) for position, index in enumerate(order)]
+        return None  # a cycle no preloaded DROC cuts: scalar loop handles it
+    ordered = [ops[index] for index in order]
+    if sources and any(op[0] >= _OP_DROC for op in ordered):
+        return None  # source cells are combinational-batch stimulus only
+    plan = FeedForwardPlan(
+        _released(ordered), sequential=any(op[0] >= _OP_DROC for op in ordered)
     )
+    if plan.sequential:
+        _split_sequential(plan, ordered, producers, ops)
+    return plan
+
+
+def _split_sequential(plan: FeedForwardPlan, ordered, producers, ops) -> None:
+    """Split a sequential plan into its clock cone and its stepped data path.
+
+    Leaves both parts empty (so :func:`run_lanes` aborts) when the cone
+    is not a pure fan network feeding only DROC clocks, or when a data
+    net has more than one producer (a merger), which the stepped sweep
+    cannot hold.
+    """
+    clock_nets = {op[1][-1] for op in ordered if op[0] in (_OP_DROC, _OP_EMIT)}
+    cone = set(clock_nets)
+    stack = list(clock_nets)
+    while stack:
+        for index in producers.get(stack.pop(), ()):
+            for net in ops[index][1]:
+                if net not in cone:
+                    cone.add(net)
+                    stack.append(net)
+    clock_ops, step_ops = [], []
+    for op in ordered:
+        if op[0] in (_OP_EMIT, _OP_LATCH, _OP_DROC):
+            step_ops.append(op)
+        elif set(op[2]) & cone:
+            if op[0] != _OP_FAN or not cone.issuperset(op[2]):
+                return
+            clock_ops.append(op)
+        else:
+            step_ops.append(op)
+    for op in step_ops:
+        clock_ins = cone.intersection(op[1])
+        if clock_ins and (op[0] not in (_OP_DROC, _OP_EMIT) or clock_ins != {op[1][-1]}):
+            return  # a clock net that also carries data
+    outputs = [out for op in step_ops for out in op[2]]
+    if len(outputs) != len(set(outputs)):
+        return  # a merged data net: two pulses per index
+    plan.clock_ops = _released(clock_ops)
+    plan.step_ops = _released(step_ops)
+    plan.clock_nets = tuple(sorted(clock_nets))
 
 
 class _Fallback(Exception):
-    """Hands the current run back to the scalar event loop."""
+    """Hands the current run back to the scalar event loop.
+
+    ``args[0]`` names the check that failed; the simulator counts it in
+    :attr:`~repro.sim.pulse.PulseSimulator.kernel_aborts`.
+    """
 
 
 class _ListOps:
@@ -214,7 +319,7 @@ class _ListOps:
         upper = [x if x > y else y for x, y in zip(a, b)]
         lower = [y if x > y else x for x, y in zip(a, b)]
         if not all(map(lt, upper, lower[1:])):
-            raise _Fallback  # interleaved pairs: scalar state machine decides
+            raise _Fallback("interleaved pairs")  # the scalar state machine decides
         return upper if last else lower
 
     @staticmethod
@@ -254,7 +359,7 @@ class _NumpyOps:
         upper = self.np.maximum(a, b)
         lower = self.np.minimum(a, b)
         if len(a) > 1 and not (upper[:-1] < lower[1:]).all():
-            raise _Fallback  # interleaved pairs: scalar state machine decides
+            raise _Fallback("interleaved pairs")  # the scalar state machine decides
         return upper if last else lower
 
     def jitter(self, causes, delay: float, draws: List[float], jitter: float):
@@ -292,18 +397,20 @@ class KernelRun(NamedTuple):
     tolist: object
 
 
-def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until, fault=None) -> Optional[KernelRun]:
+def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until, fault=None) -> KernelRun:
     """Evaluate one fresh run on the SoA arrays, without mutating ``sim``.
 
     ``fault`` is the installed fault model, which must keep the pairing
     (:meth:`~repro.faults.FaultModel.keeps_pairing`); its jitter is
     applied per cell-driven net from the net's own stream, read ahead
-    without consuming it.  Returns a :class:`KernelRun`, or ``None``
-    when the run must fall back to the scalar event loop.  Interning
-    stimulus net names and extending the fault streams' drawn-value
-    memo are the only side effects, and both are what the scalar path
-    would do anyway.
+    without consuming it.  Returns a :class:`KernelRun`, or raises
+    :class:`_Fallback` when the run must go to the scalar event loop.
+    Interning stimulus net names and extending the fault streams'
+    value tables are the only side effects, and both are what the
+    scalar path would do anyway.
     """
+    if plan.sequential:
+        raise _Fallback("sequential netlist")
     trains = []
     if stimulus:
         for net, times in stimulus.items():
@@ -311,22 +418,28 @@ def run_vectorized(sim, plan: FeedForwardPlan, stimulus, until, fault=None) -> O
             # would be recorded as ints there but as floats here, so any
             # non-float time sends the whole run to the scalar loop.
             if not all(type(t) is float for t in times):
-                return None
+                raise _Fallback("non-float stimulus time")
             trains.append((sim._intern(net), times))
     for element in sim._pending_sources:
         times = element.times
         if not all(type(t) is float for t in times):
-            return None
+            raise _Fallback("non-float stimulus time")
         trains.append((sim._net_id[element.outputs[0]], times))
     ops = _array_ops(max((len(times) for _, times in trains), default=0))
-    jitter = fault.jitter if fault is not None else 0.0
-    try:
-        return _evaluate(sim, plan, ops, trains, until, fault, jitter)
-    except _Fallback:
-        return None
+    peek = fault.peek_draws if fault is not None else None
+    return _evaluate(plan.ops, ops, trains, until, peek, _jitter(fault), sim._capture, sim._sink_table)
 
 
-def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
+def _jitter(fault) -> float:
+    return fault.jitter if fault is not None and fault.perturbs_emissions() else 0.0
+
+
+def _evaluate(plan_ops, ops, trains, until, peek, jitter, keep, sink_table) -> KernelRun:
+    """Run ``plan_ops`` over whole trains.
+
+    ``peek(nid, count)`` gives a jittered net's draws; ``keep[nid]``
+    marks the nets whose trains are returned in ``captured``.
+    """
     #: Net id -> parts that are final pulse times (stimulus, fault-free shifts).
     contrib: Dict[int, List[object]] = {}
     #: Net id -> (delay, cause-time parts) awaiting jitter.
@@ -349,13 +462,11 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
                 causes = ops.merge(causes)
                 count = len(causes)
                 draws[nid] = count
-                parts.append(ops.jitter(causes, delay, fault.peek_draws(nid, count), jitter))
+                parts.append(ops.jitter(causes, delay, peek(nid, count), jitter))
             pulses = ops.merge(parts) if parts else ops.empty
             finalized[nid] = pulses
         return pulses
 
-    capture = sim._capture
-    sink_table = sim._sink_table
     captured: List[Tuple[int, object]] = []
     dangling: List[int] = []
     total = 0
@@ -372,13 +483,13 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
         last = float(pulses[-1])
         if last > frontier:
             frontier = last
-        if capture[nid]:
+        if keep[nid]:
             captured.append((nid, pulses))
         if not sink_table[nid]:
             dangling.append(nid)
 
     shift, paired = ops.shift, ops.paired
-    for kind, ins, outs, delay, released in plan.ops:
+    for kind, ins, outs, delay, released, _ in plan_ops:
         if kind == _OP_FAN:
             causes = final(ins[0])
             for nid in released:
@@ -391,7 +502,7 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
             for nid in released:
                 retire(nid)
             if len(a) != len(b):
-                raise _Fallback  # unpaired pulses: cell state carries across
+                raise _Fallback("unpaired pulses")  # cell state carries across
             if not len(a):
                 continue
             causes = paired(a, b, kind == _OP_LA)
@@ -405,7 +516,8 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
             if entry is None:
                 jittered[out] = (delay, [causes])
             elif entry[0] != delay:
-                raise _Fallback  # one net, two delays: draw order is not cause order
+                # One net, two delays: draw order is not cause order.
+                raise _Fallback("two delays on a jittered net")
             else:
                 entry[1].append(causes)
 
@@ -417,5 +529,681 @@ def _evaluate(sim, plan, ops, trains, until, fault, jitter) -> KernelRun:
     if frontier > limit:
         # Some events would stay pending past ``until``; resumable
         # pending state only exists in the scalar loop.
-        raise _Fallback
+        raise _Fallback("events beyond until")
     return KernelRun(captured, dangling, total, frontier, draws, ops.tolist)
+
+
+_INF = float("inf")
+
+
+class LaneRun(NamedTuple):
+    """A successful lane sweep, not yet committed to the simulator."""
+
+    #: Per lane: ``{nid: pulses}`` of every pulsed net whose trace is captured.
+    traces: List[Dict[int, List[float]]]
+    #: Per lane: ids of pulsed nets that have no sinks.
+    dangling: List[List[int]]
+    #: Per lane: events processed (every pulse of every net).
+    events: List[int]
+    #: Per lane: jittered emissions (0 without jitter).
+    injections: List[int]
+    #: Per lane: ``(cell, state)`` of every LA / FA / DROC left off its
+    #: initial state (its ``_arrived`` / ``_fired`` / ``state`` value).
+    states: List[List[Tuple[object, object]]]
+    #: Time of the last lane's last pulse.
+    frontier: float
+    #: Jittered emissions per net id in the last lane (its stream cursors).
+    draws: Dict[int, int]
+
+
+def run_lanes(sim, plan: FeedForwardPlan, stimuli, until, fault=None) -> LaneRun:
+    """Run independent trajectories of a sequential netlist as lanes.
+
+    Each lane is one fresh run of ``sim`` on one stimulus mapping (as
+    ``sim.reset()`` followed by ``sim.run(stimulus, until)``), and the
+    result is bit-equal to those scalar runs: traces, events, dangling
+    nets, injections and end states.  Raises :class:`_Fallback` without
+    mutating ``sim`` or any fault stream cursor when a check fails.
+
+    The DROC clock cone is the same in every lane and runs once on whole
+    trains through :func:`_evaluate`.  The data path is cut at every
+    preloaded DROC and swept once per pulse index ``k``: every net holds
+    one value per lane (its ``k``-th pulse, or ``inf`` once it has no
+    more), and each op turns its inputs' ``k``-th pulses into its
+    outputs' ``k``-th pulses — LA/FA pair the ``k``-th pulse of each
+    input, as the per-net kernel does.  A DROC resolves its clocks in
+    time order: a clock before the latest data pulse emits the stored
+    state; when an output's ``k``-th pulse is needed before the data
+    that decides it, the next clocks are taken as empty and every later
+    data pulse must arrive after them.  The checks are the per-net
+    kernel's (strictly ordered pairs, one delay per jittered net) plus
+    monotone pulse order on every jittered net, no data pulse on a clock
+    edge or inside an already resolved clock window, and no event past
+    ``until``.  A lane's ``k``-th emission on a net is its ``k``-th
+    draw, so each step reads one offset per net for every lane.
+    """
+    if not plan.step_ops:
+        raise _Fallback("no lane plan")
+    lanes = len(stimuli)
+    intern = sim._intern
+    trains: Dict[int, List[List[float]]] = {}
+    for lane, stimulus in enumerate(stimuli):
+        for net, times in stimulus.items():
+            if not all(type(t) is float for t in times):
+                raise _Fallback("non-float stimulus time")
+            if not all(map(le, times, islice(times, 1, None))):
+                times = sorted(times)
+            trains.setdefault(intern(net), [[] for _ in range(lanes)])[lane] = times
+    if plan.driven.intersection(trains):
+        raise _Fallback("stimulus on a cell-driven net")
+    capture = sim._capture
+    sink_table = sim._sink_table
+    jitter = _jitter(fault)
+    limit = _INF if until is None else until
+
+    # The clock cone: identical in every lane, evaluated once.
+    cone_inputs = {net for op in plan.clock_ops for net in op[1]} | set(plan.clock_nets)
+    cone_trains = []
+    for nid in cone_inputs.intersection(trains):
+        lane_trains = trains.pop(nid)
+        if any(train != lane_trains[0] for train in lane_trains):
+            raise _Fallback("lane-dependent clock")
+        cone_trains.append((nid, lane_trains[0]))
+    keep = list(capture)
+    for nid in plan.clock_nets:
+        keep[nid] = True
+    peek = None
+    if jitter:
+        peek = fault.stream_values
+    cone = _evaluate(plan.clock_ops, _LIST_OPS, cone_trains, until, peek, jitter, keep, sink_table)
+    clocks = dict(cone.captured)
+    cone_traces = {nid: pulses for nid, pulses in cone.captured if capture[nid]}
+
+    sweep = _LaneSweep(lanes, jitter, fault, capture)
+    sweep.run(plan.step_ops, trains, clocks, limit)
+    lengths, driven = sweep.lengths(plan.step_ops, trains)
+
+    cone_draws = sum(cone.draws.values())
+    events, injections, dangling, states = [], [], [], []
+    for lane in range(lanes):
+        events.append(cone.events + sum(counts[lane] for counts in lengths.values()))
+        injections.append(cone_draws + (sum(lengths[nid][lane] for nid in driven) if jitter else 0))
+        dangling.append(cone.dangling + [
+            nid for nid, counts in lengths.items() if counts[lane] and not sink_table[nid]
+        ])
+        states.append(sweep.states(plan.step_ops, lengths, lane))
+    draws = dict(cone.draws)
+    if jitter:
+        draws.update((nid, lengths[nid][-1]) for nid in driven if lengths[nid][-1])
+    return LaneRun(
+        traces=[{**cone_traces, **traces} for traces in sweep.traces],
+        dangling=dangling,
+        events=events,
+        injections=injections,
+        states=states,
+        frontier=max(cone.frontier, sweep.frontier),
+        draws=draws,
+    )
+
+
+class _Droc:
+    """One DROC's clock resolution in every lane of a sweep.
+
+    Per lane: ``ci`` is the next unresolved clock, ``st`` the stored
+    state and ``ended`` whether the data net has no pulses left;
+    ``pulses[0]`` / ``pulses[1]`` hold the ``Qp`` / ``Qn`` pulses
+    emitted so far from index ``base[0]`` / ``base[1]`` on, and
+    ``clocks[0]`` / ``clocks[1]`` the index of the clock behind each.
+
+    While every lane stands at the same clock ``c`` with nothing stored
+    and as many pulses on each output (*pair mode*), each data pulse
+    decides a whole clock pair at once: a pulse before ``clock[c]``
+    makes that clock emit ``Qp`` and the next one ``Qn``, a pulse
+    between them the reverse.  The sweep then handles all lanes with
+    two list comprehensions, keeps only the last few pairs (nothing
+    reads further back) and writes the per-lane state back only when a
+    lane leaves the pattern.
+    """
+
+    __slots__ = (
+        "clock", "emit_at", "offsets", "lanes", "ci", "st", "ended", "pulses", "clocks", "base",
+        "paired", "c", "m", "m0", "pair_base", "pair_out", "pair_log",
+    )
+
+    #: Pair-mode emissions kept: a step reads its own and the previous one.
+    WINDOW = 3
+
+    def __init__(self, cell, clock, outs, lanes, sweep) -> None:
+        self.clock = clock
+        #: Fault-free emission time per clock.
+        self.emit_at = [now + cell.delay for now in clock]
+        #: Per output, the jitter offset of each emission (None: no jitter).
+        self.offsets = (
+            [sweep.offsets(out, len(clock) + 1) for out in outs] if sweep.jitter else None
+        )
+        self.lanes = lanes
+        self.ci = [0] * lanes
+        self.st = [bool(cell._preload)] * lanes
+        self.ended = [False] * lanes
+        self.base = [0, 0]
+        self.paired = False
+        if cell._preload:
+            self.pulses = ([[] for _ in range(lanes)], [[] for _ in range(lanes)])
+            self.clocks = ([[] for _ in range(lanes)], [[] for _ in range(lanes)])
+        else:
+            # Nothing emitted and nothing stored: pair mode from the start;
+            # the per-lane lists are only built if a lane leaves it.
+            self.pulses = self.clocks = ([], [])
+            self._enter(0, 0)
+
+    def _pair(self) -> None:
+        """Enter pair mode if every lane stands at the same point."""
+        ci = self.ci
+        c = ci[0]
+        qp, qn = self.pulses
+        m = len(qp[0]) + self.base[0]
+        if (
+            any(self.st)
+            or any(self.ended)
+            or any(x != c for x in ci)
+            or any(len(pulses) + self.base[0] != m for pulses in qp)
+            or any(len(pulses) + self.base[1] != m for pulses in qn)
+        ):
+            return
+        self._enter(c, m)
+
+    def _enter(self, c: int, m: int) -> None:
+        self.paired = True
+        self.c = c
+        self.m0 = self.m = self.pair_base = m
+        #: The last pair-mode emissions, from index ``pair_base`` on: the
+        #: ``Qp`` and the ``Qn`` lane vectors, and the clock pair's first
+        #: index with the ``Qp`` pulse it emits (a lane whose ``Qp``
+        #: pulse differs took the second clock).
+        self.pair_out: Tuple[List[List[float]], List[List[float]]] = ([], [])
+        self.pair_log: List[Tuple[int, float]] = []
+
+    def _unpair(self, k: int) -> None:
+        """Leave pair mode at step ``k``: write the emissions a step may
+        still read (index ``k - 1`` on) into the per-lane state."""
+        self.paired = False
+        lanes = self.lanes
+        self.ci = [self.c] * lanes
+        keep = max(k - 1, 0)
+        old_pulses, old_clocks = self.pulses, self.clocks
+        self.pulses = ([[] for _ in range(lanes)], [[] for _ in range(lanes)])
+        self.clocks = ([[] for _ in range(lanes)], [[] for _ in range(lanes)])
+        first = max(keep, self.m0) - self.pair_base
+        window = list(zip(self.pair_log[first:], self.pair_out[0][first:], self.pair_out[1][first:]))
+        for negative in (0, 1):
+            skip = keep - self.base[negative]
+            for lane in range(lanes):
+                pulses = self.pulses[negative][lane]
+                clocks = self.clocks[negative][lane]
+                if keep < self.m0:
+                    pulses.extend(old_pulses[negative][lane][skip:])
+                    clocks.extend(old_clocks[negative][lane][skip:])
+                for (c, px), qp, qn in window:
+                    pulses.append((qn if negative else qp)[lane])
+                    clocks.append(c + ((qp[lane] == px) == bool(negative)))
+            self.base[negative] = keep
+
+    def _decide(self, data: List[float]) -> bool:
+        """Pair mode: the next clock pair in every lane, or False to leave it."""
+        c = self.c
+        clock = self.clock
+        if c + 1 >= len(clock):
+            return False
+        x = clock[c]
+        y = clock[c + 1]
+        if not (min(data) > (clock[c - 1] if c else -_INF) and max(data) < y) or x in data:
+            return False
+        px = nx = self.emit_at[c]
+        py = ny = self.emit_at[c + 1]
+        if self.offsets is not None:
+            m = self.m
+            on_p = self.offsets[0][m]
+            on_n = self.offsets[1][m]
+            px, py, nx, ny = px + on_p, py + on_p, nx + on_n, ny + on_n
+            px = x if px < x else px
+            py = y if py < y else py
+            nx = x if nx < x else nx
+            ny = y if ny < y else ny
+            if not self._ordered(0, min(px, py)) or not self._ordered(1, min(nx, ny)):
+                return False
+        if px == py:
+            return False  # the clock behind a Qp pulse must stay recoverable
+        out_p, out_n = self.pair_out
+        out_p.append([px if t < x else py for t in data])
+        out_n.append([ny if t < x else nx for t in data])
+        self.pair_log.append((c, px))
+        if len(out_p) > self.WINDOW:
+            del out_p[0], out_n[0], self.pair_log[0]
+            self.pair_base += 1
+        self.c = c + 2
+        self.m += 1
+        return True
+
+    def _ordered(self, negative: int, earliest: float) -> bool:
+        """Whether every lane's last pulse on an output precedes ``earliest``."""
+        vectors = self.pair_out[negative]
+        if vectors:
+            return max(vectors[-1]) <= earliest
+        return all(pulses[-1] <= earliest for pulses in self.pulses[negative] if pulses)
+
+    def _emit(self, lane: int, index: int, negative: int) -> None:
+        pulses = self.pulses[negative][lane]
+        t = self.emit_at[index]
+        if self.offsets is not None:
+            now = self.clock[index]
+            t = t + self.offsets[negative][len(pulses) + self.base[negative]]
+            if t < now:
+                t = now
+            if pulses and t < pulses[-1]:
+                raise _Fallback("jitter reorders a DROC output")
+        pulses.append(t)
+        self.clocks[negative][lane].append(index)
+
+    def _resolve(self, lane: int, end: int) -> None:
+        """Emit every clock before index ``end`` from the stored state."""
+        c = self.ci[lane]
+        if c < end:
+            self._emit(lane, c, not self.st[lane])
+            self.st[lane] = False
+            for c in range(c + 1, end):
+                self._emit(lane, c, 1)
+            self.ci[lane] = end
+
+    def latch(self, data: List[float], k: int) -> None:
+        """Store each lane's ``k``-th data pulse, resolving the clocks before it."""
+        if self.paired:
+            if self._decide(data):
+                return
+            self._unpair(k)
+        clock = self.clock
+        count = len(clock)
+        ci = self.ci
+        for lane, t in enumerate(data):
+            if t == _INF:
+                if not self.ended[lane]:
+                    # No more data: every remaining clock reads the state.
+                    self.ended[lane] = True
+                    self._resolve(lane, count)
+                continue
+            c = ci[lane]
+            if self.ended[lane] or (c and not t > clock[c - 1]):
+                raise _Fallback("DROC data inside a resolved clock window")
+            capture = bisect_right(clock, t, c)
+            if capture < count:
+                if capture and clock[capture - 1] == t:
+                    raise _Fallback("DROC data on a clock edge")
+                self._resolve(lane, capture)
+                self._emit(lane, capture, 0)
+                ci[lane] = capture + 1
+            else:
+                self._resolve(lane, count)
+                self.st[lane] = True
+        self._pair()
+
+    def outputs(self, k: int) -> Tuple[List[float], List[float]]:
+        """Each lane's ``k``-th pulse on ``Qp`` and on ``Qn`` (``inf``: none)."""
+        if self.paired:
+            j = k - self.pair_base
+            if k < self.m0:  # emitted before pair mode began
+                qp, qn = self.pulses
+                bp, bn = self.base
+                return [pulses[k - bp] for pulses in qp], [pulses[k - bn] for pulses in qn]
+            if j < len(self.pair_log):
+                return self.pair_out[0][j], self.pair_out[1][j]
+            self._unpair(k)
+        count = len(self.clock)
+        ci = self.ci
+        qp, qn = self.pulses
+        bp, bn = self.base
+        vp: List[float] = []
+        vn: List[float] = []
+        for lane in range(len(ci)):
+            pulses = qp[lane]
+            if len(pulses) + bp > k:
+                vp.append(pulses[k - bp])
+            elif self.ended[lane] or ci[lane] >= count:
+                vp.append(_INF)
+            elif self.st[lane]:
+                self._resolve(lane, ci[lane] + 1)
+                vp.append(pulses[k - bp] if len(pulses) + bp > k else _INF)
+            else:
+                raise _Fallback("DROC output ahead of its data")
+            pulses = qn[lane]
+            if len(pulses) + bn <= k and ci[lane] < count:
+                # Take the next clocks as empty; the next data pulse checks it.
+                self._resolve(lane, min(count, ci[lane] + k + 1 - len(pulses) - bn))
+            vn.append(pulses[k - bn] if len(pulses) + bn > k else _INF)
+        self._pair()
+        return vp, vn
+
+    def counts(self, negative: int) -> List[int]:
+        """Each lane's pulse count on one output."""
+        if self.paired:
+            return [self.m] * self.lanes
+        base = self.base[negative]
+        return [len(pulses) + base for pulses in self.pulses[negative]]
+
+    def cause(self, negative: int, lane: int, k: int) -> float:
+        """The clock time behind a lane's ``k``-th pulse on one output."""
+        if self.paired and k >= self.m0:
+            if k < self.pair_base:
+                raise _Fallback("tie behind the kept DROC pairs")
+            c, px = self.pair_log[k - self.pair_base]
+            first = self.pair_out[0][k - self.pair_base][lane] == px
+            return self.clock[c + (first == bool(negative))]
+        return self.clock[self.clocks[negative][lane][k - self.base[negative]]]
+
+
+class _LaneSweep:
+    """The stepped data-path sweep of :func:`run_lanes`."""
+
+    def __init__(self, lanes: int, jitter: float, fault, capture) -> None:
+        self.lanes = lanes
+        self.jitter = jitter
+        self.fault = fault
+        self.capture = capture
+        #: Per jittered net: ``(2r - 1) * jitter`` of its draws, in order.
+        self._offsets: Dict[int, List[float]] = {}
+        self.traces: List[Dict[int, List[float]]] = [{} for _ in range(lanes)]
+        self.frontier = -_INF
+        self.drocs: Dict[object, _Droc] = {}
+        #: Previous step's pulses of each jittered net (order check).
+        self._previous: Dict[int, List[float]] = {}
+        #: ``(op position, lane)`` -> firing time of LAs left idle after
+        #: an input ran out, and the FAs that absorbed a pulse after one
+        #: ran out (see :meth:`_check_pairs`).
+        self._ignored: Dict[Tuple[int, int], float] = {}
+        self._absorbed: set = set()
+        #: Net id -> what caused this step's and the last step's pulses:
+        #: a per-lane time list, or ``(droc, output)`` (ties only).
+        self._causes: Dict[int, object] = {}
+        self._last_causes: Dict[int, object] = {}
+        #: LA/FA op position -> its last step's input pulses.
+        self._pairs: Dict[int, Tuple[List[float], List[float]]] = {}
+
+    def offsets(self, nid: int, count: int) -> List[float]:
+        """Net ``nid``'s first ``count`` (at least) jitter offsets."""
+        offsets = self._offsets.setdefault(nid, [])
+        if count > len(offsets):
+            jitter = self.jitter
+            values = self.fault.stream_values(nid, max(count, len(offsets) + 8))
+            offsets.extend([(2.0 * r - 1.0) * jitter for r in values[len(offsets):]])
+        return offsets
+
+    def run(self, step_ops, trains, clocks, limit) -> None:
+        lanes = self.lanes
+        jitter = self.jitter
+        capture = self.capture
+        traces = self.traces
+        offsets_of = self.offsets
+        previous = self._previous
+        pairs = self._pairs
+        none = [_INF] * lanes
+        consumed = {net for op in step_ops for net in op[1]}
+        #: Stimulus nets some op reads or whose trace is captured, with
+        #: their shortest and longest lane train.
+        stim = {
+            nid: (lane_trains, min(map(len, lane_trains)), max(map(len, lane_trains)))
+            for nid, lane_trains in trains.items()
+            if nid in consumed or capture[nid]
+        }
+        drocs = self.drocs
+        #: Nets whose causes a tie at an LA may need (see :meth:`_check_pairs`).
+        la_inputs = {net for op in step_ops if op[0] == _OP_LA for net in op[1]}
+        prevs: Dict[int, List[float]] = {}
+        for position, (kind, ins, outs, _, _, cell) in enumerate(step_ops):
+            if kind <= _OP_FA:
+                prevs[position] = [-_INF] * lanes
+            elif kind in (_OP_DROC, _OP_EMIT):
+                drocs[cell] = _Droc(cell, clocks.get(ins[-1], []), outs, lanes, self)
+        bounded = self._bounded(step_ops, trains, clocks, limit)
+        last = -_INF
+        k = 0
+        while True:
+            vals: Dict[int, List[float]] = {}
+            self._last_causes = self._causes
+            causes_of = self._causes = {}
+            live = False
+            produced: List[Tuple[int, List[float]]] = []
+            for nid, (lane_trains, shortest, longest) in stim.items():
+                if k < shortest:
+                    pulses = [train[k] for train in lane_trains]
+                elif k < longest:
+                    pulses = [train[k] if k < len(train) else _INF for train in lane_trains]
+                else:
+                    vals[nid] = none
+                    continue
+                vals[nid] = pulses
+                live = True
+                if capture[nid]:
+                    produced.append((nid, pulses))
+            for position, (kind, ins, outs, delay, released, cell) in enumerate(step_ops):
+                if kind <= _OP_FA:
+                    a = vals[ins[0]]
+                    b = vals[ins[1]]
+                    prev = prevs[position]
+                    overrides = None
+                    if not (all(map(lt, prev, a)) and all(map(lt, prev, b))):
+                        overrides = self._check_pairs(position, kind, ins, prev, a, b, k)
+                    if kind == _OP_LA:
+                        pairs[position] = (a, b)
+                    upper = [x if x > y else y for x, y in zip(a, b)]
+                    prevs[position] = upper
+                    if kind == _OP_LA:
+                        causes = upper
+                    else:
+                        causes = [y if x > y else x for x, y in zip(a, b)]
+                        for lane, cause in overrides or ():
+                            causes[lane] = cause
+                elif kind == _OP_FAN:
+                    causes = vals[ins[0]]
+                else:
+                    droc = drocs[cell]
+                    if kind != _OP_EMIT:
+                        droc.latch(vals[ins[0]], k)
+                    if kind != _OP_LATCH:
+                        vp, vn = droc.outputs(k)
+                        vals[outs[0]] = vp
+                        vals[outs[1]] = vn
+                        if outs[0] in la_inputs:
+                            causes_of[outs[0]] = (droc, 0)
+                        if outs[1] in la_inputs:
+                            causes_of[outs[1]] = (droc, 1)
+                        produced.append((outs[0], vp))
+                        produced.append((outs[1], vn))
+                        if not live and (vp.count(_INF) < lanes or vn.count(_INF) < lanes):
+                            live = True
+                    for nid in released:
+                        vals.pop(nid, None)
+                    continue
+                for nid in released:
+                    vals.pop(nid, None)
+                if jitter:
+                    for out in outs:
+                        offsets = self._offsets.get(out)
+                        if offsets is None or k >= len(offsets):
+                            offsets = offsets_of(out, k + 1)
+                        off = offsets[k]
+                        pulses = [
+                            now if (t := (now + delay) + off) < now else t for now in causes
+                        ]
+                        before = previous.get(out)
+                        if before is not None and not all(map(le, before, pulses)):
+                            raise _Fallback("jitter reorders a net's pulses")
+                        previous[out] = pulses
+                        vals[out] = pulses
+                        if out in la_inputs:
+                            causes_of[out] = causes
+                        produced.append((out, pulses))
+                else:
+                    pulses = [now + delay for now in causes]
+                    for out in outs:
+                        vals[out] = pulses
+                        if out in la_inputs:
+                            causes_of[out] = causes
+                        produced.append((out, pulses))
+            if not live:
+                break
+            for nid, pulses in produced:
+                t = pulses[-1]
+                if last < t < _INF:
+                    last = t
+                if capture[nid]:
+                    for lane, t in enumerate(pulses):
+                        if t != _INF:
+                            traces[lane].setdefault(nid, []).append(t)
+                if not bounded and max(pulses) > limit and any(limit < t < _INF for t in pulses):
+                    raise _Fallback("events beyond until")
+            k += 1
+        for lane_trains in trains.values():
+            if any(train and train[-1] > limit for train in lane_trains):
+                raise _Fallback("events beyond until")
+            if lane_trains[-1] and lane_trains[-1][-1] > last:
+                last = lane_trains[-1][-1]
+        self.frontier = last
+
+    def _cause(self, nid: int, lane: int, k: int, causes: Dict[int, object]) -> float:
+        """The time of the event that emitted net ``nid``'s ``k``-th pulse in ``lane``."""
+        entry = causes.get(nid)
+        if entry is None:
+            return -_INF  # stimulus: scheduled before the run starts
+        if type(entry) is tuple:
+            droc, negative = entry
+            return droc.cause(negative, lane, k)
+        return entry[lane]
+
+    def _check_pairs(self, position: int, kind: int, ins, prev, a, b, k: int) -> List[Tuple[int, float]]:
+        """The exact pair-order check behind the fast ``prev < a, prev < b`` test.
+
+        A pair must start after the previous pair completed.  A pair
+        missing a pulse (``inf``: that input has no more) leaves the cell
+        waiting, and the scalar cell then treats the other input's later
+        pulses by its own rules.  An LA ignores them (a repeated pulse),
+        but one that comes before the last pair fired leaves it idle, so
+        the sweep remembers that firing time until a later pulse passes
+        it; at the very time, the scalar event queue orders the two
+        pulses by the times of the events that emitted them.  An FA
+        takes the merged pulses in turn: the earlier of the last pair's
+        second pulse and this one is absorbed and the later fires, then
+        the next is absorbed; one more would fire again, which the sweep
+        does not model.  Returns ``(lane, cause)`` overrides of this
+        step's FA firings (``inf``: absorbed).
+        """
+        ignored = self._ignored
+        overrides: List[Tuple[int, float]] = []
+        for lane, (p, x, y) in enumerate(zip(prev, a, b)):
+            first = x if x < y else y
+            if first == _INF or p < first:
+                continue
+            if x != _INF and y != _INF:
+                raise _Fallback("interleaved pairs")
+            key = (position, lane)
+            if kind == _OP_FA:
+                if p != _INF:
+                    overrides.append((lane, p))  # the last pair's second pulse fires
+                elif key in self._absorbed:
+                    raise _Fallback("interleaved pairs")
+                else:
+                    self._absorbed.add(key)
+                    overrides.append((lane, _INF))
+            elif p != _INF:
+                if first == p and self._completes_first(position, ins, lane, p, x != _INF, k):
+                    continue  # the pair fired before this pulse arrived
+                ignored[key] = p  # the LA is idle; its last pair fired at p
+            elif key in ignored and first >= ignored[key]:
+                if first == ignored.pop(key):
+                    raise _Fallback("LA pulse at its firing time")
+        return overrides
+
+    def _completes_first(self, position: int, ins, lane: int, fired: float, on_a: bool, k: int) -> bool:
+        """Whether the scalar loop takes the pulse that completed the last
+        pair before this step's pulse at the same time."""
+        a, b = self._pairs[position]
+        if a[lane] == b[lane]:
+            raise _Fallback("simultaneous pair")
+        completing = ins[0] if a[lane] == fired else ins[1]
+        arriving = ins[0] if on_a else ins[1]
+        if completing == arriving:
+            raise _Fallback("simultaneous pulses on one net")
+        before = self._cause(completing, lane, k - 1, self._last_causes)
+        after = self._cause(arriving, lane, k, self._causes)
+        if before == after:
+            raise _Fallback("simultaneous causes")
+        return before < after
+
+    def _bounded(self, step_ops, trains, clocks, limit) -> bool:
+        """True when no pulse can pass ``limit``, so the sweep need not check.
+
+        Bounds each net's latest pulse along the data path: a cell emits
+        at most its delay plus the jitter after its latest input, and a
+        DROC after its last clock.
+        """
+        slack = self.jitter
+        latest: Dict[int, float] = {
+            nid: max((train[-1] for train in lane_trains if train), default=-_INF)
+            for nid, lane_trains in trains.items()
+        }
+        for kind, ins, outs, delay, _, _ in step_ops:
+            if kind == _OP_LATCH:
+                continue
+            if kind in (_OP_DROC, _OP_EMIT):
+                train = clocks.get(ins[-1]) or [-_INF]
+                bound = train[-1] + delay + slack
+            else:
+                bound = max(latest.get(nid, -_INF) for nid in ins) + delay + slack
+            for out in outs:
+                latest[out] = bound
+        return max(latest.values(), default=-_INF) <= limit
+
+    def lengths(self, step_ops, trains) -> Tuple[Dict[int, List[int]], List[int]]:
+        """Per net, each lane's pulse count, and the cell-driven nets.
+
+        Every net's pulses end at its first ``inf`` (the pair checks
+        enforce it), so counts follow the ops: an LA fires on pairs with
+        both pulses, an FA on pairs with either, a fan copies its input.
+        """
+        lengths = {nid: [len(t) for t in lane_trains] for nid, lane_trains in trains.items()}
+        driven: List[int] = []
+        for position, (kind, ins, outs, _, _, cell) in enumerate(step_ops):
+            if kind == _OP_LATCH:
+                continue
+            if kind == _OP_LA:
+                counts = [min(x, y) for x, y in zip(lengths[ins[0]], lengths[ins[1]])]
+            elif kind == _OP_FA:
+                counts = [
+                    max(x, y) - ((position, lane) in self._absorbed)
+                    for lane, (x, y) in enumerate(zip(lengths[ins[0]], lengths[ins[1]]))
+                ]
+            elif kind == _OP_FAN:
+                counts = lengths[ins[0]]
+            else:
+                droc = self.drocs[cell]
+                lengths[outs[0]] = droc.counts(0)
+                lengths[outs[1]] = droc.counts(1)
+                driven.extend(outs)
+                continue
+            for out in outs:
+                lengths[out] = counts
+            driven.extend(outs)
+        return lengths, driven
+
+    def states(self, step_ops, lengths, lane: int) -> List[Tuple[object, object]]:
+        """``(cell, state)`` of each LA / FA / DROC a lane leaves off its initial state."""
+        states: List[Tuple[object, object]] = []
+        for position, (kind, ins, _, _, _, cell) in enumerate(step_ops):
+            if kind <= _OP_FA:
+                a, b = lengths[ins[0]][lane], lengths[ins[1]][lane]
+                key = (position, lane)
+                if a != b and key not in self._ignored and key not in self._absorbed:
+                    states.append((cell, [a > b, b > a] if kind == _OP_LA else True))
+            elif kind in (_OP_DROC, _OP_LATCH):
+                droc = self.drocs[cell]
+                stored = False if droc.paired else droc.st[lane]
+                if stored != bool(cell._preload):
+                    states.append((cell, stored))
+        return states

@@ -14,7 +14,9 @@ The work-horse is :class:`BatchedNetlistSimulator`: the netlist is
 elaborated into pulse elements **once** and then driven with any number of
 stimulus batches — hundreds of combinational patterns ride in a single
 event-queue run (one logical cycle each), and sequential trajectories reuse
-the elaborated elements across runs via :meth:`PulseSimulator.reset`.  The
+the elaborated elements across runs via :meth:`PulseSimulator.reset`, or
+run side by side as lanes of the per-net kernel
+(:meth:`BatchedNetlistSimulator.run_sequences`).  The
 module-level :func:`simulate_combinational` / :func:`simulate_sequential`
 helpers are thin one-batch wrappers kept for convenience and backwards
 compatibility.  :func:`elaboration_count` exposes a process-wide counter of
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...core.cells import CellKind, XsfqLibrary, default_library
 from ...core.dual_rail import XsfqNetlist
@@ -225,8 +227,9 @@ class BatchedNetlistSimulator:
     single event-queue run (one logical cycle per pattern — the alternating
     protocol returns every LA/FA cell to its initial state between cycles,
     so consecutive patterns cannot interfere).  Sequential netlists process
-    one multi-cycle trajectory per run, reusing the elaborated elements via
-    :meth:`PulseSimulator.reset` between trajectories.  Either way the
+    one multi-cycle trajectory per :meth:`run_sequence`, reusing the
+    elaborated elements via :meth:`PulseSimulator.reset` between
+    trajectories, or several at once with :meth:`run_sequences`.  Either way the
     elaboration cost is paid exactly once, which is what makes catalog-wide
     verification campaigns (:mod:`repro.verify`) affordable.
 
@@ -250,12 +253,13 @@ class BatchedNetlistSimulator:
             the two xSFQ phases.  A zero-magnitude model leaves traces
             byte-identical to a fault-free run.
         vectorize: Forwarded to :attr:`PulseSimulator.vectorize` —
-            ``None`` (default) lets eligible combinational batches run on
-            the struct-of-arrays fast path, fault-free or under an
-            emission-inert or jitter-only fault model; ``False`` forces
-            the scalar event loop (the differential tests pin the two
-            bit-identical); ``True`` insists on trying the fast path even
-            when ``REPRO_SCALAR_KERNELS`` is set.
+            ``None`` (default) lets eligible combinational batches and
+            :meth:`run_sequences` lanes run on the struct-of-arrays fast
+            path, fault-free or under an emission-inert or jitter-only
+            fault model; ``False`` forces the scalar event loop (the
+            differential tests pin the two bit-identical); ``True``
+            insists on trying the fast path even when
+            ``REPRO_SCALAR_KERNELS`` is set.
     """
 
     def __init__(
@@ -323,8 +327,11 @@ class BatchedNetlistSimulator:
         first = 2 * cycle + 1 if self.is_sequential else 2 * cycle
         return first * period, (first + 1) * period
 
-    def unexpected_dangling_nets(self) -> List[str]:
+    def unexpected_dangling_nets(self, nets: Optional[Sequence[str]] = None) -> List[str]:
         """Cell-driven dangling pulsed nets that are *not* primary outputs.
+
+        Filters ``nets`` (default: the pulse simulator's current
+        dangling record, i.e. the last run's).
 
         Primary outputs are observed externally, so pulses on them are
         supposed to reach no element, and stimulus pulses on unused input
@@ -334,7 +341,7 @@ class BatchedNetlistSimulator:
         """
         return [
             net
-            for net in self.simulator.dangling_nets()
+            for net in (self.simulator.dangling_nets() if nets is None else nets)
             if net not in self._output_nets and net in self._driven_nets
         ]
 
@@ -393,13 +400,68 @@ class BatchedNetlistSimulator:
         phases per logical cycle.  ``input_vectors[k]`` supplies the PI
         values of logical cycle ``k``.  Repeated calls reuse the elaborated
         elements — state is cleared with :meth:`PulseSimulator.reset`.
+        This always runs the scalar event loop; :meth:`run_sequences`
+        runs several trajectories as kernel lanes.
         """
         if not self.is_sequential:
             raise SimulationError("netlist has no storage cells; use run_combinational")
+        self.simulator.reset()
+        stimulus, total_time = self._sequence_stimulus(input_vectors)
+        trace = self.simulator.run(stimulus, until=total_time)
+        self.batches_run += 1
+        self.patterns_run += len(input_vectors)
+        return self._sequence_result(
+            len(input_vectors),
+            trace,
+            self.simulator.elements_in_initial_state(),
+            self.simulator.dangling_nets(),
+        )
+
+    def run_sequences(
+        self,
+        trajectories: Sequence[Sequence[Mapping[str, int]]],
+        accept: Optional[Callable[[List[XsfqSimulationResult]], bool]] = None,
+    ) -> Optional[List[XsfqSimulationResult]]:
+        """Simulate several trajectories at once, as lanes of the per-net kernel.
+
+        Each result equals what :meth:`run_sequence` returns for that
+        trajectory, and the simulator is left as the last trajectory's
+        :meth:`run_sequence` leaves it (see
+        :meth:`PulseSimulator.run_lanes`).  Returns ``None`` when the
+        kernel declines (the reason is counted in the pulse simulator's
+        ``kernel_aborts``) or ``accept(results)`` is false; nothing is
+        committed then, so the caller runs the trajectories with
+        :meth:`run_sequence` as if this call had not happened.
+        """
+        if not self.is_sequential:
+            raise SimulationError("netlist has no storage cells; use run_combinational")
+        built = [self._sequence_stimulus(vectors) for vectors in trajectories]
+        if not built or len({total for _, total in built}) != 1:
+            return None
+        results: List[XsfqSimulationResult] = []
+
+        def decode(lanes) -> bool:
+            results.extend(
+                self._sequence_result(len(vectors), trace, reinitialised, dangling)
+                for vectors, (trace, dangling, reinitialised) in zip(trajectories, lanes)
+            )
+            return accept is None or accept(results)
+
+        lanes = self.simulator.run_lanes(
+            [stimulus for stimulus, _ in built], until=built[0][1], accept=decode
+        )
+        if lanes is None:
+            return None
+        self.batches_run += len(results)
+        self.patterns_run += sum(len(vectors) for vectors in trajectories)
+        return results
+
+    def _sequence_stimulus(
+        self, input_vectors: Sequence[Mapping[str, int]]
+    ) -> Tuple[Dict[str, List[float]], float]:
+        """The start-up, clock and input pulses of one trajectory, and its end time."""
         period = self.phase_period
         netlist = self.netlist
-        self.simulator.reset()
-
         stimulus: Dict[str, List[float]] = {}
         # Start-up: the trigger pulse clocks only the preloaded rank (through
         # the merged clock+trigger net) during phase 0, emitting the
@@ -441,27 +503,25 @@ class BatchedNetlistSimulator:
                 value = int(bool(vector.get(pi, 0)))
                 _drive_input(stimulus, pi, value, excite_start, relax_start, offset=offset)
             _drive_constants(stimulus, self._constant_nets, excite_start, relax_start, offset=offset)
+        return stimulus, (num_phases + 2) * period
 
-        total_time = (num_phases + 2) * period
-        trace = self.simulator.run(stimulus, until=total_time)
-
+    def _sequence_result(self, cycles, trace, reinitialised, dangling) -> XsfqSimulationResult:
+        """Decode one trajectory's trace, one output dictionary per logical cycle."""
         outputs: List[Dict[str, int]] = []
-        for cycle in range(len(input_vectors)):
+        for cycle in range(cycles):
             window_start, window_end = self.cycle_window(cycle)
             outputs.append(
                 {
                     port.name: _decode_output(trace, port.net, port.rail, window_start, window_end)
-                    for port in netlist.output_ports
+                    for port in self.netlist.output_ports
                 }
             )
-        self.batches_run += 1
-        self.patterns_run += len(input_vectors)
         return XsfqSimulationResult(
             outputs=outputs,
             trace=trace,
-            phase_period=period,
-            all_cells_reinitialised=self.simulator.elements_in_initial_state(),
-            dangling_nets=self.simulator.dangling_nets(),
+            phase_period=self.phase_period,
+            all_cells_reinitialised=reinitialised,
+            dangling_nets=dangling,
         )
 
 

@@ -341,35 +341,60 @@ def _verify_sequential(
             for latch in golden.latches
         }
 
-    # Pulse side: one trajectory per run, all on the same elaborated netlist.
-    dangling: set = set()
-    for j, sequence in enumerate(sequences):
-        vectors = [dict(zip(suite.inputs, cycle_vector)) for cycle_vector in sequence]
-        run = sim.run_sequence(vectors)
-        dangling.update(sim.unexpected_dangling_nets())
+    def mismatch(run, j: int) -> Optional[Tuple[int, str]]:
         for cycle in range(sequence_length):
             observed = run.outputs[cycle]
             for name in observed:
                 expected = (golden_outputs_per_cycle[cycle].get(name, 0) >> j) & 1
-                if observed[name] == expected:
-                    continue
-                verdict.status = "counterexample"
-                verdict.patterns = j * sequence_length + cycle + 1
-                verdict.dangling_nets = sorted(dangling)
-                port_net = next(
-                    (p.net for p in result.netlist.output_ports if p.name == name), None
-                )
-                verdict.counterexample = Counterexample(
-                    inputs=vectors[cycle],
-                    output=name,
-                    expected=expected,
-                    observed=observed[name],
-                    pattern=j * sequence_length + cycle,
-                    cycle=cycle,
-                    sequence=j,
-                )
-                verdict.first_divergence_net = port_net
-                return
+                if observed[name] != expected:
+                    return cycle, name
+        return None
+
+    # Pulse side, all on the same elaborated netlist.  Trajectory 0 runs
+    # on the scalar loop, where most counterexamples already show; the
+    # rest then run as lanes of the per-net kernel.  Anything but an
+    # all-equivalent lane sweep is re-derived on the scalar loop, one
+    # trajectory per run, so counterexamples and dangling nets are the
+    # scalar loop's.
+    trajectories = [
+        [dict(zip(suite.inputs, cycle_vector)) for cycle_vector in sequence]
+        for sequence in sequences
+    ]
+    dangling: set = set()
+    for j, vectors in enumerate(trajectories):
+        if j == 1:
+            lanes = sim.run_sequences(
+                trajectories[1:],
+                accept=lambda runs: not any(
+                    mismatch(run, lane) for lane, run in enumerate(runs, start=1)
+                ),
+            )
+            if lanes is not None:
+                for run in lanes:
+                    dangling.update(sim.unexpected_dangling_nets(run.dangling_nets))
+                break
+        run = sim.run_sequence(vectors)
+        dangling.update(sim.unexpected_dangling_nets())
+        found = mismatch(run, j)
+        if found is not None:
+            cycle, name = found
+            observed = run.outputs[cycle][name]
+            verdict.status = "counterexample"
+            verdict.patterns = j * sequence_length + cycle + 1
+            verdict.dangling_nets = sorted(dangling)
+            verdict.counterexample = Counterexample(
+                inputs=vectors[cycle],
+                output=name,
+                expected=1 - observed,
+                observed=observed,
+                pattern=j * sequence_length + cycle,
+                cycle=cycle,
+                sequence=j,
+            )
+            verdict.first_divergence_net = next(
+                (p.net for p in result.netlist.output_ports if p.name == name), None
+            )
+            return
     verdict.status = "equivalent"
     verdict.patterns = num_sequences * sequence_length
     verdict.dangling_nets = sorted(dangling)

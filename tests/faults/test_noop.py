@@ -3,10 +3,11 @@
 Every simulating test runs on both pulse engines, through its
 ``vectorize`` argument.  The plain test keeps the default
 ``vectorize=None``, under which combinational batches take the per-net
-kernel, which accepts emission-inert models (and jitter-only ones); its
+kernel and sequential trajectories its lanes (``run_sequences``), both
+of which accept emission-inert models (and jitter-only ones); its
 ``*_on_scalar_hooks`` twin passes ``vectorize=False``, under which a
-zero-rate / zero-magnitude :class:`FaultModel` still routes every cell
-emission through the scalar loop's injection hook.  Either way the
+zero-rate / zero-magnitude :class:`FaultModel` is installed on the
+scalar loop, which recognises it as emission-inert.  Either way the
 *code path* under test is the faulty one, and its output must be
 byte-identical to a simulator without any model installed.
 ``ReferencePulseSimulator`` remains the fault-free differential oracle
@@ -45,15 +46,19 @@ def _vectors(sim, count=6):
 
 
 def _run(sim, vectors):
-    if sim.is_sequential:
-        return sim.run_sequence(vectors)
-    return sim.run_combinational(vectors)
+    """One batch; a sequential one as a lane when kernels are allowed."""
+    if not sim.is_sequential:
+        return sim.run_combinational(vectors)
+    if sim.simulator.vectorize is not False:
+        lanes = sim.run_sequences([vectors])
+        if lanes is not None:
+            return lanes[0]
+    return sim.run_sequence(vectors)
 
 
 def _expected_kernel_runs(sim, vectorize, runs=1):
-    """Kernel runs a faulted simulator should report: combinational only."""
-    on_kernel = vectorize is None and _KERNEL_ON and not sim.is_sequential
-    return runs if on_kernel else 0
+    """Kernel runs (batches or lanes) a faulted simulator should report."""
+    return runs if vectorize is None and _KERNEL_ON else 0
 
 
 @pytest.mark.parametrize("name", SAMPLES)
@@ -91,7 +96,8 @@ def test_zero_magnitude_survives_resets(synthesized, vectorize=None):
         vectors = [
             {pi: (i + offset) % 2 for pi in plain.pi_names} for i in range(4)
         ]
-        assert faulty.run_sequence(vectors).trace == plain.run_sequence(vectors).trace
+        assert _run(faulty, vectors).trace == plain.run_sequence(vectors).trace
+    assert faulty.simulator.vectorized_runs == _expected_kernel_runs(faulty, vectorize, 3)
 
 
 def test_zero_magnitude_survives_resets_on_scalar_hooks(synthesized):

@@ -507,3 +507,118 @@ def test_trace_bytes_stable_across_hash_seeds(scalar):
 def test_scalar_forced_subprocess_matches_vectorized_subprocess():
     """The scalar and vectorized kernels agree byte-for-byte end to end."""
     assert _subprocess_digest("7", scalar=False) == _subprocess_digest("7", scalar=True)
+
+
+# ---------------------------------------------------------------------------
+# Sequential trajectories as kernel lanes
+# ---------------------------------------------------------------------------
+
+#: Catalog FSMs (retimed by the default flow) for the lane wall.
+LANE_CATALOG = ("s27", "s298", "s344", "s641")
+#: Fault-free, two jitter widths and a relax-phase skew.
+LANE_MODELS = [{}, {"jitter": 0.6}, {"jitter": 2.5}, {"skew": 6.0}]
+
+
+@pytest.fixture(scope="module")
+def lane_netlists():
+    """Sequential netlists: the catalog FSMs (retimed), s298 without
+    retiming, and the Figure 7 counter."""
+    from repro.circuits import build as build_circuit
+    from repro.eval.experiments import counter_network
+
+    netlists = {
+        name: flow_variant("default").run(build_circuit(name, "quick")).netlist
+        for name in LANE_CATALOG
+    }
+    netlists["s298-no-retime"] = flow_variant("no-retime").run(build_circuit("s298", "quick")).netlist
+    netlists["figure7-counter"] = flow_variant("default").run(counter_network(2)).netlist
+    return netlists
+
+
+def _element_states(sim):
+    return [
+        (getattr(e, "_arrived", None), getattr(e, "_fired", None), getattr(e, "state", None))
+        for e in sim.simulator.elements
+    ]
+
+
+def _assert_lanes_match_scalar(netlist, fault_kwargs, trajectories=5, cycles=6, full_trace=True):
+    """Each lane equals a scalar ``run_sequence`` of its trajectory, and the
+    simulator and fault model end where the last scalar run leaves them."""
+    models = [FaultModel(seed=9, **fault_kwargs) if fault_kwargs else None for _ in range(2)]
+    scalar, lanes = (
+        BatchedNetlistSimulator(netlist, full_trace=full_trace, fault_model=model, vectorize=vectorize)
+        for model, vectorize in zip(models, (False, None))
+    )
+    suite = stimulus_suite(scalar.pi_names, num_patterns=trajectories * cycles, seed=2, allow_exhaustive=False)
+    vectors = [[dict(zip(suite.inputs, row)) for row in sequence] for sequence in suite.sequences(cycles)]
+    expected = [scalar.run_sequence(trajectory) for trajectory in vectors]
+    runs = lanes.run_sequences(vectors)
+    if not _EXPECTED_VEC:
+        assert runs is None
+        return lanes
+    assert runs is not None, lanes.simulator.kernel_aborts
+    for want, got in zip(expected, runs):
+        assert got.outputs == want.outputs
+        assert got.trace == want.trace
+        assert got.dangling_nets == want.dangling_nets
+        assert got.all_cells_reinitialised == want.all_cells_reinitialised
+    a, b = scalar.simulator, lanes.simulator
+    assert b.vectorized_runs == len(vectors)
+    assert b.events_processed == a.events_processed
+    assert b.dangling_nets() == a.dangling_nets()
+    assert (b._sequence, b._processed_until) == (a._sequence, a._processed_until)
+    assert _element_states(lanes) == _element_states(scalar)
+    assert {k: list(v) for k, v in b.run().items()} == {k: list(v) for k, v in a.run().items()}
+    if fault_kwargs:
+        assert models[1].injection_counts() == models[0].injection_counts()
+        size = len(b._net_names)
+        assert models[1].draw_tables(size)[1] == models[0].draw_tables(size)[1]
+    return lanes
+
+
+@pytest.mark.parametrize("fault_kwargs", LANE_MODELS, ids=lambda kw: next(iter(kw), "none"))
+@pytest.mark.parametrize("name", [*LANE_CATALOG, "s298-no-retime", "figure7-counter"])
+def test_lanes_match_scalar_trajectories(name, fault_kwargs, lane_netlists):
+    _assert_lanes_match_scalar(lane_netlists[name], fault_kwargs)
+
+
+@pytest.mark.parametrize("fault_kwargs", LANE_MODELS[:2] + LANE_MODELS[3:], ids=lambda kw: next(iter(kw), "none"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lanes_match_scalar_on_fsm_family(variant, fault_kwargs, synthesized):
+    """The fuzz FSM family under every flow variant.  (At 2.5 ps of jitter
+    its default mapping has an FA whose second input pulses twice before
+    the first one arrives, which the sweep does not model: it aborts and
+    the trajectories run on the scalar loop.)"""
+    _assert_lanes_match_scalar(synthesized[("fsm", variant)].netlist, fault_kwargs)
+
+
+def test_lanes_observe_only_primary_outputs(lane_netlists):
+    """Verify-style capture: only the primary-output rails are traced."""
+    _assert_lanes_match_scalar(lane_netlists["s344"], {"jitter": 1.0}, trajectories=9, full_trace=False)
+
+
+def test_lanes_abort_without_moving_anything(lane_netlists):
+    """Jitter wide enough to push data across clock edges: the sweep gives
+    up, records why, and leaves the simulator and the model untouched."""
+    model = FaultModel(seed=9, jitter=60.0)
+    sim = BatchedNetlistSimulator(lane_netlists["s298"], fault_model=model)
+    suite = stimulus_suite(sim.pi_names, num_patterns=24, seed=2, allow_exhaustive=False)
+    vectors = [[dict(zip(suite.inputs, row)) for row in sequence] for sequence in suite.sequences(6)]
+    sim.run_sequence(vectors[0])
+    before = (sim.simulator.events_processed, sim.simulator._sequence, dict(model.totals), list(model._cursors))
+    assert sim.run_sequences(vectors) is None
+    assert (sim.simulator.events_processed, sim.simulator._sequence, dict(model.totals), list(model._cursors)) == before
+    assert sim.simulator.vectorized_runs == 0
+    assert sum(sim.simulator.kernel_aborts.values()) == _EXPECTED_VEC
+
+
+def test_lanes_veto_commits_nothing(lane_netlists):
+    sim = BatchedNetlistSimulator(lane_netlists["s27"])
+    suite = stimulus_suite(sim.pi_names, num_patterns=12, seed=2, allow_exhaustive=False)
+    vectors = [[dict(zip(suite.inputs, row)) for row in sequence] for sequence in suite.sequences(4)]
+    seen = []
+    assert sim.run_sequences(vectors, accept=lambda runs: seen.append(len(runs))) is None
+    assert seen == [len(vectors)] * _EXPECTED_VEC
+    assert sim.simulator.events_processed == 0
+    assert (sim.batches_run, sim.patterns_run) == (0, 0)
