@@ -295,12 +295,13 @@ class FaultModel:
         return self._stream(nid).extend(cursor + count)[cursor:cursor + count]
 
     def stream_values(self, nid: int, count: int) -> List[float]:
-        """The first ``count`` values of net ``nid``'s stream (cursor unmoved).
+        """Net ``nid``'s stream values from its start, at least ``count`` of them.
 
-        Every lane of a sequential lane sweep replays a stream from its
-        start, as each scalar trajectory does after :meth:`reset_streams`.
+        The shared value table itself (read-only; cursor unmoved): every
+        lane of a sequential lane sweep replays a stream from its start,
+        as each scalar trajectory does after :meth:`reset_streams`.
         """
-        return self._stream(nid).extend(count)[:count]
+        return self._stream(nid).extend(count)
 
     def consume_draws(self, counts: Mapping[int, int], injections: Optional[int] = None) -> None:
         """Advance each net's cursor past the draws the kernel used.

@@ -448,9 +448,11 @@ class PulseSimulator:
             (
                 {names[nid]: pulses for nid, pulses in traces.items()},
                 sorted(names[nid] for nid in dangling),
-                not states,
+                reinitialised,
             )
-            for traces, dangling, states in zip(outcome.traces, outcome.dangling, outcome.states)
+            for traces, dangling, reinitialised in zip(
+                outcome.traces, outcome.dangling, outcome.reinitialised
+            )
         ]
         if accept is not None and not accept(lanes):
             return None
@@ -461,7 +463,7 @@ class PulseSimulator:
             trace_lists[nid].extend(pulses)
         self._dangling_ids.update(outcome.dangling[last])
         self._pending_sources.clear()
-        for cell, state in outcome.states[last]:
+        for cell, state in outcome.states:
             if type(cell) is LaCell:
                 cell._arrived = state
             elif type(cell) is FaCell:

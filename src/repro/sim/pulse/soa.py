@@ -324,10 +324,10 @@ class _ListOps:
 
     @staticmethod
     def jitter(causes: List[float], delay: float, draws: List[float], jitter: float) -> List[float]:
-        out = []
-        for now, r in zip(causes, draws):
-            t = (now + delay) + (2.0 * r - 1.0) * jitter
-            out.append(now if t < now else t)
+        out = [
+            now if (t := (now + delay) + (2.0 * r - 1.0) * jitter) < now else t
+            for now, r in zip(causes, draws)
+        ]
         out.sort()
         return out
 
@@ -547,9 +547,11 @@ class LaneRun(NamedTuple):
     events: List[int]
     #: Per lane: jittered emissions (0 without jitter).
     injections: List[int]
-    #: Per lane: ``(cell, state)`` of every LA / FA / DROC left off its
-    #: initial state (its ``_arrived`` / ``_fired`` / ``state`` value).
-    states: List[List[Tuple[object, object]]]
+    #: Per lane: whether every cell ends in its initial state.
+    reinitialised: List[bool]
+    #: ``(cell, state)`` of every LA / FA / DROC the last lane leaves off
+    #: its initial state (its ``_arrived`` / ``_fired`` / ``state`` value).
+    states: List[Tuple[object, object]]
     #: Time of the last lane's last pulse.
     frontier: float
     #: Jittered emissions per net id in the last lane (its stream cursors).
@@ -624,14 +626,15 @@ def run_lanes(sim, plan: FeedForwardPlan, stimuli, until, fault=None) -> LaneRun
     lengths, driven = sweep.lengths(plan.step_ops, trains)
 
     cone_draws = sum(cone.draws.values())
-    events, injections, dangling, states = [], [], [], []
-    for lane in range(lanes):
-        events.append(cone.events + sum(counts[lane] for counts in lengths.values()))
-        injections.append(cone_draws + (sum(lengths[nid][lane] for nid in driven) if jitter else 0))
-        dangling.append(cone.dangling + [
-            nid for nid, counts in lengths.items() if counts[lane] and not sink_table[nid]
-        ])
-        states.append(sweep.states(plan.step_ops, lengths, lane))
+    events = [cone.events + sum(column) for column in zip(*lengths.values())]
+    injections = [0] * lanes
+    if jitter:
+        injections = [cone_draws + sum(column) for column in zip(*(lengths[nid] for nid in driven))]
+    sinkless = [(nid, counts) for nid, counts in lengths.items() if not sink_table[nid]]
+    dangling = [
+        cone.dangling + [nid for nid, counts in sinkless if counts[lane]] for lane in range(lanes)
+    ]
+    reinitialised, states = sweep.end_states(plan.step_ops, lengths)
     draws = dict(cone.draws)
     if jitter:
         draws.update((nid, lengths[nid][-1]) for nid in driven if lengths[nid][-1])
@@ -640,6 +643,7 @@ def run_lanes(sim, plan: FeedForwardPlan, stimuli, until, fault=None) -> LaneRun
         dangling=dangling,
         events=events,
         injections=injections,
+        reinitialised=reinitialised,
         states=states,
         frontier=max(cone.frontier, sweep.frontier),
         draws=draws,
@@ -907,8 +911,8 @@ class _LaneSweep:
         self.jitter = jitter
         self.fault = fault
         self.capture = capture
-        #: Per jittered net: ``(2r - 1) * jitter`` of its draws, in order.
-        self._offsets: Dict[int, List[float]] = {}
+        #: Per jittered net: its stream's values (the fault model's table).
+        self._values: Dict[int, List[float]] = {}
         self.traces: List[Dict[int, List[float]]] = [{} for _ in range(lanes)]
         self.frontier = -_INF
         self.drocs: Dict[object, _Droc] = {}
@@ -927,40 +931,56 @@ class _LaneSweep:
         self._pairs: Dict[int, Tuple[List[float], List[float]]] = {}
 
     def offsets(self, nid: int, count: int) -> List[float]:
-        """Net ``nid``'s first ``count`` (at least) jitter offsets."""
-        offsets = self._offsets.setdefault(nid, [])
-        if count > len(offsets):
-            jitter = self.jitter
-            values = self.fault.stream_values(nid, max(count, len(offsets) + 8))
-            offsets.extend([(2.0 * r - 1.0) * jitter for r in values[len(offsets):]])
-        return offsets
+        """Net ``nid``'s first ``count`` jitter offsets, ``(2r - 1) * jitter``."""
+        jitter = self.jitter
+        return [(2.0 * r - 1.0) * jitter for r in self.fault.stream_values(nid, count)[:count]]
 
     def run(self, step_ops, trains, clocks, limit) -> None:
         lanes = self.lanes
         jitter = self.jitter
         capture = self.capture
-        traces = self.traces
-        offsets_of = self.offsets
+        stream_values = self._values
         previous = self._previous
         pairs = self._pairs
         none = [_INF] * lanes
         consumed = {net for op in step_ops for net in op[1]}
         #: Stimulus nets some op reads or whose trace is captured, with
         #: their shortest and longest lane train.
-        stim = {
-            nid: (lane_trains, min(map(len, lane_trains)), max(map(len, lane_trains)))
+        stim = [
+            (nid, lane_trains, min(map(len, lane_trains)), max(map(len, lane_trains)))
             for nid, lane_trains in trains.items()
             if nid in consumed or capture[nid]
-        }
+        ]
         drocs = self.drocs
         #: Nets whose causes a tie at an LA may need (see :meth:`_check_pairs`).
         la_inputs = {net for op in step_ops if op[0] == _OP_LA for net in op[1]}
         prevs: Dict[int, List[float]] = {}
-        for position, (kind, ins, outs, _, _, cell) in enumerate(step_ops):
+        # A jittered net read only by LAs and DROC latches needs no order
+        # check of its own: their checks imply it (an LA's pair order, a
+        # DROC's clock windows), and an LA past its last pair ignores the
+        # order.  FA, fan, captured and sinkless nets are checked.
+        readers: Dict[int, set] = {}
+        for op in step_ops:
+            for net in op[1]:
+                readers.setdefault(net, set()).add(op[0])
+        ordered = {
+            net for net, kinds in readers.items()
+            if kinds <= {_OP_LA, _OP_LATCH, _OP_DROC} and not capture[net]
+        }
+        #: The ops with, per op, the outputs an LA reads, whether any
+        #: output is captured, and the jittered outputs to order-check.
+        program = []
+        for position, (kind, ins, outs, delay, released, cell) in enumerate(step_ops):
             if kind <= _OP_FA:
                 prevs[position] = [-_INF] * lanes
             elif kind in (_OP_DROC, _OP_EMIT):
                 drocs[cell] = _Droc(cell, clocks.get(ins[-1], []), outs, lanes, self)
+            program.append((
+                position, kind, ins, outs, delay, released, cell,
+                tuple(out for out in outs if out in la_inputs),
+                any(capture[out] for out in outs),
+                tuple((out, out not in ordered) for out in outs),
+            ))
         bounded = self._bounded(step_ops, trains, clocks, limit)
         last = -_INF
         k = 0
@@ -969,8 +989,7 @@ class _LaneSweep:
             self._last_causes = self._causes
             causes_of = self._causes = {}
             live = False
-            produced: List[Tuple[int, List[float]]] = []
-            for nid, (lane_trains, shortest, longest) in stim.items():
+            for nid, lane_trains, shortest, longest in stim:
                 if k < shortest:
                     pulses = [train[k] for train in lane_trains]
                 elif k < longest:
@@ -981,8 +1000,8 @@ class _LaneSweep:
                 vals[nid] = pulses
                 live = True
                 if capture[nid]:
-                    produced.append((nid, pulses))
-            for position, (kind, ins, outs, delay, released, cell) in enumerate(step_ops):
+                    self._record(nid, pulses)
+            for position, kind, ins, outs, delay, released, cell, la_outs, captured, checks in program:
                 if kind <= _OP_FA:
                     a = vals[ins[0]]
                     b = vals[ins[1]]
@@ -990,11 +1009,10 @@ class _LaneSweep:
                     overrides = None
                     if not (all(map(lt, prev, a)) and all(map(lt, prev, b))):
                         overrides = self._check_pairs(position, kind, ins, prev, a, b, k)
-                    if kind == _OP_LA:
-                        pairs[position] = (a, b)
                     upper = [x if x > y else y for x, y in zip(a, b)]
                     prevs[position] = upper
                     if kind == _OP_LA:
+                        pairs[position] = (a, b)
                         causes = upper
                     else:
                         causes = [y if x > y else x for x, y in zip(a, b)]
@@ -1006,59 +1024,57 @@ class _LaneSweep:
                     droc = drocs[cell]
                     if kind != _OP_EMIT:
                         droc.latch(vals[ins[0]], k)
-                    if kind != _OP_LATCH:
-                        vp, vn = droc.outputs(k)
-                        vals[outs[0]] = vp
-                        vals[outs[1]] = vn
-                        if outs[0] in la_inputs:
-                            causes_of[outs[0]] = (droc, 0)
-                        if outs[1] in la_inputs:
-                            causes_of[outs[1]] = (droc, 1)
-                        produced.append((outs[0], vp))
-                        produced.append((outs[1], vn))
-                        if not live and (vp.count(_INF) < lanes or vn.count(_INF) < lanes):
-                            live = True
                     for nid in released:
                         vals.pop(nid, None)
+                    if kind == _OP_LATCH:
+                        continue
+                    outputs = droc.outputs(k)
+                    for negative, out in enumerate(outs):
+                        pulses = outputs[negative]
+                        vals[out] = pulses
+                        t = pulses[-1]
+                        if last < t < _INF:
+                            last = t
+                        if not live and pulses.count(_INF) < lanes:
+                            live = True
+                    for out in la_outs:
+                        causes_of[out] = (droc, outs.index(out))
+                    if captured or not bounded:
+                        for out in outs:
+                            self._record(out, vals[out], None if bounded else limit)
                     continue
                 for nid in released:
                     vals.pop(nid, None)
                 if jitter:
-                    for out in outs:
-                        offsets = self._offsets.get(out)
-                        if offsets is None or k >= len(offsets):
-                            offsets = offsets_of(out, k + 1)
-                        off = offsets[k]
-                        pulses = [
-                            now if (t := (now + delay) + off) < now else t for now in causes
-                        ]
-                        before = previous.get(out)
-                        if before is not None and not all(map(le, before, pulses)):
-                            raise _Fallback("jitter reorders a net's pulses")
-                        previous[out] = pulses
+                    for out, check in checks:
+                        values = stream_values.get(out)
+                        if values is None or k >= len(values):
+                            values = stream_values[out] = self.fault.stream_values(out, k + 8)
+                        off = (2.0 * values[k] - 1.0) * jitter
+                        pulses = [now if (t := (now + delay) + off) < now else t for now in causes]
+                        if check:
+                            before = previous.get(out)
+                            if before is not None and not all(map(le, before, pulses)):
+                                raise _Fallback("jitter reorders a net's pulses")
+                            previous[out] = pulses
                         vals[out] = pulses
-                        if out in la_inputs:
-                            causes_of[out] = causes
-                        produced.append((out, pulses))
+                        t = pulses[-1]
+                        if last < t < _INF:
+                            last = t
                 else:
                     pulses = [now + delay for now in causes]
+                    t = pulses[-1]
+                    if last < t < _INF:
+                        last = t
                     for out in outs:
                         vals[out] = pulses
-                        if out in la_inputs:
-                            causes_of[out] = causes
-                        produced.append((out, pulses))
+                for out in la_outs:
+                    causes_of[out] = causes
+                if captured or not bounded:
+                    for out in outs:
+                        self._record(out, vals[out], None if bounded else limit)
             if not live:
                 break
-            for nid, pulses in produced:
-                t = pulses[-1]
-                if last < t < _INF:
-                    last = t
-                if capture[nid]:
-                    for lane, t in enumerate(pulses):
-                        if t != _INF:
-                            traces[lane].setdefault(nid, []).append(t)
-                if not bounded and max(pulses) > limit and any(limit < t < _INF for t in pulses):
-                    raise _Fallback("events beyond until")
             k += 1
         for lane_trains in trains.values():
             if any(train and train[-1] > limit for train in lane_trains):
@@ -1066,6 +1082,15 @@ class _LaneSweep:
             if lane_trains[-1] and lane_trains[-1][-1] > last:
                 last = lane_trains[-1][-1]
         self.frontier = last
+
+    def _record(self, nid: int, pulses: List[float], limit: Optional[float] = None) -> None:
+        """Append a step's pulses to each lane's captured trace; check ``limit``."""
+        if limit is not None and max(pulses) > limit and any(limit < t < _INF for t in pulses):
+            raise _Fallback("events beyond until")
+        if self.capture[nid]:
+            for trace, t in zip(self.traces, pulses):
+                if t != _INF:
+                    trace.setdefault(nid, []).append(t)
 
     def _cause(self, nid: int, lane: int, k: int, causes: Dict[int, object]) -> float:
         """The time of the event that emitted net ``nid``'s ``k``-th pulse in ``lane``."""
@@ -1192,18 +1217,33 @@ class _LaneSweep:
             driven.extend(outs)
         return lengths, driven
 
-    def states(self, step_ops, lengths, lane: int) -> List[Tuple[object, object]]:
-        """``(cell, state)`` of each LA / FA / DROC a lane leaves off its initial state."""
+    def end_states(self, step_ops, lengths) -> Tuple[List[bool], List[Tuple[object, object]]]:
+        """Which lanes leave every LA / FA / DROC in its initial state, and
+        ``(cell, state)`` of each one the last lane leaves off it (its
+        ``_arrived`` / ``_fired`` / ``state`` value)."""
+        lanes = self.lanes
+        last = lanes - 1
+        reinitialised = [True] * lanes
         states: List[Tuple[object, object]] = []
         for position, (kind, ins, _, _, _, cell) in enumerate(step_ops):
             if kind <= _OP_FA:
-                a, b = lengths[ins[0]][lane], lengths[ins[1]][lane]
-                key = (position, lane)
-                if a != b and key not in self._ignored and key not in self._absorbed:
-                    states.append((cell, [a > b, b > a] if kind == _OP_LA else True))
+                a, b = lengths[ins[0]], lengths[ins[1]]
+                if a == b:
+                    continue
+                for lane, (x, y) in enumerate(zip(a, b)):
+                    key = (position, lane)
+                    if x != y and key not in self._ignored and key not in self._absorbed:
+                        reinitialised[lane] = False
+                        if lane == last:
+                            states.append((cell, [x > y, y > x] if kind == _OP_LA else True))
             elif kind in (_OP_DROC, _OP_LATCH):
                 droc = self.drocs[cell]
-                stored = False if droc.paired else droc.st[lane]
-                if stored != bool(cell._preload):
-                    states.append((cell, stored))
-        return states
+                if droc.paired:
+                    continue  # nothing stored in any lane
+                preload = bool(cell._preload)
+                for lane, stored in enumerate(droc.st):
+                    if stored != preload:
+                        reinitialised[lane] = False
+                        if lane == last:
+                            states.append((cell, stored))
+        return reinitialised, states

@@ -181,6 +181,23 @@ def _drive_input(
         stimulus.setdefault(pos, []).append(relax_start + offset)
 
 
+def _drive_cycle(
+    stimulus: Dict[str, List[float]],
+    pi_rails: Sequence[Tuple[str, str, str]],
+    vector: Mapping[str, int],
+    excite: float,
+    relax: float,
+) -> None:
+    """:func:`_drive_input` for every ``(pi, pos rail, neg rail)`` of one cycle."""
+    for pi, pos, neg in pi_rails:
+        if vector.get(pi, 0):
+            stimulus.setdefault(pos, []).append(excite)
+            stimulus.setdefault(neg, []).append(relax)
+        else:
+            stimulus.setdefault(neg, []).append(excite)
+            stimulus.setdefault(pos, []).append(relax)
+
+
 def _constant_nets(netlist: XsfqNetlist) -> List[str]:
     """Constant-rail nets referenced by the netlist (``const0_p`` / ``const0_n``)."""
     referenced = set()
@@ -294,6 +311,7 @@ class BatchedNetlistSimulator:
                 if port not in netlist.clock_nets and port not in netlist.trigger_nets
             }
         )
+        self._pi_rails = [(pi, *_input_rail_nets(pi)) for pi in self._pi_names]
         self._constant_nets = _constant_nets(netlist)
         self._output_nets = {port.net for port in netlist.output_ports}
         self._driven_nets = {net for cell in netlist.cells for net in cell.outputs}
@@ -363,9 +381,7 @@ class BatchedNetlistSimulator:
         for cycle, vector in enumerate(input_vectors):
             excite_start = (2 * cycle) * period
             relax_start = (2 * cycle + 1) * period + skew
-            for pi in self._pi_names:
-                value = int(bool(vector.get(pi, 0)))
-                _drive_input(stimulus, pi, value, excite_start, relax_start, offset=1.0)
+            _drive_cycle(stimulus, self._pi_rails, vector, excite_start + 1.0, relax_start + 1.0)
             _drive_constants(stimulus, self._constant_nets, excite_start, relax_start, offset=1.0)
 
         total_time = 2 * len(input_vectors) * period + period
@@ -499,9 +515,7 @@ class BatchedNetlistSimulator:
         for cycle, vector in enumerate(input_vectors):
             excite_start = (2 * cycle + 1 - lead) * period
             relax_start = (2 * cycle + 2 - lead) * period + skew
-            for pi in self._pi_names:
-                value = int(bool(vector.get(pi, 0)))
-                _drive_input(stimulus, pi, value, excite_start, relax_start, offset=offset)
+            _drive_cycle(stimulus, self._pi_rails, vector, excite_start + offset, relax_start + offset)
             _drive_constants(stimulus, self._constant_nets, excite_start, relax_start, offset=offset)
         return stimulus, (num_phases + 2) * period
 
