@@ -671,7 +671,7 @@ class _Droc:
 
     __slots__ = (
         "clock", "emit_at", "offsets", "lanes", "ci", "st", "ended", "pulses", "clocks", "base",
-        "paired", "c", "m", "m0", "pair_base", "pair_out", "pair_log",
+        "paired", "c", "m", "m0", "pair_base", "pair_out", "pair_log", "tail",
     )
 
     #: Pair-mode emissions kept: a step reads its own and the previous one.
@@ -720,6 +720,9 @@ class _Droc:
         self.paired = True
         self.c = c
         self.m0 = self.m = self.pair_base = m
+        #: Once every lane's data has ended in pair mode: the ``Qn``
+        #: pulses of the remaining clocks, the same in every lane.
+        self.tail: Optional[List[float]] = None
         #: The last pair-mode emissions, from index ``pair_base`` on: the
         #: ``Qp`` and the ``Qn`` lane vectors, and the clock pair's first
         #: index with the ``Qp`` pulse it emits (a lane whose ``Qp``
@@ -752,10 +755,39 @@ class _Droc:
                     clocks.append(c + ((qp[lane] == px) == bool(negative)))
             self.base[negative] = keep
 
+    def _end(self) -> bool:
+        """Pair mode, no lane has data left: every remaining clock emits ``Qn``."""
+        clock = self.clock
+        tail: List[float] = []
+        if self.offsets is None:
+            tail = self.emit_at[self.c:]
+        else:
+            vectors = self.pair_out[1]
+            last = max(vectors[-1]) if vectors else max(
+                (pulses[-1] for pulses in self.pulses[1] if pulses), default=-_INF
+            )
+            offsets = self.offsets[1]
+            for j, index in enumerate(range(self.c, len(clock)), start=self.m):
+                now = clock[index]
+                t = self.emit_at[index] + offsets[j]
+                if t < now:
+                    t = now
+                if t < last:
+                    return False  # jitter reorders the Qn pulses
+                tail.append(t)
+                last = t
+        self.tail = tail
+        return True
+
     def _decide(self, data: List[float]) -> bool:
         """Pair mode: the next clock pair in every lane, or False to leave it."""
+        if self.tail is not None:
+            # Data after the last pulse: the data net is not monotone.
+            raise _Fallback("DROC data inside a resolved clock window")
         c = self.c
         clock = self.clock
+        if data.count(_INF) == self.lanes:
+            return self._end()
         if c + 1 >= len(clock):
             return False
         x = clock[c]
@@ -821,6 +853,8 @@ class _Droc:
     def latch(self, data: List[float], k: int) -> None:
         """Store each lane's ``k``-th data pulse, resolving the clocks before it."""
         if self.paired:
+            if self.tail is not None and data.count(_INF) == self.lanes:
+                return
             if self._decide(data):
                 return
             self._unpair(k)
@@ -859,6 +893,10 @@ class _Droc:
                 return [pulses[k - bp] for pulses in qp], [pulses[k - bn] for pulses in qn]
             if j < len(self.pair_log):
                 return self.pair_out[0][j], self.pair_out[1][j]
+            if self.tail is not None:
+                j = k - self.m
+                qn = [self.tail[j]] * self.lanes if j < len(self.tail) else [_INF] * self.lanes
+                return [_INF] * self.lanes, qn
             self._unpair(k)
         count = len(self.clock)
         ci = self.ci
@@ -888,13 +926,16 @@ class _Droc:
     def counts(self, negative: int) -> List[int]:
         """Each lane's pulse count on one output."""
         if self.paired:
-            return [self.m] * self.lanes
+            tail = len(self.tail) if negative and self.tail is not None else 0
+            return [self.m + tail] * self.lanes
         base = self.base[negative]
         return [len(pulses) + base for pulses in self.pulses[negative]]
 
     def cause(self, negative: int, lane: int, k: int) -> float:
         """The clock time behind a lane's ``k``-th pulse on one output."""
         if self.paired and k >= self.m0:
+            if k >= self.m:  # a tail Qn pulse
+                return self.clock[self.c + k - self.m]
             if k < self.pair_base:
                 raise _Fallback("tie behind the kept DROC pairs")
             c, px = self.pair_log[k - self.pair_base]
@@ -1049,6 +1090,9 @@ class _LaneSweep:
                     for out, check in checks:
                         values = stream_values.get(out)
                         if values is None or k >= len(values):
+                            if causes.count(_INF) == lanes:
+                                vals[out] = causes  # nothing emitted: draw nothing
+                                continue
                             values = stream_values[out] = self.fault.stream_values(out, k + 8)
                         off = (2.0 * values[k] - 1.0) * jitter
                         pulses = [now if (t := (now + delay) + off) < now else t for now in causes]
@@ -1238,10 +1282,9 @@ class _LaneSweep:
                             states.append((cell, [x > y, y > x] if kind == _OP_LA else True))
             elif kind in (_OP_DROC, _OP_LATCH):
                 droc = self.drocs[cell]
-                if droc.paired:
-                    continue  # nothing stored in any lane
                 preload = bool(cell._preload)
-                for lane, stored in enumerate(droc.st):
+                # Pair mode stores nothing in any lane.
+                for lane, stored in enumerate([False] * lanes if droc.paired else droc.st):
                     if stored != preload:
                         reinitialised[lane] = False
                         if lane == last:

@@ -172,13 +172,9 @@ def _drive_input(
     relax_start: float,
     offset: float,
 ) -> None:
-    pos, neg = _input_rail_nets(pi_name)
-    if value:
-        stimulus.setdefault(pos, []).append(excite_start + offset)
-        stimulus.setdefault(neg, []).append(relax_start + offset)
-    else:
-        stimulus.setdefault(neg, []).append(excite_start + offset)
-        stimulus.setdefault(pos, []).append(relax_start + offset)
+    """Drive one PI value: the rail that is 1 pulses in the excite phase."""
+    rails = [(pi_name, *_input_rail_nets(pi_name))]
+    _drive_cycle(stimulus, rails, {pi_name: value}, excite_start + offset, relax_start + offset)
 
 
 def _drive_cycle(
@@ -188,7 +184,7 @@ def _drive_cycle(
     excite: float,
     relax: float,
 ) -> None:
-    """:func:`_drive_input` for every ``(pi, pos rail, neg rail)`` of one cycle."""
+    """Drive one cycle's PI values, ``pi_rails`` listing ``(pi, pos rail, neg rail)``."""
     for pi, pos, neg in pi_rails:
         if vector.get(pi, 0):
             stimulus.setdefault(pos, []).append(excite)

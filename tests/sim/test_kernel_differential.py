@@ -622,3 +622,57 @@ def test_lanes_veto_commits_nothing(lane_netlists):
     assert seen == [len(vectors)] * _EXPECTED_VEC
     assert sim.simulator.events_processed == 0
     assert (sim.batches_run, sim.patterns_run) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["s27", "s344"])
+def test_sequential_verdicts_match_the_scalar_loop(name):
+    """Verify through lanes and on the scalar loop alone: same verdicts
+    (counterexamples in later trajectories included), same injections
+    and events, across a margin search's magnitudes."""
+    from repro.circuits import build as build_circuit
+    from repro.verify.equivalence import NetlistVerifier
+
+    network = build_circuit(name, "quick")
+    result = flow_variant("default").run(network)
+    verifiers = [NetlistVerifier(result, golden=network, patterns=64) for _ in range(2)]
+    verifiers[1].sim.simulator.vectorize = False
+    later = 0
+    for kwargs in ({}, {"jitter": 1.5}, {"jitter": 3.5}, {"jitter": 6.0}, {"skew": 8.0}, {"skew": 40.0}):
+        models = [FaultModel(seed=0, **kwargs) for _ in verifiers]
+        verdicts = [v.verify(m, localise=False).to_dict() for v, m in zip(verifiers, models)]
+        assert verdicts[0] == verdicts[1]
+        assert models[0].injection_counts() == models[1].injection_counts()
+        cex = verdicts[0]["counterexample"]
+        later += bool(cex and cex["sequence"] > 0)
+    lanes, scalar = (v.sim.simulator for v in verifiers)
+    assert lanes.events_processed == scalar.events_processed
+    assert scalar.vectorized_runs == 0
+    assert later > 0
+    if _EXPECTED_VEC:
+        assert lanes.vectorized_runs > 0
+
+
+def test_lane_miscompare_is_rederived_on_the_scalar_loop():
+    """A golden that disagrees with s27 only on G0 & G1 & !G3: trajectory
+    0 passes, the lanes see the miscompare, veto their own result, and
+    the verdict comes from the scalar loop with nothing counted twice."""
+    from repro.aig import network_to_aig
+    from repro.circuits import build as build_circuit
+    from repro.verify.equivalence import NetlistVerifier
+
+    network = build_circuit("s27", "quick")
+    result = flow_variant("default").run(network)
+    golden = network_to_aig(network)
+    pi = {name: 2 * node for node, name in zip(golden.pi_nodes, golden.pi_names)}
+    rare = golden.add_and(golden.add_and(pi["G0"], pi["G1"]), pi["G3"] ^ 1)
+    golden.po_lits[0] = golden.add_xor(golden.po_lits[0], rare)
+    verifiers = [NetlistVerifier(result, golden=golden, patterns=64) for _ in range(2)]
+    verifiers[1].sim.simulator.vectorize = False
+    verdicts = [v.verify(None).to_dict() for v in verifiers]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0]["status"] == "counterexample"
+    assert verdicts[0]["counterexample"]["sequence"] > 0
+    lanes, scalar = (v.sim.simulator for v in verifiers)
+    assert lanes.kernel_aborts == {}
+    assert lanes.vectorized_runs == 0
+    assert lanes.events_processed == scalar.events_processed
