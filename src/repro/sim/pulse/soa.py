@@ -968,7 +968,7 @@ class _LaneSweep:
         #: a per-lane time list, or ``(droc, output)`` (ties only).
         self._causes: Dict[int, object] = {}
         self._last_causes: Dict[int, object] = {}
-        #: LA/FA op position -> its last step's input pulses.
+        #: LA op position -> its last step's input pulses.
         self._pairs: Dict[int, Tuple[List[float], List[float]]] = {}
 
     def offsets(self, nid: int, count: int) -> List[float]:

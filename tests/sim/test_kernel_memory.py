@@ -8,8 +8,8 @@ train alive until the end of the run peaks at ~4.4 MB.
 
 Sequential lanes follow the same release schedule within each pulse
 index: 31 warm verify-style lanes of s344 (8 cycles each) peak at
-~1.4 MB, and keeping every net's lane values of every index alive peaks
-at ~2.7 MB.
+~0.8 MB, and keeping every net's lane values of every index alive peaks
+at ~2.2 MB.
 """
 
 import os
@@ -25,7 +25,7 @@ from repro.sim.pulse import BatchedNetlistSimulator, soa
 PATTERNS = 256
 PEAK_LIMIT_MB = 1.5
 LANES = 31
-LANE_PEAK_LIMIT_MB = 2.0
+LANE_PEAK_LIMIT_MB = 1.5
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_SCALAR_KERNELS", "") == "1",
