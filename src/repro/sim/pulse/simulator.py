@@ -436,9 +436,9 @@ class PulseSimulator:
         if not stimuli or not self._kernel_allowed():
             return None
         plan = self._compiled_plan()
-        if plan is False or not plan.sequential:
-            return None
         try:
+            if plan is False or not plan.sequential:
+                raise soa._Fallback("no sequential plan")
             outcome = soa.run_lanes(self, plan, stimuli, until, self._fault_model)
         except soa._Fallback as abort:
             self._record_abort(abort)

@@ -447,8 +447,10 @@ class BatchedNetlistSimulator:
         """
         if not self.is_sequential:
             raise SimulationError("netlist has no storage cells; use run_combinational")
+        # Trajectories of different lengths get different clock trains,
+        # which the sweep rejects (and counts) before anything moves.
         built = [self._sequence_stimulus(vectors) for vectors in trajectories]
-        if not built or len({total for _, total in built}) != 1:
+        if not built:
             return None
         results: List[XsfqSimulationResult] = []
 
@@ -460,7 +462,7 @@ class BatchedNetlistSimulator:
             return accept is None or accept(results)
 
         lanes = self.simulator.run_lanes(
-            [stimulus for stimulus, _ in built], until=built[0][1], accept=decode
+            [stimulus for stimulus, _ in built], until=max(total for _, total in built), accept=decode
         )
         if lanes is None:
             return None

@@ -676,3 +676,11 @@ def test_lane_miscompare_is_rederived_on_the_scalar_loop():
     assert lanes.kernel_aborts == {}
     assert lanes.vectorized_runs == 0
     assert lanes.events_processed == scalar.events_processed
+
+
+def test_lanes_of_different_lengths_are_declined_and_counted(lane_netlists):
+    sim = BatchedNetlistSimulator(lane_netlists["s27"])
+    vectors = [[{pi: 1 for pi in sim.pi_names}] * cycles for cycles in (3, 4)]
+    assert sim.run_sequences(vectors) is None
+    assert sim.simulator.events_processed == 0
+    assert sim.simulator.kernel_aborts == ({"lane-dependent clock": 1} if _EXPECTED_VEC else {})
