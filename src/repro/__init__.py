@@ -39,200 +39,124 @@ The names most users need are re-exported here::
     result = flow.run(repro.build_circuit("c880"))
 
     report = repro.run_experiment("table4", jobs=4)
+
+Every name here, and every subpackage, is imported on first use
+(:mod:`repro._lazy`): ``import repro`` loads no layer, and a command
+loads only the layers it calls.
 """
 
 __version__ = "1.10.0"
 
-from . import schema  # noqa: E402  - registers the message-type registry
+from ._lazy import lazy_exports  # noqa: E402
 
-from .core import (  # noqa: E402
-    Flow,
-    FlowError,
-    FlowOptions,
-    FlowState,
-    Stage,
-    STAGES,
-    StageCache,
-    StageEvent,
-    TimingObserver,
-    XsfqLibrary,
-    XsfqNetlist,
-    XsfqSynthesisResult,
-    default_library,
-    flow_variant,
-    flow_variant_names,
-    format_waveform,
-    get_stage_cache,
-    register_flow_variant,
-    register_stage,
-    set_stage_cache,
-    synthesize_xsfq,
-    write_liberty,
-)
-from .netlist import NetworkBuilder  # noqa: E402
-from .baselines import pbmap_like, qseq_like  # noqa: E402
-from .circuits import CATALOG, CircuitInfo  # noqa: E402
-from .circuits import build as build_circuit  # noqa: E402
-from .circuits import info as circuit_info  # noqa: E402
-from .circuits import names as circuit_names  # noqa: E402
-from .sim.pulse import (  # noqa: E402
-    BatchedNetlistSimulator,
-    simulate_combinational,
-    simulate_sequential,
-)
-from .gen import (  # noqa: E402
-    FAMILIES,
-    FuzzCampaign,
-    FuzzReport,
-    GenSpec,
-    generate_specs,
-    shrink_network,
-)
-from .cov import (  # noqa: E402
-    CoverageMap,
-    SoakCampaign,
-    SoakState,
-    feature_universe,
-    fold_fuzz_units,
-    merge_states,
-    render_coverage_report,
-    run_soak,
-    steered_specs,
-)
-from .perf import (  # noqa: E402
-    BenchReport,
-    BenchResult,
-    BenchSpec,
-    compare_reports,
-    load_bench,
-    render_comparison,
-    render_results_table,
-    run_suite,
-    suite_names,
-    suite_specs,
-)
-from .verify import (  # noqa: E402  - also registers the 'verify' stage
-    StimulusSuite,
-    VerificationCampaign,
-    VerificationSpec,
-    VerificationVerdict,
-    stimulus_suite,
-    verify_result,
-)
-from .faults import (  # noqa: E402
-    FaultCampaign,
-    FaultModel,
-    FaultReport,
-    FaultScenario,
-    FaultSpec,
-    fault_kind_names,
-    parse_fault_name,
-)
-from .eval import (  # noqa: E402
-    EXPERIMENTS,
-    ExperimentReport,
-    ExperimentResult,
-    ExperimentSpec,
-    ResultCache,
-    Runner,
-    SynthesisEngine,
-    SynthesisJob,
-    run_experiment,
-)
-
-__all__ = [
-    "__version__",
-    # Synthesis flow
-    "synthesize_xsfq",
-    "FlowOptions",
-    "XsfqSynthesisResult",
-    # Staged pass manager
-    "Flow",
-    "FlowError",
-    "FlowState",
-    "Stage",
-    "STAGES",
-    "StageCache",
-    "StageEvent",
-    "TimingObserver",
-    "register_stage",
-    "get_stage_cache",
-    "set_stage_cache",
-    "flow_variant",
-    "flow_variant_names",
-    "register_flow_variant",
-    "XsfqLibrary",
-    "XsfqNetlist",
-    "default_library",
-    "format_waveform",
-    "write_liberty",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    # Synthesis flow and the staged pass manager
+    ".core": (
+        "synthesize_xsfq",
+        "FlowOptions",
+        "XsfqSynthesisResult",
+        "Flow",
+        "FlowError",
+        "FlowState",
+        "Stage",
+        "STAGES",
+        "StageCache",
+        "StageEvent",
+        "TimingObserver",
+        "register_stage",
+        "get_stage_cache",
+        "set_stage_cache",
+        "flow_variant",
+        "flow_variant_names",
+        "register_flow_variant",
+        "XsfqLibrary",
+        "XsfqNetlist",
+        "default_library",
+        "format_waveform",
+        "write_liberty",
+    ),
     # Networks and baselines
-    "NetworkBuilder",
-    "pbmap_like",
-    "qseq_like",
+    ".netlist": ("NetworkBuilder",),
+    ".baselines": ("pbmap_like", "qseq_like"),
     # Benchmark circuit registry
-    "CATALOG",
-    "CircuitInfo",
-    "build_circuit",
-    "circuit_info",
-    "circuit_names",
+    ".circuits": (
+        "CATALOG",
+        "CircuitInfo",
+        "build_circuit=build",
+        "circuit_info=info",
+        "circuit_names=names",
+    ),
     # Simulation
-    "BatchedNetlistSimulator",
-    "simulate_combinational",
-    "simulate_sequential",
+    ".sim.pulse": (
+        "BatchedNetlistSimulator",
+        "simulate_combinational",
+        "simulate_sequential",
+    ),
     # Random-circuit generation and fuzzing
-    "FAMILIES",
-    "GenSpec",
-    "generate_specs",
-    "FuzzCampaign",
-    "FuzzReport",
-    "shrink_network",
+    ".gen": (
+        "FAMILIES",
+        "GenSpec",
+        "generate_specs",
+        "FuzzCampaign",
+        "FuzzReport",
+        "shrink_network",
+    ),
     # Structural coverage and soak runs
-    "CoverageMap",
-    "SoakCampaign",
-    "SoakState",
-    "feature_universe",
-    "fold_fuzz_units",
-    "merge_states",
-    "render_coverage_report",
-    "run_soak",
-    "steered_specs",
+    ".cov": (
+        "CoverageMap",
+        "SoakCampaign",
+        "SoakState",
+        "feature_universe",
+        "fold_fuzz_units",
+        "merge_states",
+        "render_coverage_report",
+        "run_soak",
+        "steered_specs",
+    ),
     # Performance harness
-    "BenchSpec",
-    "BenchResult",
-    "BenchReport",
-    "compare_reports",
-    "load_bench",
-    "render_comparison",
-    "render_results_table",
-    "run_suite",
-    "suite_names",
-    "suite_specs",
+    ".perf": (
+        "BenchSpec",
+        "BenchResult",
+        "BenchReport",
+        "compare_reports",
+        "load_bench",
+        "render_comparison",
+        "render_results_table",
+        "run_suite",
+        "suite_names",
+        "suite_specs",
+    ),
     # Verification
-    "StimulusSuite",
-    "stimulus_suite",
-    "VerificationCampaign",
-    "VerificationSpec",
-    "VerificationVerdict",
-    "verify_result",
+    ".verify": (
+        "StimulusSuite",
+        "stimulus_suite",
+        "VerificationCampaign",
+        "VerificationSpec",
+        "VerificationVerdict",
+        "verify_result",
+    ),
     # Fault injection and robustness
-    "FaultCampaign",
-    "FaultModel",
-    "FaultReport",
-    "FaultScenario",
-    "FaultSpec",
-    "fault_kind_names",
-    "parse_fault_name",
+    ".faults": (
+        "FaultCampaign",
+        "FaultModel",
+        "FaultReport",
+        "FaultScenario",
+        "FaultSpec",
+        "fault_kind_names",
+        "parse_fault_name",
+    ),
     # Experiment engine
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "ExperimentReport",
-    "ExperimentResult",
-    "ResultCache",
-    "Runner",
-    "SynthesisEngine",
-    "SynthesisJob",
-    "run_experiment",
-    # Typed, versioned message layer
-    "schema",
-]
+    ".eval": (
+        "EXPERIMENTS",
+        "ExperimentSpec",
+        "ExperimentReport",
+        "ExperimentResult",
+        "ResultCache",
+        "Runner",
+        "SynthesisEngine",
+        "SynthesisJob",
+        "run_experiment",
+    ),
+})
+# The typed, versioned message layer resolves as a submodule.
+__all__ = ["__version__", *__all__, "schema"]

@@ -8,91 +8,31 @@ bit-parallel simulation, and the pipelining/retiming helpers used by the
 sequential xSFQ flow.
 """
 
-from .graph import (
-    FALSE,
-    TRUE,
-    Aig,
-    AigError,
-    Latch,
-    NodeType,
-    lit_is_complemented,
-    lit_node,
-    lit_not,
-    lit_regular,
-    make_lit,
-)
-from .convert import aig_to_network, network_to_aig
+from .._lazy import lazy_exports
+# Eager: importing the submodule would bind ``repro.aig.balance`` to it, not the pass.
 from .balance import balance
-from .rework import refactor, rewrite
-from .scripts import (
-    DEFAULT_SCRIPT,
-    PASSES,
-    OptimizationReport,
-    optimize,
-    optimize_with_report,
-    register_pass,
-    run_script,
-)
-from .simulate import (
-    cone_truth_table,
-    exhaustive_truth_tables,
-    output_signatures,
-    simulate_patterns,
-    simulate_patterns_reference,
-    simulate_random,
-)
-from .cec import CecResult, assert_equivalent, check_equivalence
-from .cuts import enumerate_cuts, reconvergence_cut
-from .retime import (
-    cut_signals,
-    insert_pipeline_registers,
-    level_cut,
-    max_stage_depth,
-    stage_assignment,
-    stage_thresholds,
-)
-from .sat import SatSolver
 
-__all__ = [
-    "FALSE",
-    "TRUE",
-    "Aig",
-    "AigError",
-    "Latch",
-    "NodeType",
-    "make_lit",
-    "lit_node",
-    "lit_not",
-    "lit_regular",
-    "lit_is_complemented",
-    "network_to_aig",
-    "aig_to_network",
-    "balance",
-    "rewrite",
-    "refactor",
-    "optimize",
-    "optimize_with_report",
-    "run_script",
-    "DEFAULT_SCRIPT",
-    "PASSES",
-    "register_pass",
-    "OptimizationReport",
-    "simulate_patterns",
-    "simulate_patterns_reference",
-    "simulate_random",
-    "exhaustive_truth_tables",
-    "cone_truth_table",
-    "output_signatures",
-    "check_equivalence",
-    "assert_equivalent",
-    "CecResult",
-    "enumerate_cuts",
-    "reconvergence_cut",
-    "insert_pipeline_registers",
-    "stage_thresholds",
-    "stage_assignment",
-    "level_cut",
-    "cut_signals",
-    "max_stage_depth",
-    "SatSolver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".graph": (
+        "FALSE", "TRUE", "Aig", "AigError", "Latch", "NodeType", "lit_is_complemented",
+        "lit_node", "lit_not", "lit_regular", "make_lit",
+    ),
+    ".convert": ("aig_to_network", "network_to_aig"),
+    ".balance": ("balance",),
+    ".rework": ("refactor", "rewrite"),
+    ".scripts": (
+        "DEFAULT_SCRIPT", "PASSES", "OptimizationReport", "optimize",
+        "optimize_with_report", "register_pass", "run_script",
+    ),
+    ".simulate": (
+        "cone_truth_table", "exhaustive_truth_tables", "output_signatures",
+        "simulate_patterns", "simulate_patterns_reference", "simulate_random",
+    ),
+    ".cec": ("CecResult", "assert_equivalent", "check_equivalence"),
+    ".cuts": ("enumerate_cuts", "reconvergence_cut"),
+    ".retime": (
+        "cut_signals", "insert_pipeline_registers", "level_cut", "max_stage_depth",
+        "stage_assignment", "stage_thresholds",
+    ),
+    ".sat": ("SatSolver",),
+})

@@ -8,30 +8,13 @@ with both this baseline and the xSFQ flow and reports the JJ savings the
 way the paper's Tables 4 and 6 do.
 """
 
-from .cells import (
-    CLOCK_SPLITTING_OVERHEAD,
-    RSFQ_SPECS,
-    RsfqCellKind,
-    RsfqCellSpec,
-    RsfqLibrary,
-    clock_splitter_count,
-    default_rsfq_library,
-)
-from .path_balance import RsfqMappingResult, map_rsfq_path_balanced
-from .flows import BaselineOptions, pbmap_like, qseq_like, rsfq_clock_period_ps
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RsfqCellKind",
-    "RsfqCellSpec",
-    "RsfqLibrary",
-    "RSFQ_SPECS",
-    "CLOCK_SPLITTING_OVERHEAD",
-    "clock_splitter_count",
-    "default_rsfq_library",
-    "RsfqMappingResult",
-    "map_rsfq_path_balanced",
-    "BaselineOptions",
-    "pbmap_like",
-    "qseq_like",
-    "rsfq_clock_period_ps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cells": (
+        "CLOCK_SPLITTING_OVERHEAD", "RSFQ_SPECS", "RsfqCellKind", "RsfqCellSpec",
+        "RsfqLibrary", "clock_splitter_count", "default_rsfq_library",
+    ),
+    ".path_balance": ("RsfqMappingResult", "map_rsfq_path_balanced"),
+    ".flows": ("BaselineOptions", "pbmap_like", "qseq_like", "rsfq_clock_period_ps"),
+})

@@ -7,70 +7,23 @@ in the paper's tables to a generator with both "paper" and "quick" scale
 parameter sets.
 """
 
-from .arith import (
-    adder_comparator,
-    alu,
-    array_multiplier,
-    equality_comparator,
-    priority_interrupt_controller,
-    ripple_carry_adder,
-)
-from .ecc import hamming_corrector, hamming_encoder, sec_ded_checker
-from .epfl import (
-    binary_decoder,
-    cavlc_decoder,
-    i2c_control_slice,
-    int_to_float,
-    majority_voter,
-    memory_controller,
-    packet_router,
-    priority_encoder,
-    round_robin_arbiter,
-    simple_controller,
-    sine_approximation,
-)
-from .sequential import (
-    datapath_controller,
-    fractional_counter,
-    multiplier_control_unit,
-    pld_state_machine,
-    s27_like,
-    sequence_detector,
-    traffic_light_controller,
-)
-from .registry import CATALOG, CircuitInfo, build, info, names
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ripple_carry_adder",
-    "array_multiplier",
-    "alu",
-    "adder_comparator",
-    "equality_comparator",
-    "priority_interrupt_controller",
-    "hamming_encoder",
-    "hamming_corrector",
-    "sec_ded_checker",
-    "round_robin_arbiter",
-    "cavlc_decoder",
-    "simple_controller",
-    "binary_decoder",
-    "i2c_control_slice",
-    "int_to_float",
-    "memory_controller",
-    "priority_encoder",
-    "packet_router",
-    "majority_voter",
-    "sine_approximation",
-    "s27_like",
-    "sequence_detector",
-    "traffic_light_controller",
-    "pld_state_machine",
-    "fractional_counter",
-    "multiplier_control_unit",
-    "datapath_controller",
-    "CATALOG",
-    "CircuitInfo",
-    "build",
-    "info",
-    "names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".arith": (
+        "adder_comparator", "alu", "array_multiplier", "equality_comparator",
+        "priority_interrupt_controller", "ripple_carry_adder",
+    ),
+    ".ecc": ("hamming_corrector", "hamming_encoder", "sec_ded_checker"),
+    ".epfl": (
+        "binary_decoder", "cavlc_decoder", "i2c_control_slice", "int_to_float",
+        "majority_voter", "memory_controller", "packet_router", "priority_encoder",
+        "round_robin_arbiter", "simple_controller", "sine_approximation",
+    ),
+    ".sequential": (
+        "datapath_controller", "fractional_counter", "multiplier_control_unit",
+        "pld_state_machine", "s27_like", "sequence_detector",
+        "traffic_light_controller",
+    ),
+    ".registry": ("CATALOG", "CircuitInfo", "build", "info", "names"),
+})

@@ -16,154 +16,44 @@ Public API highlights:
 * :mod:`repro.core.liberty` — Liberty-style library export.
 """
 
-from .cells import (
-    DROC_PRELOAD_OVERHEAD_JJ,
-    CellKind,
-    CellSpec,
-    XsfqLibrary,
-    default_library,
-    table2_rows,
-)
-from .encoding import (
-    PhaseSlot,
-    alternating_property_holds,
-    decode_slot,
-    decode_stream,
-    encode_bit,
-    encode_stream,
-    format_waveform,
-    rail_pulse_trains,
-)
-from .polarity import (
-    Rail,
-    RailAnalysis,
-    analyze_rails,
-    assign_output_polarities,
-    direct_mapping_analysis,
-    positive_polarities,
-    sinks_of,
-)
-from .dual_rail import (
-    MappingError,
-    OutputPort,
-    XsfqCell,
-    XsfqNetlist,
-    equation1_splitters,
-    insert_splitters,
-    map_combinational,
-)
-from .sequential import (
-    SequentialMappingInfo,
-    clock_frequency_ghz,
-    legacy_dro_flipflop_cost,
-    map_sequential,
-)
-from .pipeline import PipelineResult, pipeline_clock_frequencies, pipeline_combinational
-from .flow import FlowOptions, XsfqSynthesisResult, synthesize_xsfq
-from .flowgraph import (
-    DEFAULT_STAGE_ORDER,
-    FLOW_VARIANTS,
-    Flow,
-    FlowError,
-    FlowState,
-    Stage,
-    STAGES,
-    StageCache,
-    StageEvent,
-    TimingObserver,
-    design_fingerprint,
-    flow_variant,
-    flow_variant_names,
-    get_stage_cache,
-    register_flow_variant,
-    register_stage,
-    render_stage_table,
-    set_stage_cache,
-)
-from .liberty import LibertyCell, parse_liberty, read_liberty, save_liberty, write_liberty
-from .report import (
-    CircuitReport,
-    arithmetic_mean,
-    combinational_table,
-    duplication_table,
-    format_percentage,
-    format_savings,
-    format_table,
-    geometric_mean,
-    pipelining_table,
-    sequential_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CellKind",
-    "CellSpec",
-    "XsfqLibrary",
-    "default_library",
-    "table2_rows",
-    "DROC_PRELOAD_OVERHEAD_JJ",
-    "PhaseSlot",
-    "encode_bit",
-    "decode_slot",
-    "encode_stream",
-    "decode_stream",
-    "rail_pulse_trains",
-    "format_waveform",
-    "alternating_property_holds",
-    "Rail",
-    "RailAnalysis",
-    "analyze_rails",
-    "assign_output_polarities",
-    "direct_mapping_analysis",
-    "positive_polarities",
-    "sinks_of",
-    "XsfqNetlist",
-    "XsfqCell",
-    "OutputPort",
-    "MappingError",
-    "map_combinational",
-    "insert_splitters",
-    "equation1_splitters",
-    "SequentialMappingInfo",
-    "map_sequential",
-    "clock_frequency_ghz",
-    "legacy_dro_flipflop_cost",
-    "PipelineResult",
-    "pipeline_combinational",
-    "pipeline_clock_frequencies",
-    "FlowOptions",
-    "XsfqSynthesisResult",
-    "synthesize_xsfq",
-    "Flow",
-    "FlowError",
-    "FlowState",
-    "Stage",
-    "STAGES",
-    "DEFAULT_STAGE_ORDER",
-    "FLOW_VARIANTS",
-    "flow_variant",
-    "flow_variant_names",
-    "register_flow_variant",
-    "StageCache",
-    "StageEvent",
-    "TimingObserver",
-    "register_stage",
-    "render_stage_table",
-    "design_fingerprint",
-    "get_stage_cache",
-    "set_stage_cache",
-    "write_liberty",
-    "save_liberty",
-    "parse_liberty",
-    "read_liberty",
-    "LibertyCell",
-    "CircuitReport",
-    "format_table",
-    "format_percentage",
-    "format_savings",
-    "combinational_table",
-    "sequential_table",
-    "pipelining_table",
-    "duplication_table",
-    "geometric_mean",
-    "arithmetic_mean",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cells": (
+        "DROC_PRELOAD_OVERHEAD_JJ", "CellKind", "CellSpec", "XsfqLibrary",
+        "default_library", "table2_rows",
+    ),
+    ".encoding": (
+        "PhaseSlot", "alternating_property_holds", "decode_slot", "decode_stream",
+        "encode_bit", "encode_stream", "format_waveform", "rail_pulse_trains",
+    ),
+    ".polarity": (
+        "Rail", "RailAnalysis", "analyze_rails", "assign_output_polarities",
+        "direct_mapping_analysis", "positive_polarities", "sinks_of",
+    ),
+    ".dual_rail": (
+        "MappingError", "OutputPort", "XsfqCell", "XsfqNetlist", "equation1_splitters",
+        "insert_splitters", "map_combinational",
+    ),
+    ".sequential": (
+        "SequentialMappingInfo", "clock_frequency_ghz", "legacy_dro_flipflop_cost",
+        "map_sequential",
+    ),
+    ".pipeline": ("PipelineResult", "pipeline_clock_frequencies", "pipeline_combinational"),
+    ".flow": ("FlowOptions", "XsfqSynthesisResult", "synthesize_xsfq"),
+    ".flowgraph": (
+        "DEFAULT_STAGE_ORDER", "FLOW_VARIANTS", "Flow", "FlowError", "FlowState",
+        "Stage", "STAGES", "StageCache", "StageEvent", "TimingObserver",
+        "design_fingerprint", "flow_variant", "flow_variant_names", "get_stage_cache",
+        "register_flow_variant", "register_stage", "render_stage_table",
+        "set_stage_cache",
+    ),
+    ".liberty": (
+        "LibertyCell", "parse_liberty", "read_liberty", "save_liberty", "write_liberty",
+    ),
+    ".report": (
+        "CircuitReport", "arithmetic_mean", "combinational_table", "duplication_table",
+        "format_percentage", "format_savings", "format_table", "geometric_mean",
+        "pipelining_table", "sequential_table",
+    ),
+})

@@ -45,6 +45,7 @@ one default flow serves every design kind.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -269,18 +270,32 @@ def _aig_pass_stage(pass_name: str) -> Stage:
     )
 
 
+#: Stages registered by a layer above this one -> the module that registers
+#: them.  ``import repro`` loads neither, so a lookup imports it.
+_DEFERRED_STAGES = {
+    "verify": "repro.verify.flowstage",
+    "rsfq-opt": "repro.baselines.flows",
+    "rsfq-map": "repro.baselines.flows",
+}
+
+
 def resolve_stage(name: str) -> Stage:
     """Look up a stage by name, falling back to the AIG pass registry.
 
-    The fallback keeps the two registries unified even for passes added
-    to ``PASSES`` *after* this module was imported.
+    A stage that a layer above this one registers (``verify``,
+    ``rsfq-opt``, ``rsfq-map``) is registered by importing its module on
+    the first lookup.  The pass fallback keeps the two registries
+    unified even for passes added to ``PASSES`` *after* this module was
+    imported.
     """
+    if name not in STAGES and name in _DEFERRED_STAGES:
+        importlib.import_module(_DEFERRED_STAGES[name])
     stage = STAGES.get(name)
     if stage is not None:
         return stage
     if name in PASSES:
         return _aig_pass_stage(name)
-    known = sorted(set(STAGES) | set(PASSES))
+    known = sorted(set(STAGES) | set(PASSES) | set(_DEFERRED_STAGES))
     raise FlowError(f"unknown stage {name!r}; known stages: {', '.join(known)}")
 
 

@@ -34,48 +34,18 @@ CLI: ``repro fuzz --soak --checkpoint DIR [--shards N]`` and
 ``repro fuzz --coverage-report``; see ``docs/fuzzing.md``.
 """
 
-from .map import COV_SCHEMA, CoverageMap
-from .features import (
-    corpus_features,
-    feature_universe,
-    fold_fuzz_units,
-    generation_features,
-    load_corpus_specs,
-    region_features,
-    structural_features,
-    unit_digest,
-)
-from .steer import steered_specs
-from .soak import (
-    SOAK_SCHEMA,
-    SoakCampaign,
-    SoakState,
-    checkpoint_path,
-    load_state,
-    merge_states,
-    run_soak,
-)
-from .report import render_coverage_report, render_new_feature_rate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COV_SCHEMA",
-    "CoverageMap",
-    "SOAK_SCHEMA",
-    "SoakCampaign",
-    "SoakState",
-    "checkpoint_path",
-    "corpus_features",
-    "feature_universe",
-    "fold_fuzz_units",
-    "generation_features",
-    "load_corpus_specs",
-    "load_state",
-    "merge_states",
-    "region_features",
-    "render_coverage_report",
-    "render_new_feature_rate",
-    "run_soak",
-    "steered_specs",
-    "structural_features",
-    "unit_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".map": ("COV_SCHEMA", "CoverageMap"),
+    ".features": (
+        "corpus_features", "feature_universe", "fold_fuzz_units", "generation_features",
+        "load_corpus_specs", "region_features", "structural_features", "unit_digest",
+    ),
+    ".steer": ("steered_specs",),
+    ".soak": (
+        "SOAK_SCHEMA", "SoakCampaign", "SoakState", "checkpoint_path", "load_state",
+        "merge_states", "run_soak",
+    ),
+    ".report": ("render_coverage_report", "render_new_feature_rate"),
+})

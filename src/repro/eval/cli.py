@@ -64,6 +64,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
+from ..exec.report import error_detail
 from .engine import ResultCache
 from .runner import (
     EXPERIMENTS,
@@ -150,95 +151,81 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **SHARED_FLAGS[flag])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce the xSFQ paper's tables and figures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    campaign_flags = _campaign_flags()
-
-    list_cmd = sub.add_parser("list", help="list reproducible experiments")
-    list_cmd.add_argument(
+def _list_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "--circuits", action="store_true",
         help="also list the catalogued benchmark circuits",
     )
 
-    run_cmd = sub.add_parser("run", parents=[campaign_flags],
-                             help="reproduce one or more experiments")
-    run_cmd.add_argument(
+
+def _run_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "experiments", nargs="+", metavar="EXPERIMENT",
         help=f"experiment name(s) or 'all'; one of: {', '.join(sorted(EXPERIMENTS))}",
     )
-    _add_shared(run_cmd, "--scale")
-    run_cmd.add_argument("--effort", choices=EFFORTS, default=None,
-                         help="AIG optimisation effort (default: per experiment)")
-    run_cmd.add_argument("--circuits", nargs="+", action="extend", metavar="NAME",
-                         default=None,
-                         help="restrict table4/table6 to these circuits (repeatable)")
-    run_cmd.add_argument("--save", default=None, metavar="DIR",
-                         help="also write <experiment>-<scale>.json/.csv into DIR")
-    run_cmd.add_argument("--stage-timing", action="store_true",
-                         help="print the per-stage observer timing table "
-                              "(frontend, aig-opt, polarity, map, ...)")
+    _add_shared(cmd, "--scale")
+    cmd.add_argument("--effort", choices=EFFORTS, default=None,
+                     help="AIG optimisation effort (default: per experiment)")
+    cmd.add_argument("--circuits", nargs="+", action="extend", metavar="NAME",
+                     default=None,
+                     help="restrict table4/table6 to these circuits (repeatable)")
+    cmd.add_argument("--save", default=None, metavar="DIR",
+                     help="also write <experiment>-<scale>.json/.csv into DIR")
+    cmd.add_argument("--stage-timing", action="store_true",
+                     help="print the per-stage observer timing table "
+                          "(frontend, aig-opt, polarity, map, ...)")
 
-    verify_cmd = sub.add_parser(
-        "verify", parents=[campaign_flags],
-        help="pulse-level equivalence campaign over the circuit catalog",
-    )
-    scope = verify_cmd.add_mutually_exclusive_group()
+
+def _verify_flags(cmd: argparse.ArgumentParser) -> None:
+    scope = cmd.add_mutually_exclusive_group()
     scope.add_argument("--catalog", action="store_true",
                        help="verify every circuit in the registry (default)")
     scope.add_argument("--circuit", action="append", metavar="NAME", default=None,
                        help="verify one circuit (repeatable)")
-    verify_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=256,
-                            metavar="N",
-                            help="stimulus patterns per circuit (default: 256; "
-                                 "small input spaces are checked exhaustively)")
-    verify_cmd.add_argument("--seed", type=int, default=0, metavar="S",
-                            help="stimulus seed (part of the cache identity)")
-    _add_shared(verify_cmd, "--sequence-length", "--scale")
-    verify_cmd.add_argument("--effort", choices=EFFORTS, default="medium",
-                            help="AIG optimisation effort of the verified flow")
-    verify_cmd.add_argument("--save", default=None, metavar="DIR",
-                            help="also write verify-<scale>.json into DIR")
+    cmd.add_argument("--patterns", type=_positive_int("patterns"), default=256,
+                     metavar="N",
+                     help="stimulus patterns per circuit (default: 256; "
+                          "small input spaces are checked exhaustively)")
+    cmd.add_argument("--seed", type=int, default=0, metavar="S",
+                     help="stimulus seed (part of the cache identity)")
+    _add_shared(cmd, "--sequence-length", "--scale")
+    cmd.add_argument("--effort", choices=EFFORTS, default="medium",
+                     help="AIG optimisation effort of the verified flow")
+    cmd.add_argument("--save", default=None, metavar="DIR",
+                     help="also write verify-<scale>.json into DIR")
 
+
+def _fuzz_flags(cmd: argparse.ArgumentParser) -> None:
     from ..core import flow_variant_names
     from ..gen import DEFAULT_FLOWS, FAMILIES
 
-    fuzz_cmd = sub.add_parser(
-        "fuzz", parents=[campaign_flags],
-        help="differential fuzzing: generated circuits x flow variants",
-    )
-    fuzz_cmd.add_argument("--budget", type=_positive_int("budget"), default=100,
-                          metavar="N",
-                          help="random circuits to generate (default: 100)")
-    fuzz_cmd.add_argument("--seed", type=int, default=0, metavar="S",
-                          help="master seed deriving every circuit's "
-                               "(family, params, seed) (default: 0)")
-    fuzz_cmd.add_argument("--family", action="append", metavar="F", default=None,
-                          choices=sorted(FAMILIES),
-                          help=f"restrict to a circuit family (repeatable); "
-                               f"one of: {', '.join(sorted(FAMILIES))}")
-    fuzz_cmd.add_argument("--flows", nargs="+", metavar="NAME",
-                          default=list(DEFAULT_FLOWS),
-                          choices=flow_variant_names(),
-                          help=f"flow variants to cross every circuit with "
-                               f"(default: {' '.join(DEFAULT_FLOWS)}; known: "
-                               f"{', '.join(flow_variant_names())})")
-    fuzz_cmd.add_argument("--replay", metavar="NAME", default=None,
-                          help="re-verify one generated circuit from its "
-                               "printed gen:<family>:<params>:s<seed> name "
-                               "instead of generating a batch")
-    fuzz_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
-                          metavar="N",
-                          help="stimulus patterns per verification (default: 64)")
-    _add_shared(fuzz_cmd, "--stimulus-seed", "--sequence-length")
-    fuzz_cmd.add_argument("--no-shrink", action="store_true",
-                          help="skip counterexample shrinking on failures")
-    cov_group = fuzz_cmd.add_argument_group(
-        "coverage & soak (see docs/fuzzing.md)"
-    )
+    cmd.add_argument("--budget", type=_positive_int("budget"), default=100,
+                     metavar="N",
+                     help="random circuits to generate (default: 100)")
+    cmd.add_argument("--seed", type=int, default=0, metavar="S",
+                     help="master seed deriving every circuit's "
+                          "(family, params, seed) (default: 0)")
+    cmd.add_argument("--family", action="append", metavar="F", default=None,
+                     choices=sorted(FAMILIES),
+                     help=f"restrict to a circuit family (repeatable); "
+                          f"one of: {', '.join(sorted(FAMILIES))}")
+    cmd.add_argument("--flows", nargs="+", metavar="NAME",
+                     default=list(DEFAULT_FLOWS),
+                     choices=flow_variant_names(),
+                     help=f"flow variants to cross every circuit with "
+                          f"(default: {' '.join(DEFAULT_FLOWS)}; known: "
+                          f"{', '.join(flow_variant_names())})")
+    cmd.add_argument("--replay", metavar="NAME", default=None,
+                     help="re-verify one generated circuit from its "
+                          "printed gen:<family>:<params>:s<seed> name "
+                          "instead of generating a batch")
+    cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
+                     metavar="N",
+                     help="stimulus patterns per verification (default: 64)")
+    _add_shared(cmd, "--stimulus-seed", "--sequence-length")
+    cmd.add_argument("--no-shrink", action="store_true",
+                     help="skip counterexample shrinking on failures")
+    cov_group = cmd.add_argument_group("coverage & soak (see docs/fuzzing.md)")
     cov_group.add_argument("--steer", action="store_true",
                            help="coverage-steered generation: bias parameter "
                                 "sampling toward uncovered feature buckets "
@@ -269,89 +256,120 @@ def build_parser() -> argparse.ArgumentParser:
     cov_group.add_argument("--merge", action="store_true",
                            help="merge the shard checkpoints in --checkpoint "
                                 "into soak-merged.json instead of running")
-    fuzz_cmd.add_argument("--save", default=None, metavar="DIR",
-                          help="also write fuzz-<seed>.json (records, shrunk "
-                               "reproducers) into DIR")
+    cmd.add_argument("--save", default=None, metavar="DIR",
+                     help="also write fuzz-<seed>.json (records, shrunk "
+                          "reproducers) into DIR")
 
+
+def _faults_flags(cmd: argparse.ArgumentParser) -> None:
+    from ..core import flow_variant_names
     from ..faults import DEFAULT_FAULT_KINDS, fault_kind_names
 
-    faults_cmd = sub.add_parser(
-        "faults", parents=[campaign_flags],
-        help="fault injection + robustness margins over the circuit catalog",
-    )
-    fscope = faults_cmd.add_mutually_exclusive_group()
+    fscope = cmd.add_mutually_exclusive_group()
     fscope.add_argument("--catalog", action="store_true",
                         help="probe every circuit in the registry (default)")
     fscope.add_argument("--circuit", action="append", metavar="NAME", default=None,
                         help="probe one circuit (repeatable)")
-    faults_cmd.add_argument("--kinds", metavar="K1,K2", default=",".join(DEFAULT_FAULT_KINDS),
-                            help="comma-separated fault kinds to inject "
-                                 f"(default: {','.join(DEFAULT_FAULT_KINDS)}; known: "
-                                 f"{', '.join(fault_kind_names())})")
-    faults_cmd.add_argument("--flows", nargs="+", metavar="NAME",
-                            default=["default"],
-                            choices=flow_variant_names(),
-                            help="flow variants to cross every circuit with "
-                                 "(default: default; known: "
-                                 f"{', '.join(flow_variant_names())})")
-    faults_cmd.add_argument("--seed", type=int, default=0, metavar="S",
-                            help="fault-injection seed deriving every per-net "
-                                 "stream (default: 0)")
-    faults_cmd.add_argument("--magnitude", action="append", metavar="KIND=VALUE",
-                            default=None,
-                            help="override a kind's injected rate/magnitude, "
-                                 "e.g. jitter=10 or drop=0.05 (repeatable)")
-    faults_cmd.add_argument("--margin-search", action="store_true",
-                            help="bisect the largest tolerated magnitude per "
-                                 "circuit x kind instead of injecting the "
-                                 "fixed default magnitude")
-    faults_cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
-                            metavar="N",
-                            help="stimulus patterns per verification "
-                                 "(default: 64)")
-    _add_shared(faults_cmd, "--stimulus-seed", "--sequence-length", "--scale")
-    faults_cmd.add_argument("--report", nargs="?", metavar="PATH",
-                            const="repro-faults.json", default=None,
-                            help="write the repro-faults/1 JSON report "
-                                 "(default path: repro-faults.json)")
+    cmd.add_argument("--kinds", metavar="K1,K2", default=",".join(DEFAULT_FAULT_KINDS),
+                     help="comma-separated fault kinds to inject "
+                          f"(default: {','.join(DEFAULT_FAULT_KINDS)}; known: "
+                          f"{', '.join(fault_kind_names())})")
+    cmd.add_argument("--flows", nargs="+", metavar="NAME",
+                     default=["default"],
+                     choices=flow_variant_names(),
+                     help="flow variants to cross every circuit with "
+                          "(default: default; known: "
+                          f"{', '.join(flow_variant_names())})")
+    cmd.add_argument("--seed", type=int, default=0, metavar="S",
+                     help="fault-injection seed deriving every per-net "
+                          "stream (default: 0)")
+    cmd.add_argument("--magnitude", action="append", metavar="KIND=VALUE",
+                     default=None,
+                     help="override a kind's injected rate/magnitude, "
+                          "e.g. jitter=10 or drop=0.05 (repeatable)")
+    cmd.add_argument("--margin-search", action="store_true",
+                     help="bisect the largest tolerated magnitude per "
+                          "circuit x kind instead of injecting the "
+                          "fixed default magnitude")
+    cmd.add_argument("--patterns", type=_positive_int("patterns"), default=64,
+                     metavar="N",
+                     help="stimulus patterns per verification "
+                          "(default: 64)")
+    _add_shared(cmd, "--stimulus-seed", "--sequence-length", "--scale")
+    cmd.add_argument("--report", nargs="?", metavar="PATH",
+                     const="repro-faults.json", default=None,
+                     help="write the repro-faults/1 JSON report "
+                          "(default path: repro-faults.json)")
 
+
+def _bench_flags(cmd: argparse.ArgumentParser) -> None:
     from ..perf import suite_names
 
-    bench_cmd = sub.add_parser(
-        "bench", help="performance benchmark suites with a regression gate",
-    )
-    bench_cmd.add_argument("--suite", default="smoke", choices=suite_names(),
-                           help="benchmark suite to run (default: smoke; "
-                                f"known: {', '.join(suite_names())})")
-    bench_cmd.add_argument("--out", default=".", metavar="DIR",
-                           help="directory receiving BENCH_<suite>.json "
-                                "(default: current directory)")
-    bench_cmd.add_argument("--repeat", type=int, default=None, metavar="N",
-                           help="override measured repetitions per benchmark")
-    bench_cmd.add_argument("--warmup", type=int, default=None, metavar="N",
-                           help="override unmeasured warmup runs per benchmark")
-    bench_cmd.add_argument("--compare", default=None, metavar="BASELINE.json",
-                           help="diff best wall times against a stored "
-                                "BENCH_*.json baseline")
-    bench_cmd.add_argument("--fail-on-regress", type=float, default=None,
-                           metavar="PCT",
-                           help="with --compare: exit non-zero when any "
-                                "benchmark slowed down by more than PCT%%")
-    bench_cmd.add_argument("-q", "--quiet", action="store_true",
-                           help="suppress per-repeat progress lines")
+    cmd.add_argument("--suite", default="smoke", choices=suite_names(),
+                     help="benchmark suite to run (default: smoke; "
+                          f"known: {', '.join(suite_names())})")
+    cmd.add_argument("--out", default=".", metavar="DIR",
+                     help="directory receiving BENCH_<suite>.json "
+                          "(default: current directory)")
+    cmd.add_argument("--repeat", type=int, default=None, metavar="N",
+                     help="override measured repetitions per benchmark")
+    cmd.add_argument("--warmup", type=int, default=None, metavar="N",
+                     help="override unmeasured warmup runs per benchmark")
+    cmd.add_argument("--compare", default=None, metavar="BASELINE.json",
+                     help="diff best wall times against a stored "
+                          "BENCH_*.json baseline")
+    cmd.add_argument("--fail-on-regress", type=float, default=None,
+                     metavar="PCT",
+                     help="with --compare: exit non-zero when any "
+                          "benchmark slowed down by more than PCT%%")
+    cmd.add_argument("-q", "--quiet", action="store_true",
+                     help="suppress per-repeat progress lines")
 
-    report_cmd = sub.add_parser(
-        "report", help="re-render saved JSON run reports",
-    )
-    report_cmd.add_argument(
+
+def _report_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "directory", nargs="?", default="results", metavar="DIR",
         help="directory holding repro-run JSON files (default: results)",
     )
+
+
+#: Subcommand -> (help line, whether it takes the campaign flags, its flags).
+SUBCOMMANDS = {
+    "list": ("list reproducible experiments", False, _list_flags),
+    "run": ("reproduce one or more experiments", True, _run_flags),
+    "verify": ("pulse-level equivalence campaign over the circuit catalog", True, _verify_flags),
+    "fuzz": ("differential fuzzing: generated circuits x flow variants", True, _fuzz_flags),
+    "faults": ("fault injection + robustness margins over the circuit catalog", True, _faults_flags),
+    "bench": ("performance benchmark suites with a regression gate", False, _bench_flags),
+    "report": ("re-render saved JSON run reports", False, _report_flags),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser; with ``command``, only that subcommand gets its flags.
+
+    The fuzz, faults and bench flags list the registered flow variants,
+    circuit families, fault kinds and suites, which import those layers;
+    ``parse_args`` builds only the flags of the subcommand it parses.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce the xSFQ paper's tables and figures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    campaign_flags = [_campaign_flags()]
+    for name, (help_text, campaign, add_flags) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, parents=campaign_flags if campaign else [], help=help_text)
+        if command is None or command == name:
+            add_flags(cmd)
     return parser
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option but --help, so the first other word is the subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    return build_parser(command).parse_args(argv)
 
 
 def _shared_prefix_groups() -> List[tuple]:
@@ -429,6 +447,32 @@ def _validate_circuits(circuits: Optional[Sequence[str]]) -> None:
         )
 
 
+def _check_save_path(path: Optional[str], is_file: bool = False) -> None:
+    """Exit with one line, before any unit runs, when nothing can be saved at ``path``.
+
+    ``path`` is a ``--save`` directory, or with ``is_file`` the
+    ``--report`` file; its directory is created now, as the save would.
+    """
+    if path is None:
+        return
+    target = Path(path)
+    directory = target.parent if is_file else target
+    if is_file and target.is_dir():
+        reason = "is a directory"
+    else:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            reason = f"{directory} is not a directory"
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+        else:
+            if os.access(directory, os.W_OK | os.X_OK):
+                return
+            reason = f"{directory} is not writable"
+    raise SystemExit(f"repro: cannot save to {path}: {reason}")
+
+
 def _progress(args: argparse.Namespace, out) -> Callable[[str], None]:
     """Progress callback writing to ``out`` unless ``-q`` was given."""
 
@@ -448,8 +492,6 @@ def _runner(args: argparse.Namespace, out) -> Runner:
 
 def _report_errors(errors, out) -> bool:
     """Print the units that raised, crashed or timed out; True if any did."""
-    from ..verify import error_detail
-
     for record in errors:
         flow = f" flow={record['flow_variant']}" if record.get("flow_variant") else ""
         out.write(f"ERROR {record.get('circuit')}{flow}: {error_detail(record)}\n")
@@ -464,6 +506,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if args.circuits and not any(EXPERIMENTS[name].supports_circuits for name in names):
         subsets = ", ".join(name for name, spec in EXPERIMENTS.items() if spec.supports_circuits)
         raise SystemExit(f"repro: --circuits applies only to: {subsets}")
+    _check_save_path(args.save)
     runner = _runner(args, out)
     cache = runner.cache
 
@@ -531,6 +574,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from ..verify import VerificationCampaign, catalog_specs
 
     _validate_circuits(args.circuit)
+    _check_save_path(args.save)
     flow = Flow.from_options(FlowOptions(effort=args.effort))
     specs = catalog_specs(
         circuits=args.circuit,
@@ -706,6 +750,7 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     if soak_only:
         raise SystemExit(f"repro: {'/'.join(soak_only)} require --soak")
 
+    _check_save_path(args.save)
     campaign = _fuzz_campaign(args)
     units = None
     if args.replay is not None:
@@ -806,6 +851,7 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         units = campaign.units()
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")
+    _check_save_path(args.report, is_file=True)
     scope = "catalog" if not args.circuit else ", ".join(args.circuit)
     mode = "margin search" if args.margin_search else "fixed magnitude"
     out.write(

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..baselines import pbmap_like, qseq_like
+from .. import core
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
-from ..core import Flow, FlowOptions, TimingObserver, get_stage_cache
 from ..schema import (
     _package_version,
     atomic_write_json,
@@ -92,15 +91,15 @@ class SynthesisJob:
         mapping (``{"effort": "low"}``) and the equivalent full option set
         address the same cache record.
         """
-        if not isinstance(options, FlowOptions):
-            options = FlowOptions.from_dict(dict(options or {}))
+        if not isinstance(options, core.FlowOptions):
+            options = core.FlowOptions.from_dict(dict(options or {}))
         items = tuple(sorted(options.to_dict().items()))
-        signature = Flow.from_options(options).signature()
+        signature = core.Flow.from_options(options).signature()
         return cls(circuit=circuit, scale=scale, options=items, stages=signature)
 
     @classmethod
     def from_flow(
-        cls, circuit: str, scale: str = "quick", flow: Optional[Flow] = None
+        cls, circuit: str, scale: str = "quick", flow: Optional[core.Flow] = None
     ) -> "SynthesisJob":
         """Build a job from an arbitrary :class:`~repro.core.flowgraph.Flow`.
 
@@ -109,22 +108,22 @@ class SynthesisJob:
         tuple, so job labels and records stay as informative as before;
         hand-composed flows are identified by their signature alone.
         """
-        flow = flow if flow is not None else Flow.default()
+        flow = flow if flow is not None else core.Flow.default()
         items: Tuple[Tuple[str, object], ...] = ()
         if flow.options is not None:
             items = tuple(sorted(flow.options.to_dict().items()))
         return cls(circuit=circuit, scale=scale, options=items, stages=flow.signature())
 
-    def flow(self) -> Flow:
+    def flow(self) -> core.Flow:
         """Reconstruct the runnable flow this job describes."""
         if self.stages:
-            flow = Flow.from_signature(self.stages)
+            flow = core.Flow.from_signature(self.stages)
             if self.options:
-                flow.options = FlowOptions.from_dict(dict(self.options))
+                flow.options = core.FlowOptions.from_dict(dict(self.options))
             return flow
-        return Flow.from_options(self.flow_options())
+        return core.Flow.from_options(self.flow_options())
 
-    def flow_options(self) -> FlowOptions:
+    def flow_options(self) -> core.FlowOptions:
         """The equivalent ``FlowOptions`` (raises for hand-composed flows)."""
         if not self.options:
             if self.stages:
@@ -132,14 +131,14 @@ class SynthesisJob:
                     "job was built from a hand-composed Flow with no "
                     "FlowOptions equivalent; use job.flow() instead"
                 )
-            return FlowOptions()
-        return FlowOptions.from_dict(dict(self.options))
+            return core.FlowOptions()
+        return core.FlowOptions.from_dict(dict(self.options))
 
     def signature(self) -> StageSignature:
         """The flow signature (computed from options for legacy jobs)."""
         if self.stages:
             return self.stages
-        return Flow.from_options(dict(self.options)).signature()
+        return core.Flow.from_options(dict(self.options)).signature()
 
     def signature_prefix(self, until: str = "aig-opt") -> Tuple[object, ...]:
         """Hashable identity of this job's work up to stage ``until``.
@@ -163,6 +162,17 @@ class SynthesisJob:
             if name == "pipeline":
                 return int(dict(options).get("stages", 0))
         return 0
+
+    def label(self) -> str:
+        """Progress label: ``circuit@scale`` and the options that differ from the defaults."""
+        if self.options:
+            defaults = core.FlowOptions()
+            tweaks = {key: value for key, value in self.options if value != getattr(defaults, key)}
+            suffix = "".join(f" {k}={v}" for k, v in sorted(tweaks.items()))
+        else:
+            # Hand-composed flow: identify it by its stage sequence.
+            suffix = " flow=" + ">".join(name for name, _ in self.signature())
+        return f"{self.circuit}@{self.scale}{suffix}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -200,11 +210,14 @@ def synthesis_record(job: SynthesisJob) -> Dict[str, object]:
     Pipelined jobs skip the baseline: no table compares pipelined xSFQ
     against a clocked flow.
     """
+    # Here, where a job is computed: an experiment without jobs loads no baseline.
+    from ..baselines import pbmap_like, qseq_like
+
     info = circuit_info(job.circuit)
     network = build_circuit(job.circuit, job.scale)
-    timing = TimingObserver()
+    timing = core.TimingObserver()
     result = job.flow().run(
-        network, observers=(timing,), stage_cache=get_stage_cache()
+        network, observers=(timing,), stage_cache=core.get_stage_cache()
     )
     record = result.metrics()
     record.update(job.to_dict())

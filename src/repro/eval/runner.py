@@ -3,7 +3,8 @@
 This is the operator-facing engine behind the ``repro`` CLI.  Every table
 and figure of the paper's evaluation is registered here as a declarative
 :class:`ExperimentSpec`: a name, a human title, the assembler function
-from :mod:`repro.eval.experiments`, and an enumerator of the
+from :mod:`repro.eval.fixed` or :mod:`repro.eval.experiments` (imported
+on its first call), and an enumerator of the
 :class:`~repro.eval.engine.SynthesisJob` units the assembler will need.
 
 An :class:`ExperimentCampaign` makes one experiment a campaign over
@@ -14,7 +15,7 @@ processes, memoising every record in a content-addressed
 records to the assembler, so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
 rather than the sum of all of them.  :class:`ExperimentReport` carries
-the assembled :class:`~repro.eval.experiments.ExperimentResult` together
+the assembled :class:`~repro.eval.fixed.ExperimentResult` together
 with per-stage timings and cache statistics, and saves as JSON plus CSV
 for downstream tooling.
 """
@@ -28,17 +29,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence
 
-from . import experiments
+from . import fixed
+from ..core.report import format_table
 from ..exec import ExecEvent, SpecUnit, render_event, run_units, spec_units
+from ..exec.report import CampaignReport, error_detail
 from ..schema import canonical_json, parse_tag
-from ..verify.campaign import CampaignReport, error_detail
 from .engine import (
     ResultCache,
     SynthesisEngine,
     SynthesisJob,
     synthesis_record,
 )
-from .experiments import ExperimentResult
+from .fixed import ExperimentResult
 
 ProgressFn = Callable[[str], None]
 
@@ -103,8 +105,24 @@ def _fixed(fn: Callable[[], ExperimentResult]) -> Callable[..., ExperimentResult
     return run
 
 
+def _synthesis(name: str) -> Callable[..., object]:
+    """``repro.eval.experiments.<name>``, imported on the first call.
+
+    Those experiments load the synthesis flow and its baselines;
+    ``repro --help`` and the fixed experiments load neither.
+    """
+
+    def call(*args, **kwargs):
+        from . import experiments  # deferred: see above
+
+        return getattr(experiments, name)(*args, **kwargs)
+
+    call.__name__ = name
+    return call
+
+
 def _figure7(scale: str = "quick", effort: str = "medium", engine=None, circuits=None):
-    return experiments.run_figure7(effort=effort)
+    return _synthesis("run_figure7")(effort=effort)
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {}
@@ -116,39 +134,39 @@ def _register(spec: ExperimentSpec) -> None:
 
 _register(ExperimentSpec(
     "table1", "LA/FA cell responses to alternating input sequences",
-    _fixed(experiments.run_table1),
+    _fixed(fixed.run_table1),
 ))
 _register(ExperimentSpec(
     "table2", "The xSFQ cell library (delays and JJ counts, both interconnects)",
-    _fixed(experiments.run_table2),
+    _fixed(fixed.run_table2),
 ))
 _register(ExperimentSpec(
     "figure1", "Alternating dual-rail encoding of a bit stream",
-    _fixed(experiments.run_figure1),
+    _fixed(fixed.run_figure1),
 ))
 _register(ExperimentSpec(
     "figure2_3", "Analog (RCSJ) characterisation of JTL/LA/FA/DROC cells",
-    _fixed(experiments.run_figure2_3),
+    _fixed(fixed.run_figure2_3),
 ))
 _register(ExperimentSpec(
     "figure4_5", "Full-adder mapping walk-through (Section 3.1 progression)",
-    _fixed(experiments.run_figure4_5),
+    _fixed(fixed.run_figure4_5),
 ))
 _register(ExperimentSpec(
     "table3", "Duplication penalty on the EPFL control circuits",
-    experiments.run_table3, experiments.table3_jobs,
+    _synthesis("run_table3"), _synthesis("table3_jobs"),
 ))
 _register(ExperimentSpec(
     "table4", "Combinational circuits vs the PBMap-like RSFQ baseline",
-    experiments.run_table4, experiments.table4_jobs, supports_circuits=True,
+    _synthesis("run_table4"), _synthesis("table4_jobs"), supports_circuits=True,
 ))
 _register(ExperimentSpec(
     "table5", "Pipelining study on the c6288-class multiplier",
-    experiments.run_table5, experiments.table5_jobs,
+    _synthesis("run_table5"), _synthesis("table5_jobs"),
 ))
 _register(ExperimentSpec(
     "table6", "Sequential ISCAS89-class circuits vs the qSeq-like baseline",
-    experiments.run_table6, experiments.table6_jobs, supports_circuits=True,
+    _synthesis("run_table6"), _synthesis("table6_jobs"), supports_circuits=True,
 ))
 _register(ExperimentSpec(
     "figure7", "Pulse-level simulation of the 2-bit xSFQ counter",
@@ -156,11 +174,11 @@ _register(ExperimentSpec(
 ))
 _register(ExperimentSpec(
     "ablation", "Contribution of each flow ingredient (opt, polarity, PTL, retime)",
-    experiments.run_ablation, experiments.ablation_jobs,
+    _synthesis("run_ablation"), _synthesis("ablation_jobs"),
 ))
 _register(ExperimentSpec(
     "headline", "The abstract's claim: >80% average JJ reduction",
-    experiments.run_headline, experiments.headline_jobs,
+    _synthesis("run_headline"), _synthesis("headline_jobs"),
     default_effort="low",
 ))
 
@@ -197,8 +215,6 @@ def _aggregate_stage_timings(
 
 def render_stage_timings(stage_timings: Mapping[str, Mapping[str, float]]) -> str:
     """Text table for ``repro run --stage-timing`` (and saved JSON reports)."""
-    from ..core import format_table
-
     rows = [
         [
             stage,
@@ -210,20 +226,6 @@ def render_stage_timings(stage_timings: Mapping[str, Mapping[str, float]]) -> st
         for stage, entry in stage_timings.items()
     ]
     return format_table(["Stage", "Runs", "Cached", "Total (s)", "Mean (s)"], rows)
-
-
-def _job_label(job: SynthesisJob) -> str:
-    if job.options:
-        tweaks = {
-            key: value
-            for key, value in job.options
-            if value != getattr(experiments.FlowOptions(), key)
-        }
-        suffix = "".join(f" {k}={v}" for k, v in sorted(tweaks.items()))
-    else:
-        # Hand-composed flow: identify it by its stage sequence.
-        suffix = " flow=" + ">".join(name for name, _ in job.signature())
-    return f"{job.circuit}@{job.scale}{suffix}"
 
 
 class Campaign(Protocol):
@@ -322,7 +324,7 @@ class ExperimentCampaign:
         return self.spec.enumerate_jobs(self.scale, self.effort, self.circuits)
 
     def work_units(self) -> List[SpecUnit]:
-        return spec_units(self.jobs(), synthesis_record, _job_label)
+        return spec_units(self.jobs(), synthesis_record, SynthesisJob.label)
 
     def report(self, records: List[Dict[str, object]], **stats) -> ExperimentReport:
         memory = {job.key(): record for job, record in zip(self.jobs(), records)}

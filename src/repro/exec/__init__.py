@@ -6,34 +6,19 @@ serial and supervised persistent workers, picked per batch from the
 job count, the pending-unit count and the per-unit timeout — emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
 f-strings.  ``Runner.campaign`` and soak runs are thin compositions
-over this package.
+over this package, and every campaign report extends
+:class:`CampaignReport`.
 """
 
-from .events import EmitFn, ExecEvent, render_event
-from .executors import (
-    Executor,
-    PersistentWorkerExecutor,
-    SerialExecutor,
-    UnitResult,
-    execute_unit,
-)
-from .lifecycle import ExecOutcome, resolve_executor, run_units
-from .units import ProbeUnit, SpecUnit, WorkUnit, spec_units
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecEvent",
-    "EmitFn",
-    "render_event",
-    "WorkUnit",
-    "SpecUnit",
-    "ProbeUnit",
-    "spec_units",
-    "Executor",
-    "SerialExecutor",
-    "PersistentWorkerExecutor",
-    "UnitResult",
-    "execute_unit",
-    "ExecOutcome",
-    "resolve_executor",
-    "run_units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": ("EmitFn", "ExecEvent", "render_event"),
+    ".executors": (
+        "Executor", "PersistentWorkerExecutor", "SerialExecutor", "UnitResult",
+        "execute_unit",
+    ),
+    ".lifecycle": ("ExecOutcome", "resolve_executor", "run_units"),
+    ".report": ("CampaignReport", "error_detail"),
+    ".units": ("ProbeUnit", "SpecUnit", "WorkUnit", "spec_units"),
+})

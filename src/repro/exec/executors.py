@@ -29,7 +29,6 @@ the pending-unit count and the per-unit timeout):
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import signal
 import time
 import traceback
@@ -39,7 +38,8 @@ from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequenc
 from .events import EmitFn, ExecEvent
 from .units import WorkUnit
 
-if TYPE_CHECKING:  # imported lazily: it costs every CLI start a few ms
+if TYPE_CHECKING:  # at run time, multiprocessing is imported where workers are spawned
+    import multiprocessing
     from multiprocessing.connection import Connection
 
 __all__ = [
@@ -215,6 +215,8 @@ class PersistentWorkerExecutor(Executor):
 
     # -- worker management -------------------------------------------------
     def _spawn_worker(self) -> _Worker:
+        import multiprocessing  # here, not at the top: serial runs spawn no worker
+
         conn, child_conn = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_worker_main, args=(child_conn,), daemon=True

@@ -28,56 +28,18 @@ byte-identical injections, margins, and report documents, across
 processes and ``PYTHONHASHSEED`` values.
 """
 
-from .campaign import (
-    DEFAULT_FAULT_FLOWS,
-    DEFAULT_FAULT_KINDS,
-    FAULTS_SCHEMA,
-    FaultBatch,
-    FaultCampaign,
-    FaultReport,
-    FaultSpec,
-    FaultUnit,
-    fault_record,
-    load_fault_report,
-)
-from .margin import MARGIN_ITERATIONS, MarginResult, search_margin
-from .models import DUP_SPACING, FaultModel, stream_seed
-from .scenario import (
-    FAULT_KINDS,
-    FAULT_PREFIX,
-    FaultKind,
-    FaultScenario,
-    default_scenario,
-    fault_kind,
-    fault_kind_names,
-    is_fault_name,
-    parse_fault_name,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FAULT_FLOWS",
-    "DEFAULT_FAULT_KINDS",
-    "DUP_SPACING",
-    "FAULTS_SCHEMA",
-    "FaultBatch",
-    "FAULT_KINDS",
-    "FAULT_PREFIX",
-    "FaultCampaign",
-    "FaultKind",
-    "FaultModel",
-    "FaultReport",
-    "FaultScenario",
-    "FaultSpec",
-    "FaultUnit",
-    "MARGIN_ITERATIONS",
-    "MarginResult",
-    "default_scenario",
-    "fault_kind",
-    "fault_kind_names",
-    "fault_record",
-    "is_fault_name",
-    "load_fault_report",
-    "parse_fault_name",
-    "search_margin",
-    "stream_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaign": (
+        "DEFAULT_FAULT_FLOWS", "DEFAULT_FAULT_KINDS", "FAULTS_SCHEMA", "FaultBatch",
+        "FaultCampaign", "FaultReport", "FaultSpec", "FaultUnit", "fault_record",
+        "load_fault_report",
+    ),
+    ".margin": ("MARGIN_ITERATIONS", "MarginResult", "search_margin"),
+    ".models": ("DUP_SPACING", "FaultModel", "stream_seed"),
+    ".scenario": (
+        "FAULT_KINDS", "FAULT_PREFIX", "FaultKind", "FaultScenario", "default_scenario",
+        "fault_kind", "fault_kind_names", "is_fault_name", "parse_fault_name",
+    ),
+})

@@ -48,12 +48,8 @@ from ..core.flowgraph import flow_variant
 from ..schema import _package_version, content_key, load_document, pack, schema_tag
 from ..sim.pulse import suggest_phase_period
 from ..exec import SpecUnit
-from ..verify.campaign import (
-    CampaignReport,
-    StageSignature,
-    _cell_counts,
-    error_detail,
-)
+from ..exec.report import CampaignReport, error_detail
+from ..verify.campaign import StageSignature, _cell_counts
 from ..verify.equivalence import NetlistVerifier
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name

@@ -24,57 +24,20 @@ Scheduling: :meth:`repro.eval.runner.Runner.campaign` over a
 Documentation: ``docs/fuzzing.md``.
 """
 
-from .families import (
-    FAMILIES,
-    FamilyInfo,
-    arith_mutant,
-    family_info,
-    random_dag,
-    random_fsm,
-    register_family,
-)
-from .spec import (
-    GenSpec,
-    build_named,
-    generate_specs,
-    is_gen_name,
-    parse_name,
-    register_spec,
-    resolve,
-)
-from .shrink import ShrinkResult, shrink_network
-from .fuzz import (
-    DEFAULT_FLOWS,
-    FuzzBatch,
-    FuzzCampaign,
-    FuzzReport,
-    FuzzUnit,
-    replay_line,
-    shrink_unit,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAMILIES",
-    "FamilyInfo",
-    "arith_mutant",
-    "family_info",
-    "random_dag",
-    "random_fsm",
-    "register_family",
-    "GenSpec",
-    "build_named",
-    "generate_specs",
-    "is_gen_name",
-    "parse_name",
-    "register_spec",
-    "resolve",
-    "ShrinkResult",
-    "shrink_network",
-    "DEFAULT_FLOWS",
-    "FuzzBatch",
-    "FuzzCampaign",
-    "FuzzReport",
-    "FuzzUnit",
-    "replay_line",
-    "shrink_unit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".families": (
+        "FAMILIES", "FamilyInfo", "arith_mutant", "family_info", "random_dag",
+        "random_fsm", "register_family",
+    ),
+    ".spec": (
+        "GenSpec", "build_named", "generate_specs", "is_gen_name", "parse_name",
+        "register_spec", "resolve",
+    ),
+    ".shrink": ("ShrinkResult", "shrink_network"),
+    ".fuzz": (
+        "DEFAULT_FLOWS", "FuzzBatch", "FuzzCampaign", "FuzzReport", "FuzzUnit",
+        "replay_line", "shrink_unit",
+    ),
+})

@@ -9,47 +9,18 @@ Verilog files — and are then converted to AND-Inverter graphs for
 optimisation and mapping.
 """
 
-from .network import (
-    COMBINATIONAL_TYPES,
-    Gate,
-    GateType,
-    LogicNetwork,
-    NetworkBuilder,
-    NetworkError,
-)
-from .bench import parse_bench, read_bench, save_bench, write_bench
-from .blif import parse_blif, read_blif, save_blif, write_blif
-from .verilog import parse_verilog, read_verilog, save_verilog, write_verilog
-from .truth import (
-    format_truth_table,
-    input_assignment,
-    networks_equivalent,
-    sequential_traces_equal,
-    truth_tables,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMBINATIONAL_TYPES",
-    "Gate",
-    "GateType",
-    "LogicNetwork",
-    "NetworkBuilder",
-    "NetworkError",
-    "parse_bench",
-    "read_bench",
-    "save_bench",
-    "write_bench",
-    "parse_blif",
-    "read_blif",
-    "save_blif",
-    "write_blif",
-    "parse_verilog",
-    "read_verilog",
-    "save_verilog",
-    "write_verilog",
-    "truth_tables",
-    "networks_equivalent",
-    "sequential_traces_equal",
-    "input_assignment",
-    "format_truth_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".network": (
+        "COMBINATIONAL_TYPES", "Gate", "GateType", "LogicNetwork", "NetworkBuilder",
+        "NetworkError",
+    ),
+    ".bench": ("parse_bench", "read_bench", "save_bench", "write_bench"),
+    ".blif": ("parse_blif", "read_blif", "save_blif", "write_blif"),
+    ".verilog": ("parse_verilog", "read_verilog", "save_verilog", "write_verilog"),
+    ".truth": (
+        "format_truth_table", "input_assignment", "networks_equivalent",
+        "sequential_traces_equal", "truth_tables",
+    ),
+})

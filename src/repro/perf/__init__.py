@@ -6,39 +6,13 @@ and the registered workload suites (:mod:`repro.perf.suites`).  See
 ``docs/performance.md`` for the JSON schema and the regression workflow.
 """
 
-from .harness import (
-    BENCH_SCHEMA,
-    BenchComparison,
-    BenchDelta,
-    BenchReport,
-    BenchResult,
-    BenchSpec,
-    RateDelta,
-    compare_reports,
-    load_bench,
-    render_comparison,
-    render_results_table,
-    run_spec,
-    run_suite,
-)
-from .suites import SPECS, SUITES, suite_names, suite_specs
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchComparison",
-    "BenchDelta",
-    "BenchReport",
-    "BenchResult",
-    "BenchSpec",
-    "RateDelta",
-    "SPECS",
-    "SUITES",
-    "compare_reports",
-    "load_bench",
-    "render_comparison",
-    "render_results_table",
-    "run_spec",
-    "run_suite",
-    "suite_names",
-    "suite_specs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".harness": (
+        "BENCH_SCHEMA", "BenchComparison", "BenchDelta", "BenchReport", "BenchResult",
+        "BenchSpec", "RateDelta", "compare_reports", "load_bench", "render_comparison",
+        "render_results_table", "run_spec", "run_suite",
+    ),
+    ".suites": ("SPECS", "SUITES", "suite_names", "suite_specs"),
+})

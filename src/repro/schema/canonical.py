@@ -28,7 +28,6 @@ unchanged.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -102,4 +101,6 @@ def canonical_json(value: object) -> str:
 
 def content_key(value: object) -> str:
     """SHA-256 hex digest of the canonical serialisation of ``value``."""
+    import hashlib  # here: it loads OpenSSL (+3.6 MB), which a run that keys nothing skips
+
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
@@ -26,8 +25,6 @@ from typing import Optional
 from .canonical import ensure_wire_safe
 
 __all__ = ["atomic_write_json", "quarantine"]
-
-logger = logging.getLogger(__name__)
 
 
 def atomic_write_json(
@@ -51,18 +48,18 @@ def atomic_write_json(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ensure_wire_safe(document)
-    if compact:
-        text = json.dumps(
-            document, sort_keys=sort_keys, separators=(",", ":"), allow_nan=False
-        )
-    else:
-        text = json.dumps(document, indent=indent, sort_keys=sort_keys, allow_nan=False)
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            if compact:
+                # One string from the C encoder: compact records are small.
+                handle.write(json.dumps(document, sort_keys=sort_keys, separators=(",", ":"), allow_nan=False))
+            else:
+                # Indented JSON has no C encoder; streaming its chunks keeps
+                # a large report from being joined in memory first.
+                json.dump(document, handle, indent=indent, sort_keys=sort_keys, allow_nan=False)
             if newline:
                 handle.write("\n")
         os.replace(tmp_name, path)

@@ -1,46 +1,15 @@
 """Reduced analog (RCSJ phase-model) simulation and cell characterisation."""
 
-from .rcsj import (
-    PHI0,
-    PHI0_BAR,
-    CurrentSource,
-    Inductor,
-    JjCircuit,
-    JjWaveforms,
-    Junction,
-    propagation_delay,
-    sfq_pulse_train,
-)
-from .cells import AnalogCell, drive, droc_cell, fa_cell, jtl_chain, la_cell
-from .characterize import (
-    CharacterizationResult,
-    characterization_report,
-    characterize_droc,
-    characterize_fa,
-    characterize_jtl,
-    characterize_la,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "PHI0",
-    "PHI0_BAR",
-    "Junction",
-    "Inductor",
-    "CurrentSource",
-    "JjCircuit",
-    "JjWaveforms",
-    "sfq_pulse_train",
-    "propagation_delay",
-    "AnalogCell",
-    "jtl_chain",
-    "la_cell",
-    "fa_cell",
-    "droc_cell",
-    "drive",
-    "CharacterizationResult",
-    "characterize_jtl",
-    "characterize_la",
-    "characterize_fa",
-    "characterize_droc",
-    "characterization_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".rcsj": (
+        "PHI0", "PHI0_BAR", "CurrentSource", "Inductor", "JjCircuit", "JjWaveforms",
+        "Junction", "propagation_delay", "sfq_pulse_train",
+    ),
+    ".cells": ("AnalogCell", "drive", "droc_cell", "fa_cell", "jtl_chain", "la_cell"),
+    ".characterize": (
+        "CharacterizationResult", "characterization_report", "characterize_droc",
+        "characterize_fa", "characterize_jtl", "characterize_la",
+    ),
+})

@@ -1,49 +1,17 @@
 """Event-driven pulse-transfer-level simulation (the PyLSE role in the paper)."""
 
-from .elements import (
-    DroCell,
-    DrocCell,
-    FaCell,
-    JtlCell,
-    LaCell,
-    MergerCell,
-    PulseElement,
-    SourceCell,
-    SplitterCell,
-)
-from .reference import ReferencePulseSimulator
-from .simulator import PulseSimulator, SimulationError, total_events_processed
-from .xsfq_sim import (
-    BatchedNetlistSimulator,
-    XsfqSimulationResult,
-    build_simulator,
-    elaboration_count,
-    reference_start_state,
-    simulate_combinational,
-    simulate_sequential,
-    suggest_phase_period,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "PulseElement",
-    "LaCell",
-    "FaCell",
-    "SplitterCell",
-    "MergerCell",
-    "JtlCell",
-    "DroCell",
-    "DrocCell",
-    "SourceCell",
-    "PulseSimulator",
-    "ReferencePulseSimulator",
-    "SimulationError",
-    "BatchedNetlistSimulator",
-    "build_simulator",
-    "elaboration_count",
-    "simulate_combinational",
-    "simulate_sequential",
-    "suggest_phase_period",
-    "total_events_processed",
-    "reference_start_state",
-    "XsfqSimulationResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".elements": (
+        "DroCell", "DrocCell", "FaCell", "JtlCell", "LaCell", "MergerCell",
+        "PulseElement", "SourceCell", "SplitterCell",
+    ),
+    ".reference": ("ReferencePulseSimulator",),
+    ".simulator": ("PulseSimulator", "SimulationError", "total_events_processed"),
+    ".xsfq_sim": (
+        "BatchedNetlistSimulator", "XsfqSimulationResult", "build_simulator",
+        "elaboration_count", "reference_start_state", "simulate_combinational",
+        "simulate_sequential", "suggest_phase_period",
+    ),
+})

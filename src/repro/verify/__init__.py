@@ -20,38 +20,18 @@ See ``docs/verification.md`` for the stimulus model, the batching
 strategy and how to read counterexamples.
 """
 
-from .stimulus import StimulusSuite, stimulus_suite
-from .equivalence import (
-    Counterexample,
-    NetlistVerifier,
-    VerificationError,
-    VerificationVerdict,
-    verify_result,
-)
-from .campaign import (
-    VerificationCampaign,
-    VerificationReport,
-    VerificationSpec,
-    catalog_specs,
-    error_detail,
-    render_verification_table,
-    verification_record,
-)
+from .._lazy import lazy_exports
 from . import flowstage  # noqa: F401  - registers the 'verify' stage
 
-__all__ = [
-    "StimulusSuite",
-    "stimulus_suite",
-    "Counterexample",
-    "NetlistVerifier",
-    "VerificationError",
-    "VerificationVerdict",
-    "verify_result",
-    "VerificationCampaign",
-    "VerificationReport",
-    "VerificationSpec",
-    "catalog_specs",
-    "error_detail",
-    "render_verification_table",
-    "verification_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".stimulus": ("StimulusSuite", "stimulus_suite"),
+    ".equivalence": (
+        "Counterexample", "NetlistVerifier", "VerificationError", "VerificationVerdict",
+        "verify_result",
+    ),
+    ".campaign": (
+        "VerificationCampaign", "VerificationReport", "VerificationSpec",
+        "catalog_specs", "error_detail", "render_verification_table",
+        "verification_record",
+    ),
+})

@@ -10,8 +10,8 @@ warm cache replays an entire catalog campaign with zero re-synthesis and
 zero re-simulation, and the workers of
 :meth:`repro.eval.runner.Runner.campaign` never compute the same spec
 twice.  :class:`VerificationCampaign` is the spec list in the shape
-``Runner.campaign`` takes; :class:`CampaignReport` is the report shape
-(and the verdict rules) the verify, fuzz and faults reports share.
+``Runner.campaign`` takes; :class:`VerificationReport` is its
+:class:`~repro.exec.report.CampaignReport`.
 
 :func:`verification_record` is the worker-process entry point: build the
 catalogued circuit, run the flow (reusing the in-process stage cache),
@@ -21,9 +21,8 @@ check of the whole synthesis stack — and flatten the verdict to JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
@@ -31,7 +30,8 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..exec import SpecUnit, spec_units
-from ..schema import _package_version, atomic_write_json, content_key, schema_tag
+from ..exec.report import CampaignReport, error_detail
+from ..schema import _package_version, content_key, schema_tag
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
@@ -190,119 +190,6 @@ def _cell_counts(result) -> Dict[str, int]:
         family = cell.kind.value
         counts[family] = counts.get(family, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def error_detail(record: Mapping[str, object]) -> str:
-    """``type: message`` of a ``status: "error"`` record (table detail cell)."""
-    error = record.get("error") or {}
-    return f"{error.get('type', 'Error')}: {error.get('message', '')}"
-
-
-@dataclass
-class CampaignReport:
-    """Everything one verify, fuzz or faults campaign produced.
-
-    The base of :class:`VerificationReport`,
-    :class:`~repro.gen.FuzzReport` and :class:`~repro.faults.FaultReport`,
-    which add their ``table()``/``summary()``.  A ``status: "error"``
-    record — a unit that raised, crashed or timed out — is never a pass:
-    it counts under ``errors``, fails the campaign, and stays out of the
-    pattern totals.
-
-    Attributes:
-        campaign: The campaign that was run (its identity).
-        records: One record per work unit, in unit order.
-        jobs: Worker-process count.
-        computed: Units computed this run (cache misses).
-        cached: Units replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.
-        fresh: Keys of the records computed this run (cache replays and
-            errored units are absent); not part of the saved document.
-    """
-
-    campaign: Any
-    records: List[Dict[str, object]] = field(default_factory=list)
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
-    fresh: Set[str] = field(default_factory=set, repr=False)
-
-    #: ``experiment`` of the saved document and ``[name]`` of the done-line.
-    name: ClassVar[str]
-    #: Record status that fails the campaign (besides errors).
-    failure_status: ClassVar[str] = "counterexample"
-    #: ``(record noun, verb)`` of the CLI timing line.
-    timing_words: ClassVar[Tuple[str, str]] = ("verdicts", "verified")
-
-    def count(self, status: str) -> int:
-        return sum(1 for r in self.records if r.get("status") == status)
-
-    @property
-    def errors(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "error"]
-
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == self.failure_status]
-
-    @property
-    def all_equivalent(self) -> bool:
-        return not self.failures and not self.errors
-
-    @property
-    def errored_units(self) -> List[Dict[str, object]]:
-        """``errors`` with each unit once: a spec listed twice runs (and
-        fails) once, as ``computed`` counts it."""
-        unique: List[Dict[str, object]] = []
-        for record in self.errors:
-            if record not in unique:
-                unique.append(record)
-        return unique
-
-    @property
-    def completed(self) -> int:
-        """Units computed this run that did not error."""
-        return self.computed - len(self.errored_units)
-
-    def total_patterns(self) -> int:
-        healthy = (r for r in self.records if r.get("status") != "error")
-        return sum(int(r.get("patterns") or 0) for r in healthy)
-
-    def done_extras(self) -> List[str]:
-        """Report-specific counts appended to the done-line."""
-        return []
-
-    def done_line(self, verb: str) -> str:
-        """The ``[name] done in ...`` progress line; errors are not ``verb``-ed."""
-        errors = len(self.errored_units)
-        parts = [f"{self.cached} cached", f"{self.completed} {verb}"]
-        if errors:
-            parts.append(f"{errors} errors")
-        parts += self.done_extras()
-        return f"[{self.name}] done in {self.elapsed_s:.2f}s ({', '.join(parts)})"
-
-    def identity(self) -> Dict[str, object]:
-        """The fields that say which campaign a saved document is."""
-        return {"campaign": self.campaign.to_dict()}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "experiment": self.name,
-            **self.identity(),
-            "jobs": self.jobs,
-            "computed": self.computed,
-            "cached": self.cached,
-            "elapsed_s": self.elapsed_s,
-            "rows": self.records,
-            # Rendered table, so `repro report` re-renders saved campaigns.
-            "text": self.table(),
-            "summary": self.summary(),
-        }
-
-    def save(self, path: Path) -> List[Path]:
-        """Write the saved document to ``path``; returns every file written."""
-        return [atomic_write_json(path, self.to_dict())]
 
 
 class VerificationReport(CampaignReport):

@@ -282,3 +282,41 @@ def test_closed_stdout_pipe_exits_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr, stderr
+
+
+@pytest.mark.parametrize(
+    "argv, shown, reason",
+    [
+        (["run", "figure1", "--save", "FILE"], "FILE", "FILE is not a directory"),
+        (["verify", "--circuit", "ctrl", "--save", "FILE"], "FILE", "FILE is not a directory"),
+        (["fuzz", "--budget", "1", "--save", "FILE/out"], "FILE/out", "Not a directory"),
+        (["faults", "--circuit", "ctrl", "--kinds", "jitter", "--report", "FILE/r.json"],
+         "FILE/r.json", "FILE is not a directory"),
+    ],
+    ids=["run", "verify", "fuzz", "faults"],
+)
+def test_unusable_save_path_fails_before_any_unit_runs(argv, shown, reason, tmp_path):
+    """A file where the report's directory should be: one line, status 1, no unit run."""
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    argv = [arg.replace("FILE", str(blocker)) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.eval.cli", *argv, "--no-cache"],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    expected = f"repro: cannot save to {shown}: {reason}\n".replace("FILE", str(blocker))
+    assert proc.stderr == expected
+
+
+def test_report_path_that_is_a_directory_is_refused(capsys, tmp_path):
+    with pytest.raises(SystemExit, match="cannot save to .*: is a directory"):
+        cli.main(["faults", "--circuit", "ctrl", "--kinds", "jitter", "--no-cache",
+                  "--report", str(tmp_path)])
+    assert capsys.readouterr().out == ""

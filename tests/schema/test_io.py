@@ -2,10 +2,33 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from repro.schema import WireFormatError, atomic_write_json, quarantine
+
+
+def _report(rows):
+    """A campaign report the size of a 50-circuit fuzz run: ``rows`` verdict records."""
+    return {
+        "experiment": "fuzz",
+        "rows": [
+            {
+                "circuit": f"gen:random_dag:inputs=6,gates=40:s{index}",
+                "flow_variant": ("default", "direct", "positive")[index % 3],
+                "status": "equivalent",
+                "patterns": 64,
+                "elaborations": 1,
+                "cell_counts": {"FA": 20 + index % 7, "LA": 31 + index % 5, "SPLIT": 12},
+                "flow": [["frontend", {}], ["aig-opt", {"effort": "medium", "script": None}]],
+                "first_divergence": None,
+                "detail": "equivalent on 64 patterns " + "x" * 900,
+            }
+            for index in range(rows)
+        ],
+        "summary": {"units": rows, "equivalent": rows, "all_equivalent": True},
+    }
 
 
 class TestAtomicWriteJson:
@@ -19,6 +42,27 @@ class TestAtomicWriteJson:
             tmp_path / "doc.json", {"b": 1, "a": [1, 2]}, compact=True
         )
         assert path.read_text() == '{"a":[1,2],"b":1}\n'
+
+    def test_bytes_equal_json_dumps_in_both_forms(self, tmp_path):
+        report = _report(150)
+        pretty = atomic_write_json(tmp_path / "report.json", report).read_text()
+        assert pretty == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        record = report["rows"][0]
+        compact = atomic_write_json(tmp_path / "record.json", record, compact=True).read_text()
+        assert compact == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_pretty_form_streams_instead_of_building_the_text(self, tmp_path):
+        """The indented report is written chunk by chunk: building it as
+        one string first held the whole text, and its parts, in memory."""
+        report = _report(150)
+        size = len(json.dumps(report, indent=2, sort_keys=True))
+        tracemalloc.start()
+        try:
+            atomic_write_json(tmp_path / "report.json", report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2, (peak, size)
 
     def test_creates_parent_directories(self, tmp_path):
         path = atomic_write_json(tmp_path / "deep" / "nest" / "doc.json", {"a": 1})

@@ -1,14 +1,15 @@
 """Verify, fault, fuzz and analog commands never import numpy or scipy.
 
-Importing numpy costs +13.6 MB of resident memory and 0.07-0.18 s, more
+Importing numpy costs +13.7 MB of resident memory and 0.10-0.13 s, more
 than a whole verify, fault-margin or fuzz command gains from it.  The
 per-net pulse kernel therefore compiles its plan without numpy and runs
 batches below ``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train (the
 256-pattern verify batches included) on Python lists, and the golden
 AIG simulation decides its backend from level widths computed without
 numpy.  The RCSJ simulator integrates on Python lists too
-(``sim.analog.rk45``), so ``repro run figure2_3`` loads neither numpy
-nor scipy (~0.5 s and ~55 MB).
+(``sim.analog.rk45``), so ``repro run figure2_3``, which takes ~0.35 s
+and peaks at ~21 MB, loads neither numpy nor scipy (they would add
+~0.5 s and ~65 MB).
 Each check runs in a fresh interpreter, where ``sys.modules`` shows
 exactly what the code under test imported.
 """
