@@ -15,7 +15,11 @@ commands.  Both passes work the same way:
    variable and two per binate one (:func:`~repro.aig.sop.literal_floor`),
    and the MFFC holds at most the cone, so a cut whose literal floor
    already rules out acceptance against ``|cone|`` skips the MFFC count,
-   and one that fails against the MFFC skips step 3;
+   and one that fails against the MFFC skips step 3.  Quick factoring of an
+   ISOP cover costs at least one operation less than it has cubes
+   (:func:`~repro.aig.sop.isop_fits`), so ``refactor`` also skips step 3
+   when the covers of both ``f`` and ``!f`` hold more cubes than the gain
+   test allows;
 5. rebuild the AIG with the accepted replacements and sweep dangling nodes.
 
 As a safety net, the rebuilt AIG is only returned when it is not larger than
@@ -25,12 +29,24 @@ monotone in node count.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cuts import cone_nodes, enumerate_cuts, mffc_size, reconvergence_cut
 from .graph import FALSE, Aig, lit_is_complemented, lit_node, lit_not, make_lit
 from .simulate import cone_table
-from .sop import FactorNode, build_factor_into_aig, factored_form_cost, literal_floor
+from .sop import (
+    FactorNode,
+    build_factor_into_aig,
+    factored_form_cost,
+    isop_fits,
+    literal_floor,
+    table_mask,
+)
+
+#: ``literal_floor`` for ``rewrite``: its cuts have at most ``cut_size``
+#: (four) leaves, so the same few tables recur across every node and pass.
+_cut_literal_floor = lru_cache(maxsize=1 << 16)(literal_floor)
 
 
 class _Replacement:
@@ -126,6 +142,17 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
         freed = mffc_size(aig, node, leaves, refs)
         if not _may_gain(freed - floor, None, zero_gain):
             continue
+        # The factoring costs at least ``cubes - 1`` operations for the
+        # smaller of the ISOP covers of f and !f, so skip it when neither
+        # fits in the largest count the gain test could still accept.
+        # The budgeted ISOP stops at the first cube past the budget.
+        budget = freed + 1 if zero_gain else freed
+        inverse = ~table & table_mask(len(leaves))
+        if not (
+            isop_fits(table, table, len(leaves), budget)
+            or isop_fits(inverse, inverse, len(leaves), budget)
+        ):
+            continue
         cost, factor, complemented = factored_form_cost(table, len(leaves))
         if cost < freed or (zero_gain and cost == freed):
             replacements[node] = _Replacement(leaves, factor, complemented)
@@ -167,7 +194,7 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
             # ``freed <= len(cone)`` bounds that bound: skip the MFFC, then
             # the factoring, when the bound could not be accepted or beat
             # ``best``.
-            floor = literal_floor(table, len(leaves)) - 1
+            floor = _cut_literal_floor(table, len(leaves)) - 1
             if not _may_gain(len(cone) - floor, best, zero_gain):
                 continue
             freed = mffc_size(aig, node, leaves, refs)

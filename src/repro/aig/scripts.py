@@ -132,12 +132,12 @@ def optimize(
     """
     if effort not in {"low", "medium", "high"}:
         raise ValueError(f"unknown effort level {effort!r}")
-    current = aig.cleanup()
+    # ``run_script`` starts from ``aig.cleanup()`` itself.
     if effort == "low":
-        return run_script(current, ("balance", "rewrite"), verify=verify)
+        return run_script(aig, ("balance", "rewrite"), verify=verify)
     if effort == "medium":
-        return run_script(current, DEFAULT_SCRIPT, verify=verify)
-    best = current
+        return run_script(aig, DEFAULT_SCRIPT, verify=verify)
+    best = aig.cleanup()
     for _ in range(max_rounds):
         candidate = run_script(best, DEFAULT_SCRIPT, verify=verify)
         if candidate.num_ands >= best.num_ands:

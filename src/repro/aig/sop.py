@@ -146,43 +146,82 @@ def isop(on_set: int, upper: int, num_vars: int) -> Tuple[Cover, int]:
     interval-ISOP recursion.  Returns the cover and its truth table.  For a
     completely specified function call ``isop(f, f, n)``.
     """
+    # An irredundant cover has at most one cube per on-set minterm, so
+    # this budget is never reached.
+    return _budgeted_isop(on_set, upper, num_vars, 1 << num_vars)
+
+
+def isop_fits(on_set: int, upper: int, num_vars: int, limit: int) -> bool:
+    """Whether ``isop(on_set, upper, num_vars)`` has at most ``limit`` cubes.
+
+    Runs the same recursion with a cube budget and stops at the first cube
+    past it, so a cover far over the budget costs little more than
+    ``limit`` cubes of work.
+    """
+    try:
+        _budgeted_isop(on_set, upper, num_vars, limit)
+    except _OverBudget:
+        return False
+    return True
+
+
+class _OverBudget(Exception):
+    """The ISOP cover being built has outgrown its cube budget."""
+
+
+def _budgeted_isop(on_set: int, upper: int, num_vars: int, budget: int) -> Tuple[Cover, int]:
     mask = table_mask(num_vars)
     on_set &= mask
     upper &= mask
     if on_set & ~upper & mask:
         raise ValueError("isop requires on_set to be contained in upper")
-    return _isop_recursive(on_set, upper, mask, _projections(num_vars), num_vars)
+    return _isop_recursive(on_set, upper, mask, _projections(num_vars), num_vars, [budget])
 
 
 def _isop_recursive(
-    lower: int, upper: int, mask: int, projections: List[Tuple[int, int, int]], var_limit: int
+    lower: int,
+    upper: int,
+    mask: int,
+    projections: List[Tuple[int, int, int]],
+    var_limit: int,
+    budget: List[int],
 ) -> Tuple[Cover, int]:
+    """ISOP of the interval; raises :class:`_OverBudget` once ``budget[0]`` runs out.
+
+    Every cube of the result is one tautology leaf of the recursion, so
+    counting the leaves down from the budget is exact: the count passes it
+    exactly when the finished cover would have more cubes.
+    """
     if lower == 0:
         return [], 0
     if upper == mask:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OverBudget
         return [(0, 0)], mask
-    # Pick the highest-index variable that either bound depends on.
+    # Pick the highest-index variable that either bound depends on; the
+    # cofactors that decide it are the halves of the split.
     for var in reversed(range(var_limit)):
         high, low, block = projections[var]
-        if ((lower >> block) & low) != (lower & low) or ((upper >> block) & low) != (upper & low):
+        l0 = lower & low
+        l1 = (lower >> block) & low
+        u0 = upper & low
+        u1 = (upper >> block) & low
+        if l0 != l1 or u0 != u1:
             break
     else:
         # lower is a non-zero constant but upper is not the tautology —
         # cannot happen for consistent bounds.
         raise ValueError("inconsistent ISOP bounds")
-    l0 = lower & low
     l0 |= l0 << block
-    l1 = lower & high
-    l1 |= l1 >> block
-    u0 = upper & low
+    l1 |= l1 << block
     u0 |= u0 << block
-    u1 = upper & high
-    u1 |= u1 >> block
+    u1 |= u1 << block
 
-    cover0, table0 = _isop_recursive(l0 & ~u1, u0, mask, projections, var)
-    cover1, table1 = _isop_recursive(l1 & ~u0, u1, mask, projections, var)
+    cover0, table0 = _isop_recursive(l0 & ~u1, u0, mask, projections, var, budget)
+    cover1, table1 = _isop_recursive(l1 & ~u0, u1, mask, projections, var, budget)
     l_new = (l0 & ~table0) | (l1 & ~table1)
-    cover2, table2 = _isop_recursive(l_new, u0 & u1, mask, projections, var)
+    cover2, table2 = _isop_recursive(l_new, u0 & u1, mask, projections, var, budget)
 
     bit = 1 << var
     result_cover: Cover = [(pos, neg | bit) for pos, neg in cover0]
@@ -298,7 +337,11 @@ def factor_cover(cover: Cover) -> Tuple[FactorNode, int]:
     factored recursively.  Single-cube covers become pure AND terms.
 
     Returns the tree and the number of two-input AND/OR operations needed
-    to realise it.
+    to realise it.  For a cover with no cube contained in another, such
+    as an ISOP, that is at least ``len(cover) - 1``: the quotient and
+    remainder of a split partition the cubes and keep the property, and
+    the AND with the divisor and the OR with a non-empty remainder add
+    one operation each.
     """
     if not cover:
         return FactorNode("const0"), 0
@@ -409,8 +452,9 @@ def factored_form_cost(table: int, num_vars: int) -> Tuple[int, FactorNode, bool
     cone functions constantly — so callers must treat the returned
     :class:`FactorNode` tree as immutable (they all do: the only consumer
     is :func:`build_factor_into_aig`, which reads it).  The cost is never
-    below ``literal_floor(table, num_vars) - 1``; the resynthesis passes
-    use that floor to skip cuts that cannot gain.
+    below ``literal_floor(table, num_vars) - 1``, nor below one less than
+    the smaller ISOP cover of ``f`` and ``!f`` (:func:`factor_cover`); the
+    resynthesis passes use both floors to skip cuts that cannot gain.
     """
     direct, direct_ops = factor_table(table, num_vars)
     inverse, inverse_ops = factor_table(~table & table_mask(num_vars), num_vars)

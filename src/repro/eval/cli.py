@@ -735,6 +735,8 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
                 raise SystemExit(f"repro: {flag} cannot combine with --soak/--merge")
         if args.checkpoint is None:
             raise SystemExit("repro: --soak/--merge require --checkpoint DIR")
+        if args.soak:
+            _check_save_path(args.checkpoint)
         return _cmd_fuzz_soak(args, out)
     soak_only = [
         flag
@@ -889,6 +891,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             baseline = load_bench(Path(args.compare))
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"repro: cannot load baseline {args.compare}: {exc}")
+    _check_save_path(args.out)
 
     specs = suite_specs(args.suite)
     out.write(f"=== bench: suite {args.suite} ({len(specs)} benchmarks) ===\n")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,8 +46,6 @@ from ..schema import (
     quarantine,
     schema_tag,
 )
-
-logger = logging.getLogger(__name__)
 
 #: A flow signature entry as stored on a job: (stage name, merged options).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
@@ -291,9 +288,13 @@ class ResultCache:
             self.misses += 1
             return None
         except (OSError, ValueError) as error:
+            # Imported here, so that no ``repro`` command loads ``logging``
+            # until a cache record turns out corrupt.
+            import logging
+
             moved = quarantine(path)
             suffix = f"; quarantined as {moved.name}" if moved else ""
-            logger.warning(
+            logging.getLogger(__name__).warning(
                 "corrupt cache record %s treated as a miss (%s)%s",
                 path.name,
                 error,

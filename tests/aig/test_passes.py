@@ -22,6 +22,8 @@ from repro.aig import (
     refactor,
     rewrite,
     lit_node,
+    lit_not,
+    make_lit,
     run_script,
 )
 from repro.aig.cuts import cone_nodes, mffc_size
@@ -136,6 +138,20 @@ class TestIndividualPasses:
         balanced = balance(aig)
         assert balanced.depth() == 3
         assert exhaustive_truth_tables(balanced) == exhaustive_truth_tables(aig)
+
+    def test_refactor_accepts_a_cone_whose_cover_exactly_fills_the_budget(self):
+        # a & (a | b) == a, and (a | b) is shared: the one-cube cover of
+        # ``a`` costs 0 against a freed count of 1, so the cube budget
+        # must admit ``freed`` cubes, not one fewer.
+        aig = Aig("absorb")
+        a, b = aig.add_pi("a"), aig.add_pi("b")
+        nor = aig.add_and(lit_not(a), lit_not(b))
+        aig.add_po(aig.add_and(a, lit_not(nor)), "y")
+        aig.add_po(nor, "z")
+        optimised = refactor(aig)
+        assert optimised.num_ands == 1
+        assert optimised.po_lits[0] == make_lit(optimised.pi_nodes[0])
+        assert exhaustive_truth_tables(optimised) == exhaustive_truth_tables(aig)
 
     def test_balance_handles_latches(self):
         aig = Aig("seq")

@@ -1,5 +1,7 @@
 """Tests for bit-parallel simulation and the ISOP/factoring machinery."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.aig.sop import (
     factor_table,
     factored_form_cost,
     isop,
+    isop_fits,
     literal_floor,
     support,
     table_mask,
@@ -126,3 +129,69 @@ class TestTruthTableOps:
         factor, ops = factor_cover([(0b001, 0b100)])
         assert ops == 1
         assert "x0" in str(factor) and "x2" in str(factor)
+
+
+def _cube_floor_tables():
+    """2,000 tables of 1-10 variables: uniform ones up to six variables,
+    then sparse (an AND of random words) and dense (an OR of them) ones
+    with ~16 on- or off-set minterms, whose covers stay small enough to
+    try every budget."""
+    rng = random.Random(26)
+    tables = []
+    for index in range(2000):
+        num_vars = 1 + index % 10
+        words = 1 if num_vars <= 6 else num_vars - 4 + rng.randint(0, 1)
+        combine = (lambda a, b: a & b) if rng.random() < 0.5 else (lambda a, b: a | b)
+        table = rng.getrandbits(1 << num_vars)
+        for _ in range(words - 1):
+            table = combine(table, rng.getrandbits(1 << num_vars))
+        tables.append((table, num_vars))
+    return tables
+
+
+def _parity_tables():
+    """10-input parity (512 cubes) and the parity-like cone of c1908 and
+    c2670, ``x0 ^ ... ^ x7 ^ (x8 & x9)`` (384 cubes)."""
+    parity8 = 0
+    for var in range(8):
+        parity8 ^= var_table(var, 10)
+    return [
+        (parity8 ^ var_table(8, 10) ^ var_table(9, 10), 10, 512),
+        (parity8 ^ (var_table(8, 10) & var_table(9, 10)), 10, 384),
+    ]
+
+
+class TestCubeFloor:
+    """The bound ``refactor`` skips factorings on: a cover with no cube
+    contained in another (an ISOP) factors into at least ``cubes - 1``
+    operations, and the budgeted ISOP tells exactly whether the cover
+    fits its budget."""
+
+    def test_budgeted_isop_is_over_budget_exactly_past_the_cover_size(self):
+        for table, num_vars in _cube_floor_tables():
+            cubes = len(isop(table, table, num_vars)[0])
+            for limit in range(cubes + 2):
+                assert isop_fits(table, table, num_vars, limit) == (cubes <= limit), (
+                    hex(table), num_vars, limit
+                )
+
+    def test_factoring_costs_at_least_cubes_minus_one(self):
+        for table, num_vars in _cube_floor_tables():
+            cubes = len(isop(table, table, num_vars)[0])
+            assert factor_table(table, num_vars)[1] >= cubes - 1, (hex(table), num_vars)
+
+    @pytest.mark.parametrize("case", _parity_tables(), ids=["parity10", "parity8-xor-and"])
+    def test_parity_cones(self, case):
+        table, num_vars, expected_cubes = case
+        cover, _ = isop(table, table, num_vars)
+        assert len(cover) == expected_cubes
+        # The budgets ``refactor`` gave these cones (MFFCs of 21-26 nodes)
+        # and the edges of the cover.
+        for limit in (0, 1, 21, 22, 26, expected_cubes - 1, expected_cubes, expected_cubes + 1):
+            assert isop_fits(table, table, num_vars, limit) == (limit >= expected_cubes)
+        assert factor_table(table, num_vars)[1] >= expected_cubes - 1
+        # The complement of a parity-like cone is just as wide, so
+        # ``refactor`` skips it against any MFFC below the cube count.
+        inverse = ~table & table_mask(num_vars)
+        assert not isop_fits(inverse, inverse, num_vars, expected_cubes - 2)
+        assert factored_form_cost(table, num_vars)[0] >= expected_cubes - 1

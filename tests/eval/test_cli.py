@@ -315,6 +315,33 @@ def test_unusable_save_path_fails_before_any_unit_runs(argv, shown, reason, tmp_
     assert proc.stderr == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--soak", "--budget", "2", "--checkpoint", "FILE", "--no-cache"],
+        ["bench", "--suite", "exec", "--out", "FILE"],
+    ],
+    ids=["fuzz-soak", "bench"],
+)
+def test_unusable_checkpoint_or_bench_directory_fails_before_any_unit_runs(argv, tmp_path):
+    """``--checkpoint``/``--out`` naming a file: one line, status 1, no unit run."""
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    argv = [arg.replace("FILE", str(blocker)) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.eval.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"repro: cannot save to {blocker}: {blocker} is not a directory\n"
+
+
 def test_report_path_that_is_a_directory_is_refused(capsys, tmp_path):
     with pytest.raises(SystemExit, match="cannot save to .*: is a directory"):
         cli.main(["faults", "--circuit", "ctrl", "--kinds", "jitter", "--no-cache",

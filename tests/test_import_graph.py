@@ -93,6 +93,17 @@ def test_verify_and_faults_load_no_generator_bench_analog_or_baseline(argv):
     assert _loaded_under(argv, CAMPAIGN_FREE) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["verify", "--circuit", "ctrl", "--no-cache", "-q"]],
+    ids=["help", "verify"],
+)
+def test_logging_loads_only_for_a_corrupt_cache_record(argv):
+    # ``eval/engine.py`` imports ``logging`` in its quarantine branch;
+    # ``tests/schema/test_regressions.py`` reads the warning it logs.
+    assert _loaded_under(argv, ("logging",)) == []
+
+
 def test_fuzz_loads_no_fault_bench_analog_or_baseline_layer():
     argv = ["fuzz", "--budget", "2", "--patterns", "16", "--no-cache", "-q"]
     assert _loaded_under(argv, FUZZ_FREE) == []
