@@ -141,7 +141,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "FaultModel",
         "FaultReport",
         "FaultScenario",
-        "FaultSpec",
         "fault_kind_names",
         "parse_fault_name",
     ),

@@ -96,8 +96,17 @@ def run_script(
     report: Optional[OptimizationReport] = None,
 ) -> Aig:
     """Run a named sequence of passes over ``aig`` and return the result."""
-    current = aig.cleanup()
-    original = aig
+    return _run_passes(aig.cleanup(), script, verify, aig, report)
+
+
+def _run_passes(
+    current: Aig,
+    script: Sequence[str],
+    verify: bool,
+    original: Aig,
+    report: Optional[OptimizationReport] = None,
+) -> Aig:
+    """:func:`run_script` on an already clean ``current``, checked against ``original``."""
     for pass_name in script:
         if pass_name not in PASSES:
             raise ValueError(f"unknown optimisation pass {pass_name!r}")
@@ -137,9 +146,11 @@ def optimize(
         return run_script(aig, ("balance", "rewrite"), verify=verify)
     if effort == "medium":
         return run_script(aig, DEFAULT_SCRIPT, verify=verify)
+    # Cleaned once: later rounds start from a pass's output, which
+    # ``cleanup`` would copy node for node.
     best = aig.cleanup()
     for _ in range(max_rounds):
-        candidate = run_script(best, DEFAULT_SCRIPT, verify=verify)
+        candidate = _run_passes(best, DEFAULT_SCRIPT, verify, best)
         if candidate.num_ands >= best.num_ands:
             break
         best = candidate

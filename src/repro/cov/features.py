@@ -46,12 +46,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..gen.families import FAMILIES, family_info
-from ..gen.spec import GenSpec
+from ..gen.spec import GenSpec, parse_name
 from ..netlist.network import COMBINATIONAL_TYPES, GateType, LogicNetwork
 from .map import CoverageMap
 
 if TYPE_CHECKING:
-    from ..gen.fuzz import FuzzUnit
+    from ..verify.campaign import FlowUnit
 
 __all__ = [
     "FAULT_STATUSES",
@@ -334,7 +334,7 @@ def fault_features(flow_name: str, record: Mapping[str, object]) -> List[str]:
 
 def fold_fuzz_units(
     coverage: CoverageMap,
-    units: Sequence["FuzzUnit"],
+    units: Sequence["FlowUnit"],
     records: Sequence[Mapping[str, object]],
     memo: Optional[Dict[str, List[str]]] = None,
 ) -> int:
@@ -350,7 +350,7 @@ def fold_fuzz_units(
     for unit, record in zip(units, records):
         name = unit.spec.circuit
         if name not in memo:
-            memo[name] = generation_features(unit.gen)
+            memo[name] = generation_features(parse_name(name))
         features = memo[name] + run_side_features(unit.flow_name, record)
         fresh += len(coverage.add(features, unit_digest(name, unit.flow_name)))
     return fresh

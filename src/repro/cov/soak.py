@@ -40,8 +40,9 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec import ExecEvent
-from ..gen.fuzz import FuzzCampaign, FuzzUnit
+from ..gen.fuzz import FuzzCampaign
 from ..schema import atomic_write_json, canonical_json, load_document, pack, schema_tag
+from ..verify.campaign import FlowUnit
 from .features import fold_fuzz_units
 from .map import CoverageMap
 
@@ -99,7 +100,7 @@ class SoakCampaign:
             "shard_index": self.shard_index,
         }
 
-    def shard_units(self) -> List[Tuple[int, FuzzUnit]]:
+    def shard_units(self) -> List[Tuple[int, FlowUnit]]:
         """This shard's ``(global unit index, unit)`` slice, in order."""
         return list(enumerate(self.fuzz.units()))[self.shard_index :: self.shards]
 

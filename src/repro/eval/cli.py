@@ -727,7 +727,7 @@ def _fuzz_campaign(args: argparse.Namespace):
 
 def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     from ..gen import parse_name
-    from ..gen.fuzz import units_for_replay
+    from ..gen.fuzz import shrink_failures
 
     if args.soak or args.merge:
         for flag, given in (("--replay", args.replay), ("--save", args.save)):
@@ -757,16 +757,9 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     units = None
     if args.replay is not None:
         try:
-            parse_name(args.replay)
+            units = campaign.units([parse_name(args.replay).name()])
         except (ValueError, KeyError) as exc:
             raise SystemExit(f"repro: bad --replay name: {exc}")
-        units = units_for_replay(
-            args.replay,
-            campaign.flows,
-            patterns=campaign.patterns,
-            stimulus_seed=campaign.stimulus_seed,
-            sequence_length=campaign.sequence_length,
-        )
         out.write(
             f"=== fuzz replay: {args.replay} ({len(units)} flow variants) ===\n"
         )
@@ -781,13 +774,13 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     batch = campaign.batch(units)
     report = runner.campaign(batch)
     if not args.no_shrink:
-        batch.shrink_failures(report, runner.progress)
+        shrink_failures(report, runner.progress)
     coverage = ""
     if args.coverage_report:
         from ..cov import CoverageMap, fold_fuzz_units, render_coverage_report
 
         folded = CoverageMap()
-        fold_fuzz_units(folded, batch.units, report.records)
+        fold_fuzz_units(folded, batch.units(), report.records)
         families = list(campaign.families) or None
         coverage = render_coverage_report(folded, list(campaign.flows), families=families) + "\n"
     save = Path(args.save) / f"fuzz-{args.seed}.json" if args.save else None

@@ -248,9 +248,8 @@ class ResultCache:
     run actually performed.
 
     The cache is shared by every spec family that exposes ``key()`` /
-    ``schema_kind`` (:class:`SynthesisJob`,
-    :class:`~repro.verify.campaign.VerificationSpec`,
-    :class:`~repro.faults.campaign.FaultSpec`); records are stamped with
+    ``schema_kind`` (:class:`SynthesisJob` and
+    :class:`~repro.verify.campaign.VerificationSpec`); records are stamped with
     the ``repro.schema`` envelope on ``put`` and validated/migrated on
     ``get``.  A record that fails to parse or validate — truncated by a
     crash, hand-edited, foreign — is **not** an error: it counts as a

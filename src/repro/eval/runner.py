@@ -231,9 +231,10 @@ def render_stage_timings(stage_timings: Mapping[str, Mapping[str, float]]) -> st
 class Campaign(Protocol):
     """What :meth:`Runner.campaign` needs from an experiment, verify, fuzz or faults run.
 
-    Implemented by :class:`ExperimentCampaign`,
-    :class:`~repro.verify.VerificationCampaign`,
-    :class:`~repro.gen.FuzzBatch` and :class:`~repro.faults.FaultBatch`.
+    Implemented by :class:`ExperimentCampaign` and by
+    :class:`~repro.verify.VerificationCampaign`, which serves verify,
+    fuzz (:meth:`~repro.gen.FuzzCampaign.batch`) and faults
+    (:meth:`~repro.faults.FaultCampaign.batch`).
     """
 
     #: Past-tense verb of the per-unit progress lines and the done-line.

@@ -16,11 +16,10 @@ from it:
   processes; :class:`SpecUnit` achieves this by holding a module-level
   compute function (pickled by qualified name) next to a frozen spec.
 
-:class:`SpecUnit` adapts every existing spec family
-(:class:`~repro.eval.engine.SynthesisJob`,
-:class:`~repro.verify.campaign.VerificationSpec`,
-:class:`~repro.faults.campaign.FaultSpec` — fuzz and soak units wrap
-``VerificationSpec``) without those families learning anything about
+:class:`SpecUnit` adapts both spec families
+(:class:`~repro.eval.engine.SynthesisJob` and
+:class:`~repro.verify.campaign.VerificationSpec`, which verify, fuzz,
+soak and fault units all use) without either learning anything about
 execution.  :class:`ProbeUnit` is a deliberately trivial picklable unit
 used by the executor tests and the ``exec-overhead-smoke`` benchmark
 to measure pure scheduling cost.
@@ -60,7 +59,7 @@ class SpecUnit:
 
     Attributes:
         spec: Any frozen spec exposing ``key()`` and ``schema_kind``
-            (``SynthesisJob``, ``VerificationSpec``, ``FaultSpec``).
+            (``SynthesisJob``, ``VerificationSpec``).
         compute: **Module-level** function ``spec -> record``; pickled by
             qualified name, so lambdas and closures are rejected by the
             worker backend exactly as they would be today.

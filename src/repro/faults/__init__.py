@@ -16,11 +16,12 @@ decoded-value corruption.  This subpackage measures that robustness:
   analogue for faults);
 * :mod:`repro.faults.margin` — deterministic bisection for the largest
   tolerated fault magnitude;
-* :mod:`repro.faults.campaign` — :class:`FaultSpec` /
-  :class:`FaultCampaign` / :class:`FaultReport`, scheduled by
-  :meth:`repro.eval.runner.Runner.campaign` (over a
-  :class:`FaultBatch`) and surfaced as the
-  ``repro faults`` CLI subcommand with a ``repro-faults/1`` JSON
+* :mod:`repro.faults.campaign` — :class:`FaultCampaign` /
+  :class:`FaultReport` and the :func:`fault_record` worker entry,
+  whose units are :class:`~repro.verify.VerificationSpec` objects with a
+  scenario set, scheduled by :meth:`repro.eval.runner.Runner.campaign`
+  (over a :class:`~repro.verify.VerificationCampaign`) and surfaced as
+  the ``repro faults`` CLI subcommand with a ``repro-faults/1`` JSON
   report.
 
 Everything is deterministic end to end: same campaign, same seeds —
@@ -32,9 +33,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".campaign": (
-        "DEFAULT_FAULT_FLOWS", "DEFAULT_FAULT_KINDS", "FAULTS_SCHEMA", "FaultBatch",
-        "FaultCampaign", "FaultReport", "FaultSpec", "FaultUnit", "fault_record",
-        "load_fault_report",
+        "DEFAULT_FAULT_FLOWS", "DEFAULT_FAULT_KINDS", "FAULTS_SCHEMA", "FaultCampaign",
+        "FaultReport", "fault_record", "load_fault_report",
     ),
     ".margin": ("MARGIN_ITERATIONS", "MarginResult", "search_margin"),
     ".models": ("DUP_SPACING", "FaultModel", "stream_seed"),

@@ -1,13 +1,12 @@
 """Fault-injection campaigns on the eval execution engine.
 
-A :class:`FaultSpec` is the fault analogue of
-:class:`repro.verify.campaign.VerificationSpec`: a declarative,
-picklable unit — circuit, scale, canonical flow signature, canonical
-fault-scenario name, stimulus identity, and whether to sweep the margin
-— whose content-addressed :meth:`~FaultSpec.key` lets verdict records
-ride the shared :class:`repro.eval.engine.ResultCache` and the worker
-processes of :meth:`repro.eval.runner.Runner.campaign` unchanged
-(:meth:`FaultCampaign.batch` gives the :class:`FaultBatch` it runs).
+A fault unit is a :class:`repro.verify.campaign.VerificationSpec` with a
+``scenario`` — the canonical fault-scenario name — and, optionally,
+``margin`` set.  Its content-addressed key lets verdict records ride the
+shared :class:`repro.eval.engine.ResultCache` and the worker processes
+of :meth:`repro.eval.runner.Runner.campaign` unchanged
+(:meth:`FaultCampaign.batch` gives the
+:class:`~repro.verify.campaign.VerificationCampaign` it runs).
 
 :func:`fault_record` is the worker-process entry point.  Per unit it:
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
@@ -45,11 +44,10 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..core.flowgraph import flow_variant
-from ..schema import _package_version, content_key, load_document, pack, schema_tag
+from ..schema import load_document, pack, schema_tag
 from ..sim.pulse import suggest_phase_period
-from ..exec import SpecUnit
 from ..exec.report import CampaignReport, error_detail
-from ..verify.campaign import StageSignature, _cell_counts
+from ..verify.campaign import FlowUnit, VerificationCampaign, VerificationSpec, _cell_counts
 from ..verify.equivalence import NetlistVerifier
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name
@@ -58,11 +56,8 @@ __all__ = [
     "DEFAULT_FAULT_FLOWS",
     "DEFAULT_FAULT_KINDS",
     "FAULTS_SCHEMA",
-    "FaultBatch",
     "FaultCampaign",
     "FaultReport",
-    "FaultSpec",
-    "FaultUnit",
     "fault_record",
     "load_fault_report",
 ]
@@ -79,115 +74,12 @@ DEFAULT_FAULT_KINDS: Tuple[str, ...] = ("jitter", "skew")
 DEFAULT_FAULT_FLOWS: Tuple[str, ...] = ("default",)
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One schedulable, cacheable fault-injection unit.
-
-    Attributes:
-        circuit: Name from :mod:`repro.circuits.registry` (``gen:``
-            names resolve through the registry fallback like everywhere
-            else).
-        scenario: Canonical ``fault:<kind>:<k=v,...>:s<seed>`` name.
-        scale: ``"quick"`` or ``"paper"`` circuit dimensions.
-        stages: Canonical flow signature of the synthesis under test.
-        patterns: Stimulus pattern budget.
-        stimulus_seed: Stimulus-suite seed (independent of the fault seed).
-        sequence_length: Cycles per trajectory (sequential circuits).
-        margin: Sweep the robustness margin instead of injecting the
-            scenario's fixed magnitude.
-    """
-
-    #: Message kind this spec's records are stored under (see ``repro.schema``).
-    schema_kind: ClassVar[str] = "fault"
-
-    circuit: str
-    scenario: str
-    scale: str = "quick"
-    stages: StageSignature = ()
-    patterns: int = 64
-    stimulus_seed: int = 0
-    sequence_length: int = 8
-    margin: bool = False
-
-    @classmethod
-    def create(
-        cls,
-        circuit: str,
-        scenario: Union[FaultScenario, str],
-        scale: str = "quick",
-        flow: Optional[Flow] = None,
-        patterns: int = 64,
-        stimulus_seed: int = 0,
-        sequence_length: int = 8,
-        margin: bool = False,
-    ) -> "FaultSpec":
-        if isinstance(scenario, FaultScenario):
-            name = scenario.name()
-        else:
-            name = parse_fault_name(str(scenario)).name()  # validate + canonicalise
-        flow = flow if flow is not None else Flow.default()
-        return cls(
-            circuit=circuit,
-            scenario=name,
-            scale=scale,
-            stages=flow.signature(),
-            patterns=int(patterns),
-            stimulus_seed=int(stimulus_seed),
-            sequence_length=int(sequence_length),
-            margin=bool(margin),
-        )
-
-    def flow(self) -> Flow:
-        """Reconstruct the runnable flow this spec stresses."""
-        return Flow.from_signature(self.stages) if self.stages else Flow.default()
-
-    def scenario_spec(self) -> FaultScenario:
-        return parse_fault_name(self.scenario)
-
-    def key(self) -> str:
-        """Content-addressed cache key: flow + scenario + stimulus identity.
-
-        Canonicalised through :func:`repro.schema.content_key` — no
-        ``default=str`` escape hatch, so a non-JSON-native value in the
-        flow signature raises instead of destabilising the key.
-        """
-        payload = {
-            "schema": schema_tag(self.schema_kind),
-            "version": _package_version(),
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": self.stages or Flow.default().signature(),
-            "scenario": self.scenario,
-            "patterns": self.patterns,
-            "stimulus_seed": self.stimulus_seed,
-            "sequence_length": self.sequence_length,
-            "margin": self.margin,
-        }
-        return content_key(payload)
-
-    def label(self) -> str:
-        suffix = " margin" if self.margin else ""
-        return f"{self.circuit}@{self.scale} {self.scenario}{suffix}"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "circuit": self.circuit,
-            "scenario": self.scenario,
-            "scale": self.scale,
-            "flow": [[name, dict(options)] for name, options in self.stages],
-            "patterns": self.patterns,
-            "stimulus_seed": self.stimulus_seed,
-            "sequence_length": self.sequence_length,
-            "margin": self.margin,
-        }
-
-
-def fault_record(spec: FaultSpec) -> Dict[str, object]:
+def fault_record(spec: VerificationSpec) -> Dict[str, object]:
     """Worker-process entry: synthesise, inject, flatten to a JSON record."""
     info = circuit_info(spec.circuit)
     network = build_circuit(spec.circuit, spec.scale)
     result = spec.flow().run(network, stage_cache=get_stage_cache())
-    scenario = spec.scenario_spec()
+    scenario = parse_fault_name(spec.scenario)
     record: Dict[str, object] = {
         "circuit": spec.circuit,
         "scale": spec.scale,
@@ -198,7 +90,7 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
         "fault_seed": scenario.seed,
         "magnitude": scenario.magnitude,
         "requested_patterns": spec.patterns,
-        "stimulus_seed": spec.stimulus_seed,
+        "stimulus_seed": spec.seed,
         "sequence_length": spec.sequence_length,
         "flow": [[name, dict(options)] for name, options in spec.stages],
         "margin_search": spec.margin,
@@ -215,7 +107,7 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
         result,
         golden=network,
         patterns=spec.patterns,
-        seed=spec.stimulus_seed,
+        seed=spec.seed,
         sequence_length=spec.sequence_length,
     )
 
@@ -230,14 +122,7 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
     record["mode"] = nominal.mode
     record["patterns"] = nominal.patterns
     if nominal.status != "equivalent":
-        if nominal.status == "counterexample":
-            record["status"] = "nominal-miscompare"
-            cex = nominal.counterexample
-            record["counterexample"] = cex.to_dict() if cex else None
-            record["first_divergence_net"] = nominal.first_divergence_net
-        else:
-            record["status"] = "skipped"
-            record["reason"] = nominal.reason
+        _record_failure(record, nominal, "nominal-miscompare")
         record["injections"] = {"drop": 0, "dup": 0, "jitter": 0}
         return record
 
@@ -267,55 +152,22 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
     record["injections"] = model.injection_counts()
     if verdict.status == "equivalent":
         record["status"] = "tolerated"
-    elif verdict.status == "counterexample":
-        record["status"] = "miscompare"
+    else:
+        _record_failure(record, verdict, "miscompare")
+    return record
+
+
+def _record_failure(record: Dict[str, object], verdict, miscompare: str) -> None:
+    """Stamp a verdict that is not EQUIVALENT: ``miscompare`` with its
+    counterexample, or ``skipped`` with the reason."""
+    if verdict.status == "counterexample":
+        record["status"] = miscompare
         cex = verdict.counterexample
         record["counterexample"] = cex.to_dict() if cex else None
         record["first_divergence_net"] = verdict.first_divergence_net
     else:
         record["status"] = "skipped"
         record["reason"] = verdict.reason
-    return record
-
-
-@dataclass(frozen=True)
-class FaultUnit:
-    """One schedulable ``(circuit, flow variant, scenario)`` triple."""
-
-    flow_name: str
-    spec: FaultSpec
-
-    @classmethod
-    def create(
-        cls,
-        circuit: str,
-        flow_name: str,
-        scenario: Union[FaultScenario, str],
-        scale: str = "quick",
-        patterns: int = 64,
-        stimulus_seed: int = 0,
-        sequence_length: int = 8,
-        margin: bool = False,
-    ) -> "FaultUnit":
-        return cls(
-            flow_name=flow_name,
-            spec=FaultSpec.create(
-                circuit,
-                scenario,
-                scale=scale,
-                flow=flow_variant(flow_name),
-                patterns=patterns,
-                stimulus_seed=stimulus_seed,
-                sequence_length=sequence_length,
-                margin=margin,
-            ),
-        )
-
-    def annotate(self, record: Mapping[str, object]) -> Dict[str, object]:
-        """The fault record plus this unit's flow-variant name."""
-        merged = dict(record)
-        merged["flow_variant"] = self.flow_name
-        return merged
 
 
 @dataclass(frozen=True)
@@ -357,28 +209,29 @@ class FaultCampaign:
             for kind in self.kinds
         ]
 
-    def units(self) -> List[FaultUnit]:
+    def units(self) -> List[FlowUnit]:
         """Every ``(circuit, scenario, flow)`` triple, circuit-major order."""
         names = list(self.circuits) if self.circuits else circuit_names()
         return [
-            FaultUnit.create(
+            FlowUnit(flow_name, VerificationSpec.create(
                 circuit,
-                flow_name,
-                scenario,
                 scale=self.scale,
+                flow=flow_variant(flow_name),
                 patterns=self.patterns,
-                stimulus_seed=self.stimulus_seed,
+                seed=self.stimulus_seed,
                 sequence_length=self.sequence_length,
+                scenario=scenario,
                 margin=self.margin,
-            )
+            ))
             for circuit in names
             for scenario in self.scenarios()
             for flow_name in self.flows
         ]
 
-    def batch(self, units: Optional[Sequence[FaultUnit]] = None) -> "FaultBatch":
+    def batch(self, units: Optional[Sequence[FlowUnit]] = None) -> VerificationCampaign:
         """This campaign's units (or ``units``) to schedule."""
-        return FaultBatch(self, tuple(self.units() if units is None else units))
+        units = self.units() if units is None else units
+        return VerificationCampaign.of(units, self, fault_record, FaultReport)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -396,7 +249,7 @@ class FaultCampaign:
 
 
 class FaultReport(CampaignReport):
-    """The report of a :class:`FaultBatch` (``repro faults``).
+    """The report of a :class:`FaultCampaign` run (``repro faults``).
 
     ``campaign`` is the :class:`FaultCampaign` that was run; each record
     is annotated with its flow variant.  ``elapsed_s`` is deliberately
@@ -405,12 +258,18 @@ class FaultReport(CampaignReport):
     """
 
     name = "faults"
+    verb: ClassVar[str] = "probed"
     timing_words = ("records", "probed")
 
     #: Records whose *nominal* verification failed — real flow bugs.  A
     #: ``miscompare`` under an injected fault is campaign data, not a
     #: failure: the whole point is measuring where circuits break.
     failure_status: ClassVar[str] = "nominal-miscompare"
+
+    @staticmethod
+    def annotate(unit: FlowUnit, record: Mapping[str, object]) -> Dict[str, object]:
+        """The fault record plus its unit's flow-variant name."""
+        return {**record, "flow_variant": unit.flow_name}
 
     @property
     def miscompares(self) -> List[Dict[str, object]]:
@@ -504,26 +363,6 @@ class FaultReport(CampaignReport):
                 "summary": self.summary(),
             },
         )
-
-
-@dataclass(frozen=True)
-class FaultBatch:
-    """Units of one fault run (:meth:`FaultCampaign.batch`) for ``Runner.campaign``."""
-
-    campaign: FaultCampaign
-    units: Tuple[FaultUnit, ...]
-    verb: ClassVar[str] = "probed"
-    noun: ClassVar[str] = "verification"
-
-    def work_units(self) -> List[SpecUnit]:
-        return [
-            SpecUnit(u.spec, fault_record, f"{u.spec.label()} flow={u.flow_name}")
-            for u in self.units
-        ]
-
-    def report(self, records: List[Dict[str, object]], **stats) -> FaultReport:
-        annotated = [unit.annotate(r) for unit, r in zip(self.units, records)]
-        return FaultReport(self.campaign, annotated, **stats)
 
 
 def load_fault_report(path: Path) -> Dict[str, object]:

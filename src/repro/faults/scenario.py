@@ -11,8 +11,8 @@ the full identity in a single parseable token::
 so a scenario printed anywhere (a campaign table, a CI log) replays
 anywhere: :func:`parse_fault_name` rebuilds the exact
 :class:`~repro.faults.models.FaultModel`, and the name is part of the
-content-addressed cache key of every
-:class:`~repro.faults.campaign.FaultSpec`.
+content-addressed cache key of every fault unit's
+:class:`~repro.verify.campaign.VerificationSpec`.
 
 Each *kind* perturbs one aspect of the pulse protocol and owns exactly
 one parameter — a probability (``rate``) for the discrete aspects, a

@@ -19,8 +19,9 @@ turns every flow variant into a property under test:
 * :mod:`repro.gen.shrink` — greedy counterexample shrinking to
   1-minimal failing netlists.
 
-Scheduling: :meth:`repro.eval.runner.Runner.campaign` over a
-:class:`FuzzBatch`.  CLI: ``repro fuzz``.
+Scheduling: :meth:`repro.eval.runner.Runner.campaign` over
+:meth:`FuzzCampaign.batch`, a :class:`~repro.verify.VerificationCampaign`.
+CLI: ``repro fuzz``.
 Documentation: ``docs/fuzzing.md``.
 """
 
@@ -37,7 +38,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".shrink": ("ShrinkResult", "shrink_network"),
     ".fuzz": (
-        "DEFAULT_FLOWS", "FuzzBatch", "FuzzCampaign", "FuzzReport", "FuzzUnit",
-        "replay_line", "shrink_unit",
+        "DEFAULT_FLOWS", "FuzzCampaign", "FuzzReport", "replay_line", "shrink_failures",
+        "shrink_unit", "units_for_replay",
     ),
 })

@@ -5,7 +5,8 @@ flows)``: it derives ``budget`` generated circuits with
 :func:`repro.gen.spec.generate_specs` and crosses each with every
 selected flow variant from
 :data:`repro.core.flowgraph.FLOW_VARIANTS`, yielding one
-:class:`FuzzUnit` per ``(circuit, flow)`` pair.  Each unit *is* a
+:class:`~repro.verify.campaign.FlowUnit` per ``(circuit, flow)`` pair.
+Each unit's spec *is* a
 :class:`~repro.verify.campaign.VerificationSpec` — the pulse-accurate
 equivalence oracle from PR 3 judges every pair for free — so campaign
 verdicts land in the same content-addressed result cache as ``repro
@@ -19,10 +20,11 @@ netlist to a 1-minimal reproducer with
 :func:`repro.gen.shrink.shrink_network` (the oracle re-runs the failing
 flow variant on every candidate).
 
-:meth:`FuzzCampaign.batch` gives the :class:`FuzzBatch` that
+:meth:`FuzzCampaign.batch` gives the
+:class:`~repro.verify.campaign.VerificationCampaign` that
 :meth:`repro.eval.runner.Runner.campaign` schedules, and
-:meth:`FuzzBatch.shrink_failures` is the explicit shrinking post-step;
-the CLI surface is ``repro fuzz`` (see ``docs/fuzzing.md``).
+:func:`shrink_failures` is the explicit shrinking post-step; the CLI
+surface is ``repro fuzz`` (see ``docs/fuzzing.md``).
 """
 
 from __future__ import annotations
@@ -34,20 +36,25 @@ from ..core.flowgraph import flow_variant
 from ..core.report import format_table
 from ..netlist.bench import write_bench
 from ..netlist.network import LogicNetwork
-from ..exec import SpecUnit
-from ..verify.campaign import VerificationReport, VerificationSpec, verification_record
+from ..verify.campaign import (
+    FlowUnit,
+    VerificationCampaign,
+    VerificationReport,
+    VerificationSpec,
+    verification_record,
+)
 from ..verify.equivalence import verify_result
 from .shrink import ShrinkResult, shrink_network
 from .spec import GenSpec, generate_specs, parse_name
 
 __all__ = [
     "DEFAULT_FLOWS",
-    "FuzzBatch",
     "FuzzCampaign",
     "FuzzReport",
-    "FuzzUnit",
     "replay_line",
+    "shrink_failures",
     "shrink_unit",
+    "units_for_replay",
 ]
 
 #: Flow variants a campaign runs when the caller does not choose —
@@ -55,45 +62,6 @@ __all__ = [
 #: polarity strategies and (via "default" vs "no-retime") both
 #: sequential storage styles.
 DEFAULT_FLOWS: Tuple[str, ...] = ("default", "direct", "no-retime")
-
-
-@dataclass(frozen=True)
-class FuzzUnit:
-    """One schedulable ``(generated circuit, flow variant)`` pair."""
-
-    gen: GenSpec
-    flow_name: str
-    spec: VerificationSpec
-
-    @classmethod
-    def create(
-        cls,
-        gen: GenSpec,
-        flow_name: str,
-        patterns: int = 64,
-        stimulus_seed: int = 0,
-        sequence_length: int = 8,
-    ) -> "FuzzUnit":
-        return cls(
-            gen=gen,
-            flow_name=flow_name,
-            spec=VerificationSpec.create(
-                gen.name(),
-                flow=flow_variant(flow_name),
-                patterns=patterns,
-                seed=stimulus_seed,
-                sequence_length=sequence_length,
-            ),
-        )
-
-    def annotate(self, record: Mapping[str, object]) -> Dict[str, object]:
-        """The verification record plus this unit's generation metadata."""
-        merged = dict(record)
-        merged["flow_variant"] = self.flow_name
-        merged["family"] = self.gen.family
-        merged["gen_params"] = dict(self.gen.params)
-        merged["gen_seed"] = self.gen.seed
-        return merged
 
 
 @dataclass(frozen=True)
@@ -134,23 +102,29 @@ class FuzzCampaign:
             return steered_specs(self.budget, self.seed, self.families or None)
         return generate_specs(self.budget, self.seed, self.families or None)
 
-    def units(self) -> List[FuzzUnit]:
-        """Every ``(circuit, flow)`` pair, circuit-major order."""
+    def units(self, names: Optional[Sequence[str]] = None) -> List[FlowUnit]:
+        """Every ``(circuit, flow)`` pair, circuit-major order, over the
+        circuit ``names`` (default: :meth:`circuits`)."""
+        names = [gen.name() for gen in self.circuits()] if names is None else names
         return [
-            FuzzUnit.create(
-                gen,
-                flow_name,
+            FlowUnit(flow_name, VerificationSpec.create(
+                name,
+                flow=flow_variant(flow_name),
                 patterns=self.patterns,
-                stimulus_seed=self.stimulus_seed,
+                seed=self.stimulus_seed,
                 sequence_length=self.sequence_length,
-            )
-            for gen in self.circuits()
+            ))
+            for name in names
             for flow_name in self.flows
         ]
 
-    def batch(self, units: Optional[Sequence[FuzzUnit]] = None) -> "FuzzBatch":
-        """This campaign's units (or ``units``, e.g. a replay) to schedule."""
-        return FuzzBatch(self, tuple(self.units() if units is None else units))
+    def batch(self, units: Optional[Sequence[FlowUnit]] = None) -> VerificationCampaign:
+        """This campaign's units (or ``units``, e.g. a replay) to schedule.
+
+        Generated circuits are rebuilt in workers from their names.
+        """
+        units = self.units() if units is None else units
+        return VerificationCampaign.of(units, self, verification_record, FuzzReport)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -214,7 +188,7 @@ def shrink_unit(
 
 @dataclass
 class FuzzReport(VerificationReport):
-    """The report of a :class:`FuzzBatch` (``repro fuzz``).
+    """The report of a :class:`FuzzCampaign` run (``repro fuzz``).
 
     ``campaign`` is the :class:`FuzzCampaign` that was run; each record is
     an annotated verdict of one ``(circuit, flow)`` unit, and the summary
@@ -226,6 +200,19 @@ class FuzzReport(VerificationReport):
     shrunk: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     name = "fuzz"
+    verb: ClassVar[str] = "fuzzed"
+
+    @staticmethod
+    def annotate(unit: FlowUnit, record: Mapping[str, object]) -> Dict[str, object]:
+        """The verification record plus its unit's generation metadata."""
+        gen = parse_name(unit.spec.circuit)
+        return {
+            **record,
+            "flow_variant": unit.flow_name,
+            "family": gen.family,
+            "gen_params": dict(gen.params),
+            "gen_seed": gen.seed,
+        }
 
     def table(self) -> str:
         """Aggregate per-(family, flow) summary table."""
@@ -280,56 +267,29 @@ class FuzzReport(VerificationReport):
         }
 
 
-@dataclass(frozen=True)
-class FuzzBatch:
-    """Units of one fuzz run (:meth:`FuzzCampaign.batch`) for ``Runner.campaign``.
+def shrink_failures(
+    report: FuzzReport, progress: Callable[[str], None] = lambda line: None
+) -> None:
+    """Minimise every failing unit of ``report`` in-process.
 
-    Generated circuits are rebuilt in workers from their names.
+    The explicit post-step after ``Runner.campaign``: each failing
+    record is re-run from its own stimulus identity, and its reproducer
+    is attached to ``report.shrunk``.
     """
-
-    campaign: FuzzCampaign
-    units: Tuple[FuzzUnit, ...]
-    verb: ClassVar[str] = "fuzzed"
-    noun: ClassVar[str] = "verification"
-
-    def work_units(self) -> List[SpecUnit]:
-        return [
-            SpecUnit(u.spec, verification_record, f"{u.spec.label()} flow={u.flow_name}")
-            for u in self.units
-        ]
-
-    def report(self, records: List[Dict[str, object]], **stats) -> FuzzReport:
-        annotated = [unit.annotate(r) for unit, r in zip(self.units, records)]
-        return FuzzReport(self.campaign, annotated, **stats)
-
-    def shrink_failures(
-        self, report: FuzzReport, progress: Callable[[str], None] = lambda line: None
-    ) -> None:
-        """Minimise every failing unit of ``report`` in-process.
-
-        The explicit post-step after ``Runner.campaign``: each reproducer
-        is attached to ``report.shrunk``.
-        """
-        for record in report.failures:
-            # Records keep unit order, so match on circuit + flow variant.
-            unit = next(
-                u
-                for u in self.units
-                if u.spec.circuit == record.get("circuit")
-                and u.flow_name == record.get("flow_variant")
-            )
-            progress(f"  shrinking {unit.spec.circuit} flow={unit.flow_name} ...")
-            result = shrink_unit(
-                unit.gen,
-                unit.flow_name,
-                patterns=unit.spec.patterns,
-                stimulus_seed=unit.spec.seed,
-                sequence_length=unit.spec.sequence_length,
-            )
-            if result is not None:
-                key = f"{record.get('circuit')}|{record.get('flow_variant')}"
-                report.shrunk[key] = {**result.to_dict(), "bench": write_bench(result.network)}
-                progress(f"    {result.summary()}")
+    for record in report.failures:
+        circuit, flow_name = record.get("circuit"), record.get("flow_variant")
+        progress(f"  shrinking {circuit} flow={flow_name} ...")
+        result = shrink_unit(
+            parse_name(str(circuit)),
+            str(flow_name),
+            patterns=int(record["requested_patterns"]),
+            stimulus_seed=int(record["seed"]),
+            sequence_length=int(record["sequence_length"]),
+        )
+        if result is not None:
+            key = f"{circuit}|{flow_name}"
+            report.shrunk[key] = {**result.to_dict(), "bench": write_bench(result.network)}
+            progress(f"    {result.summary()}")
 
 
 def units_for_replay(
@@ -338,16 +298,12 @@ def units_for_replay(
     patterns: int = 64,
     stimulus_seed: int = 0,
     sequence_length: int = 8,
-) -> List[FuzzUnit]:
+) -> List[FlowUnit]:
     """Units re-verifying one generated circuit (``repro fuzz --replay``)."""
-    gen = parse_name(name)
-    return [
-        FuzzUnit.create(
-            gen,
-            flow_name,
-            patterns=patterns,
-            stimulus_seed=stimulus_seed,
-            sequence_length=sequence_length,
-        )
-        for flow_name in flows
-    ]
+    campaign = FuzzCampaign(
+        flows=tuple(flows),
+        patterns=patterns,
+        stimulus_seed=stimulus_seed,
+        sequence_length=sequence_length,
+    )
+    return campaign.units([parse_name(name).name()])

@@ -31,48 +31,52 @@ FULL_SYNTH_CIRCUITS = ("c1908", "c3540", "voter", "s838.1")
 SMOKE_FAULT_CIRCUITS = ("ctrl", "s27", "s298")
 
 
+def _campaign_workload(
+    batch: Callable[[], object], counters: Callable[[object], Mapping[str, float]]
+) -> Callable[[], Mapping[str, float]]:
+    """A verify, fuzz or faults batch, run serially; any failing unit fails it."""
+
+    def run() -> Mapping[str, float]:
+        from ..eval.runner import Runner
+
+        report = Runner(jobs=1, cache=None).campaign(batch())
+        if not report.all_equivalent:
+            failed = [r.get("circuit") for r in report.failures + report.errors]
+            raise RuntimeError(f"{report.name} benchmark failed on {failed}")
+        return counters(report)
+
+    return run
+
+
 def _verify_workload(
     circuits, patterns: int, effort: str = "medium"
 ) -> Callable[[], Mapping[str, float]]:
-    def run() -> Mapping[str, float]:
+    def batch():
         from ..core import Flow, FlowOptions
-        from ..eval.runner import Runner
         from ..verify import VerificationCampaign, catalog_specs
 
         flow = Flow.from_options(FlowOptions(effort=effort))
-        specs = catalog_specs(
-            circuits=list(circuits) if circuits else None,
-            scale="quick",
-            flow=flow,
-            patterns=patterns,
-        )
-        report = Runner(jobs=1, cache=None).campaign(VerificationCampaign(specs))
-        if not report.all_equivalent:
-            raise RuntimeError(
-                f"verify benchmark produced non-equivalent verdicts: "
-                f"{[r.get('circuit') for r in report.failures]}"
-            )
-        return {"patterns": report.total_patterns(), "circuits": len(specs)}
+        names = list(circuits) if circuits else None
+        return VerificationCampaign(catalog_specs(names, "quick", flow, patterns))
 
-    return run
+    return _campaign_workload(
+        batch, lambda report: {"patterns": report.total_patterns(), "circuits": len(report.records)}
+    )
 
 
 def _fuzz_workload(budget: int, seed: int = 0) -> Callable[[], Mapping[str, float]]:
-    def run() -> Mapping[str, float]:
-        from ..eval.runner import Runner
+    def batch():
         from ..gen import FuzzCampaign
 
-        campaign = FuzzCampaign(budget=budget, seed=seed)
-        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
-        summary = report.summary()
-        if not report.all_equivalent:
-            raise RuntimeError("fuzz benchmark produced counterexamples")
-        return {
-            "patterns": float(summary.get("total_patterns", 0)),
-            "units": float(summary.get("units", 0)),
-        }
+        return FuzzCampaign(budget=budget, seed=seed).batch()
 
-    return run
+    return _campaign_workload(
+        batch,
+        lambda report: {
+            "patterns": float(report.total_patterns()),
+            "units": float(len(report.records)),
+        },
+    )
 
 
 def _soak_batch_workload(
@@ -119,30 +123,19 @@ def _faults_margin_workload(
     (per-net RNG draws on every emission) end to end.
     """
 
-    def run() -> Mapping[str, float]:
-        from ..eval.runner import Runner
+    def batch():
         from ..faults import FaultCampaign
 
         campaign = FaultCampaign(
-            circuits=tuple(circuits),
-            kinds=(kind,),
-            patterns=patterns,
-            margin=True,
+            circuits=tuple(circuits), kinds=(kind,), patterns=patterns, margin=True
         )
-        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
-        if report.failures:
-            raise RuntimeError(
-                f"faults benchmark hit nominal miscompares: "
-                f"{[r.get('circuit') for r in report.failures]}"
-            )
-        return {
-            "units": float(len(report.records)),
-            "probes": float(
-                sum(len(r.get("margin_probes") or ()) for r in report.records)
-            ),
-        }
+        return campaign.batch()
 
-    return run
+    def counters(report) -> Mapping[str, float]:
+        probes = sum(len(r.get("margin_probes") or ()) for r in report.records)
+        return {"units": float(len(report.records)), "probes": float(probes)}
+
+    return _campaign_workload(batch, counters)
 
 
 def _synthesis_workload(

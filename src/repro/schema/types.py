@@ -13,7 +13,8 @@ persists.  The version history (details in ``docs/schema.md``):
     ``seconds`` and ``synth_seconds``).  Fuzz units verify a
     ``VerificationSpec``, so their records ride this kind.
 ``fault`` (fault-injection records, ``repro.faults``)
-    v1 (untagged) -> v2 (tagged), identity migration.
+    v1 (untagged) -> v2 (tagged), identity migration.  The records of a
+    ``VerificationSpec`` with a fault scenario set ride this kind.
 ``bench`` / ``cov`` / ``soak`` / ``faults``
     Born tagged at v1 (``repro-bench/1`` etc.); unchanged layouts, now
     loaded/stamped through the shared registry.

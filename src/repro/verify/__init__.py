@@ -14,7 +14,9 @@ The subsystem answers that question at three granularities:
   picklable units scheduled across worker processes by
   :meth:`repro.eval.runner.Runner.campaign` (over a
   :class:`VerificationCampaign`) and surfaced as
-  ``repro verify [--catalog|--circuit NAME]`` on the CLI.
+  ``repro verify [--catalog|--circuit NAME]`` on the CLI.  The same
+  spec and batch carry ``repro fuzz`` (:mod:`repro.gen`) and, with a
+  fault scenario set, ``repro faults`` (:mod:`repro.faults`).
 
 See ``docs/verification.md`` for the stimulus model, the batching
 strategy and how to read counterexamples.
@@ -30,8 +32,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "verify_result",
     ),
     ".campaign": (
-        "VerificationCampaign", "VerificationReport", "VerificationSpec",
-        "catalog_specs", "error_detail", "render_verification_table",
+        "FlowUnit", "VerificationCampaign", "VerificationReport", "VerificationSpec",
+        "catalog_specs", "render_verification_table",
         "verification_record",
     ),
 })

@@ -1,46 +1,46 @@
-"""Catalog-wide verification campaigns on the eval execution engine.
+"""Verification campaigns on the eval execution engine: verify, fuzz, faults.
 
 A :class:`VerificationSpec` is the verification analogue of
 :class:`repro.eval.engine.SynthesisJob`: a declarative, picklable unit —
-circuit name, scale, the flow's canonical signature, and the stimulus
-parameters (pattern budget, seed, trajectory length).  Its
-content-addressed :meth:`~VerificationSpec.key` is what the shared
+circuit name, scale, the flow's canonical signature, the stimulus
+parameters (pattern budget, seed, trajectory length) and, for a fault
+unit, the scenario to inject.  Its content-addressed
+:meth:`~VerificationSpec.key` is what the shared
 :class:`repro.eval.engine.ResultCache` stores verdict records under, so a
-warm cache replays an entire catalog campaign with zero re-synthesis and
-zero re-simulation, and the workers of
+warm cache replays an entire campaign with zero re-synthesis and zero
+re-simulation, and the workers of
 :meth:`repro.eval.runner.Runner.campaign` never compute the same spec
 twice.  :class:`VerificationCampaign` is the spec list in the shape
-``Runner.campaign`` takes; :class:`VerificationReport` is its
-:class:`~repro.exec.report.CampaignReport`.
+``Runner.campaign`` takes, for verify, fuzz and faults alike.
 
-:func:`verification_record` is the worker-process entry point: build the
-catalogued circuit, run the flow (reusing the in-process stage cache),
-verify the mapped netlist against the *source network* — an end-to-end
-check of the whole synthesis stack — and flatten the verdict to JSON.
+:func:`verification_record` is the fault-free worker-process entry point:
+build the catalogued circuit, run the flow (reusing the in-process stage
+cache), verify the mapped netlist against the *source network* — an
+end-to-end check of the whole synthesis stack — and flatten the verdict
+to JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
 from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
-from ..exec import SpecUnit, spec_units
+from ..exec import SpecUnit
 from ..exec.report import CampaignReport, error_detail
 from ..schema import _package_version, content_key, schema_tag
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
-    "CampaignReport",
+    "FlowUnit",
     "VerificationCampaign",
     "VerificationReport",
     "VerificationSpec",
     "catalog_specs",
-    "error_detail",
     "render_verification_table",
     "verification_record",
 ]
@@ -51,19 +51,21 @@ StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
 
 @dataclass(frozen=True)
 class VerificationSpec:
-    """One schedulable, cacheable verification unit.
+    """One schedulable, cacheable verification unit, fault-free or with a fault.
 
     Attributes:
-        circuit: Name from :mod:`repro.circuits.registry`.
+        circuit: Name from :mod:`repro.circuits.registry` (``gen:`` included).
         scale: ``"quick"`` or ``"paper"`` circuit dimensions.
         stages: Canonical flow signature of the synthesis under test.
         patterns: Stimulus pattern budget.
-        seed: Stimulus seed.
+        seed: Stimulus seed (independent of the fault seed).
         sequence_length: Cycles per trajectory (sequential circuits).
+        scenario: Canonical ``fault:<kind>:<k=v,...>:s<seed>`` name of
+            the fault to inject (:mod:`repro.faults`); empty for a
+            fault-free check.
+        margin: With a scenario, sweep its robustness margin instead of
+            injecting its fixed magnitude.
     """
-
-    #: Message kind this spec's records are stored under (see ``repro.schema``).
-    schema_kind: ClassVar[str] = "verify"
 
     circuit: str
     scale: str = "quick"
@@ -71,6 +73,8 @@ class VerificationSpec:
     patterns: int = 256
     seed: int = 0
     sequence_length: int = 8
+    scenario: str = ""
+    margin: bool = False
 
     @classmethod
     def create(
@@ -81,8 +85,20 @@ class VerificationSpec:
         patterns: int = 256,
         seed: int = 0,
         sequence_length: int = 8,
+        scenario: object = "",
+        margin: bool = False,
     ) -> "VerificationSpec":
-        """Build a spec for a circuit under an arbitrary flow (default flow when omitted)."""
+        """Build a spec for a circuit under an arbitrary flow (default flow when omitted).
+
+        ``scenario`` is a :class:`~repro.faults.FaultScenario` or its
+        name; a name is validated and canonicalised.
+        """
+        if scenario:
+            from ..faults.scenario import FaultScenario, parse_fault_name
+
+            if not isinstance(scenario, FaultScenario):
+                scenario = parse_fault_name(str(scenario))
+            scenario = scenario.name()
         flow = flow if flow is not None else Flow.default()
         return cls(
             circuit=circuit,
@@ -91,43 +107,57 @@ class VerificationSpec:
             patterns=int(patterns),
             seed=int(seed),
             sequence_length=int(sequence_length),
+            scenario=scenario,
+            margin=bool(margin),
         )
+
+    @property
+    def schema_kind(self) -> str:
+        """Message kind this spec's records are stored under (see ``repro.schema``)."""
+        return "fault" if self.scenario else "verify"
 
     def flow(self) -> Flow:
         """Reconstruct the runnable flow this spec verifies."""
         return Flow.from_signature(self.stages) if self.stages else Flow.default()
 
+    def _fields(self, flow: object) -> Dict[str, object]:
+        """The verify record fields, or the fault ones, whose seed is ``stimulus_seed``."""
+        if not self.scenario:
+            return {"circuit": self.circuit, "scale": self.scale, "flow": flow,
+                    "patterns": self.patterns, "seed": self.seed,
+                    "sequence_length": self.sequence_length}
+        return {"circuit": self.circuit, "scenario": self.scenario, "scale": self.scale,
+                "flow": flow, "patterns": self.patterns, "stimulus_seed": self.seed,
+                "sequence_length": self.sequence_length, "margin": self.margin}
+
     def key(self) -> str:
-        """Content-addressed cache key: flow signature + stimulus identity.
+        """Content-addressed cache key: flow signature + stimulus (+ fault) identity.
 
         Canonicalised through :func:`repro.schema.content_key` — no
         ``default=str`` escape hatch, so a non-JSON-native value in the
         flow signature raises instead of destabilising the key.
         """
-        payload = {
+        return content_key({
             "schema": schema_tag(self.schema_kind),
             "version": _package_version(),
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": self.stages or Flow.default().signature(),
-            "patterns": self.patterns,
-            "seed": self.seed,
-            "sequence_length": self.sequence_length,
-        }
-        return content_key(payload)
+            **self._fields(self.stages or Flow.default().signature()),
+        })
 
     def label(self) -> str:
+        if self.scenario:
+            suffix = " margin" if self.margin else ""
+            return f"{self.circuit}@{self.scale} {self.scenario}{suffix}"
         return f"{self.circuit}@{self.scale} n={self.patterns} seed={self.seed}"
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": [[name, dict(options)] for name, options in self.stages],
-            "patterns": self.patterns,
-            "seed": self.seed,
-            "sequence_length": self.sequence_length,
-        }
+        return self._fields([[name, dict(options)] for name, options in self.stages])
+
+
+class FlowUnit(NamedTuple):
+    """One ``(flow variant, spec)`` unit of a fuzz or fault campaign."""
+
+    flow_name: str
+    spec: VerificationSpec
 
 
 def catalog_specs(
@@ -196,6 +226,13 @@ class VerificationReport(CampaignReport):
     """The report of a :class:`VerificationCampaign` (``repro verify``)."""
 
     name = "verify"
+    #: Past-tense verb of the campaign's progress lines and done-line.
+    verb: ClassVar[str] = "verified"
+
+    @staticmethod
+    def annotate(unit: FlowUnit, record: Dict[str, object]) -> Dict[str, object]:
+        """``record`` as the report holds it; a plain verify adds nothing."""
+        return record
 
     def table(self) -> str:
         return render_verification_table(self.records)
@@ -244,14 +281,50 @@ def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
 
 @dataclass(frozen=True)
 class VerificationCampaign:
-    """A verify run over explicit specs, in the shape ``Runner.campaign`` takes."""
+    """One verify, fuzz or faults run, in the shape ``Runner.campaign`` takes.
+
+    Attributes:
+        specs: The specs to check, in order.
+        flow_names: Each spec's flow-variant name (fuzz and fault units).
+        campaign: The campaign the report saves (``None``: this batch).
+        compute: Module-level ``spec -> record`` worker entry point
+            (``None``: :func:`verification_record`).
+        report_class: The report over the records; it names the progress
+            verb and annotates each record with its unit.
+    """
 
     specs: Sequence[VerificationSpec]
-    verb: ClassVar[str] = "verified"
+    flow_names: Sequence[str] = ()
+    campaign: Any = None
+    compute: Optional[Callable[[VerificationSpec], Dict[str, object]]] = None
+    report_class: type = VerificationReport
     noun: ClassVar[str] = "verification"
 
-    def work_units(self) -> List[SpecUnit]:
-        return spec_units(self.specs, verification_record, VerificationSpec.label)
+    @classmethod
+    def of(cls, units: Sequence[FlowUnit], campaign: Any, compute: Callable,
+           report_class: type) -> "VerificationCampaign":
+        """The run of ``campaign``'s ``(flow variant, spec)`` units."""
+        specs = tuple(unit.spec for unit in units)
+        flow_names = tuple(unit.flow_name for unit in units)
+        return cls(specs, flow_names, campaign, compute, report_class)
 
-    def report(self, records: List[Dict[str, object]], **stats) -> VerificationReport:
-        return VerificationReport(self, records, **stats)
+    @property
+    def verb(self) -> str:
+        return self.report_class.verb
+
+    def units(self) -> List[FlowUnit]:
+        flow_names = self.flow_names or [""] * len(self.specs)
+        return [FlowUnit(name, spec) for name, spec in zip(flow_names, self.specs)]
+
+    def work_units(self) -> List[SpecUnit]:
+        compute = self.compute or verification_record
+        return [
+            SpecUnit(spec, compute, f"{spec.label()} flow={name}" if name else spec.label())
+            for name, spec in self.units()
+        ]
+
+    def report(self, records: List[Dict[str, object]], **stats) -> CampaignReport:
+        annotate = self.report_class.annotate
+        annotated = [annotate(unit, record) for unit, record in zip(self.units(), records)]
+        campaign = self if self.campaign is None else self.campaign
+        return self.report_class(campaign, annotated, **stats)

@@ -12,7 +12,7 @@ cubes than the gain test allows (c1908's parity-like cones), raises a
 count.
 """
 
-from repro.aig import network_to_aig, rework
+from repro.aig import Aig, network_to_aig, optimize, rework
 from repro.aig.scripts import DEFAULT_SCRIPT, PASSES
 from repro.aig.sop import factored_form_cost
 from repro.circuits.registry import build
@@ -63,3 +63,22 @@ def test_resynthesis_work_stays_at_or_below_ceilings(monkeypatch):
         for (name, mffc, misses), (_, mffc_max, misses_max) in zip(counters, ceilings):
             assert mffc <= mffc_max, f"{circuit} {name}: {mffc} mffc_size calls (ceiling {mffc_max})"
             assert misses <= misses_max, f"{circuit} {name}: {misses} factorings (ceiling {misses_max})"
+
+
+def test_high_effort_cleans_its_input_once(monkeypatch):
+    """``optimize(effort="high")`` copies the DAG once, not once per round.
+
+    The other calls come from the resynthesis passes themselves.  On
+    c880 that makes 10; re-cleaning each round's input made 12.
+    """
+    calls = []
+    real = Aig.cleanup
+
+    def counting_cleanup(self):
+        calls.append(self.num_ands)
+        return real(self)
+
+    aig = network_to_aig(build("c880", "quick"))
+    monkeypatch.setattr(Aig, "cleanup", counting_cleanup)
+    optimize(aig, effort="high")
+    assert len(calls) <= 10, f"{len(calls)} cleanup calls (ceiling 10)"

@@ -4,7 +4,7 @@ import pickle
 
 from repro.eval.engine import SynthesisJob, synthesis_record
 from repro.exec import ProbeUnit, SpecUnit, WorkUnit, spec_units
-from repro.faults.campaign import FaultSpec, fault_record
+from repro.faults.campaign import fault_record
 from repro.verify.campaign import VerificationSpec, verification_record
 
 
@@ -24,7 +24,7 @@ def test_spec_unit_kinds_cover_every_spec_family():
         spec=VerificationSpec(circuit="ctrl"), compute=verification_record
     ).schema_kind == "verify"
     assert SpecUnit(
-        spec=FaultSpec(circuit="ctrl", scenario="fault:jitter:rate=5:s0"),
+        spec=VerificationSpec(circuit="ctrl", scenario="fault:jitter:rate=5:s0"),
         compute=fault_record,
     ).schema_kind == "fault"
 

@@ -9,36 +9,42 @@ from repro.faults import (
     FAULTS_SCHEMA,
     FaultCampaign,
     FaultReport,
-    FaultSpec,
     default_scenario,
     fault_record,
+    parse_fault_name,
 )
 from repro.faults.margin import search_margin
+from repro.verify import VerificationSpec
+
+
+def fault_spec(circuit, scenario, patterns=64, **options):
+    """A fault unit's spec, at the pattern budget fault campaigns default to."""
+    return VerificationSpec.create(circuit, scenario=scenario, patterns=patterns, **options)
 
 
 class TestSpecKeys:
     def test_key_is_stable(self):
-        a = FaultSpec.create("ctrl", default_scenario("jitter"))
-        b = FaultSpec.create("ctrl", default_scenario("jitter"))
+        a = fault_spec("ctrl", default_scenario("jitter"))
+        b = fault_spec("ctrl", default_scenario("jitter"))
         assert a.key() == b.key()
 
     def test_key_varies_with_identity(self):
-        base = FaultSpec.create("ctrl", default_scenario("jitter"))
+        base = fault_spec("ctrl", default_scenario("jitter"))
         keys = {
             base.key(),
-            FaultSpec.create("s27", default_scenario("jitter")).key(),
-            FaultSpec.create("ctrl", default_scenario("skew")).key(),
-            FaultSpec.create("ctrl", default_scenario("jitter", seed=1)).key(),
-            FaultSpec.create("ctrl", default_scenario("jitter"), margin=True).key(),
-            FaultSpec.create("ctrl", default_scenario("jitter"), patterns=8).key(),
+            fault_spec("s27", default_scenario("jitter")).key(),
+            fault_spec("ctrl", default_scenario("skew")).key(),
+            fault_spec("ctrl", default_scenario("jitter", seed=1)).key(),
+            fault_spec("ctrl", default_scenario("jitter"), margin=True).key(),
+            fault_spec("ctrl", default_scenario("jitter"), patterns=8).key(),
         }
         assert len(keys) == 6
 
     def test_create_canonicalises_string_scenarios(self):
-        spec = FaultSpec.create("ctrl", "fault:jitter:mag=2.0:s0")
+        spec = fault_spec("ctrl", "fault:jitter:mag=2.0:s0")
         assert spec.scenario == default_scenario("jitter").name()
         with pytest.raises(ValueError):
-            FaultSpec.create("ctrl", "not-a-scenario")
+            fault_spec("ctrl", "not-a-scenario")
 
 
 class TestCampaignUnits:
@@ -48,7 +54,7 @@ class TestCampaignUnits:
         )
         units = campaign.units()
         assert [u.spec.circuit for u in units] == ["ctrl", "ctrl", "s27", "s27"]
-        assert [u.spec.scenario_spec().kind for u in units] == [
+        assert [parse_fault_name(u.spec.scenario).kind for u in units] == [
             "jitter", "skew", "jitter", "skew",
         ]
         assert all(u.flow_name == "default" for u in units)
@@ -94,7 +100,7 @@ class TestMarginSearch:
 
 class TestFaultRecords:
     def test_margin_record_on_combinational_circuit(self):
-        spec = FaultSpec.create(
+        spec = fault_spec(
             "ctrl", default_scenario("jitter"), patterns=16, margin=True
         )
         record = fault_record(spec)
@@ -110,7 +116,7 @@ class TestFaultRecords:
         (sequential: no miscompare triggers a localisation replay)."""
         from repro.sim.pulse import elaboration_count
 
-        spec = FaultSpec.create("s27", default_scenario("skew"), patterns=16, margin=True)
+        spec = fault_spec("s27", default_scenario("skew"), patterns=16, margin=True)
         before = elaboration_count()
         record = fault_record(spec)
         assert len(record["margin_probes"]) > 1
@@ -121,14 +127,14 @@ class TestFaultRecords:
         on a full-trace elaboration to find its first divergence net."""
         from repro.sim.pulse import elaboration_count
 
-        spec = FaultSpec.create("ctrl", default_scenario("jitter"), patterns=16, margin=True)
+        spec = fault_spec("ctrl", default_scenario("jitter"), patterns=16, margin=True)
         before = elaboration_count()
         record = fault_record(spec)
         assert any(not ok for _, ok in record["margin_probes"])
         assert elaboration_count() - before == 1
 
     def test_drop_everything_miscompares_with_localisation(self):
-        spec = FaultSpec.create(
+        spec = fault_spec(
             "ctrl", default_scenario("drop", magnitude=1.0), patterns=8
         )
         record = fault_record(spec)
@@ -138,7 +144,7 @@ class TestFaultRecords:
         assert record["injections"]["drop"] > 0
 
     def test_record_carries_no_wall_clock_fields(self):
-        spec = FaultSpec.create("ctrl", default_scenario("skew"), patterns=8)
+        spec = fault_spec("ctrl", default_scenario("skew"), patterns=8)
         record = fault_record(spec)
         assert not any("time" in k or "elapsed" in k or "wall" in k for k in record)
         # And running the same spec twice yields the identical record.
@@ -147,7 +153,7 @@ class TestFaultRecords:
 
 class TestReport:
     def _report(self, elapsed):
-        spec = FaultSpec.create("ctrl", default_scenario("skew"), patterns=8)
+        spec = fault_spec("ctrl", default_scenario("skew"), patterns=8)
         record = dict(fault_record(spec), flow_variant="default")
         campaign = FaultCampaign(circuits=("ctrl",), kinds=("skew",))
         return FaultReport(

@@ -15,9 +15,10 @@ import pytest
 
 from repro.circuits import build
 from repro.core import Flow
-from repro.faults import FaultModel, FaultSpec, default_scenario, fault_record
+from repro.faults import FaultModel, default_scenario, fault_record
 from repro.faults import models
 from repro.sim.pulse import BatchedNetlistSimulator
+from repro.verify import VerificationSpec
 
 #: One combinational and two sequential catalog samples.
 SAMPLES = ("ctrl", "s27", "s298")
@@ -93,7 +94,10 @@ def test_margin_search_seeds_each_net_stream_once(monkeypatch):
         return stream_seed(seed, net)
 
     monkeypatch.setattr(models, "stream_seed", spy)
-    record = fault_record(FaultSpec.create("s27", default_scenario("jitter"), margin=True))
+    spec = VerificationSpec.create(
+        "s27", patterns=64, scenario=default_scenario("jitter"), margin=True
+    )
+    record = fault_record(spec)
     assert record["status"] == "tolerated"
     assert len(record["margin_probes"]) > 2
     assert seeded and max(seeded.values()) == 1

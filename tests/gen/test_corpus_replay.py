@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval import Runner
-from repro.gen import FuzzCampaign, GenSpec
-from repro.gen.fuzz import FuzzUnit
+from repro.gen import FuzzCampaign, GenSpec, units_for_replay
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
@@ -33,15 +32,12 @@ def _units(entry: dict) -> list:
     gen = GenSpec.create(
         entry["family"], seed=entry["seed"], **entry.get("params", {})
     )
-    return [
-        FuzzUnit.create(
-            gen,
-            flow_name,
-            patterns=int(entry.get("patterns", 32)),
-            sequence_length=int(entry.get("sequence_length", 8)),
-        )
-        for flow_name in entry["flows"]
-    ]
+    return units_for_replay(
+        gen.name(),
+        entry["flows"],
+        patterns=int(entry.get("patterns", 32)),
+        sequence_length=int(entry.get("sequence_length", 8)),
+    )
 
 
 def _replay(entry: dict) -> None:

@@ -14,7 +14,7 @@ from repro.core.flowgraph import (
 from repro.eval import Runner
 from repro.eval.cli import parse_args
 from repro.gen import DEFAULT_FLOWS, FuzzCampaign, GenSpec, shrink_unit
-from repro.gen.fuzz import replay_line, units_for_replay
+from repro.gen.fuzz import replay_line, shrink_failures, units_for_replay
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +90,8 @@ class TestCampaign:
         campaign = FuzzCampaign(
             budget=2, seed=0, families=("dag",), flows=("test-broken",), patterns=12
         )
-        batch = campaign.batch()
-        report = Runner(jobs=1, cache=None).campaign(batch)
-        batch.shrink_failures(report)
+        report = Runner(jobs=1, cache=None).campaign(campaign.batch())
+        shrink_failures(report)
         assert not report.all_equivalent
         assert len(report.failures) == 2
         for record in report.failures:

@@ -159,7 +159,6 @@ class TestCacheEnvelope:
 
     def test_verify_and_fault_specs_use_their_own_kinds(self, tmp_path):
         from repro.eval.engine import ResultCache
-        from repro.faults.campaign import FaultSpec
         from repro.verify.campaign import VerificationSpec
 
         signature = self._flow_signature()
@@ -170,10 +169,11 @@ class TestCacheEnvelope:
                 "verify",
             ),
             (
-                FaultSpec(
+                VerificationSpec(
                     circuit="ctrl",
                     scenario="fault:jitter:mag=2.0:s0",
                     stages=signature,
+                    patterns=64,
                 ),
                 "fault-v1.json",
                 "fault",

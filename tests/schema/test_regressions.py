@@ -48,12 +48,13 @@ class TestKeyCanonicalisation:
             spec.key()
 
     def test_fault_spec_key_rejects_non_native_option_values(self):
-        from repro.faults.campaign import FaultSpec
+        from repro.verify.campaign import VerificationSpec
 
-        spec = FaultSpec(
+        spec = VerificationSpec(
             circuit="ctrl",
             scenario="fault:jitter:mag=2.0:s0",
             stages=poisoned_signature(),
+            patterns=64,
         )
         with pytest.raises(WireFormatError, match="flow"):
             spec.key()
