@@ -38,7 +38,7 @@ setup(
     # numpy backs the word-parallel AIG sweep and the SoA pulse kernel
     # (repro.aig.simulate / repro.sim.pulse.soa).  The scalar kernels keep
     # working without it — see repro._compat.load_numpy for the fallback.
-    # The analog RCSJ simulator integrates with its own list-based RK45
+    # The analog RCSJ simulator integrates with its own plain-Python RK45
     # (repro.sim.analog.rk45) and imports neither numpy nor scipy.
     install_requires=["numpy>=1.21"],
     # The test suite's own imports: pytest, hypothesis for the

@@ -146,9 +146,15 @@ def optimize(
         return run_script(aig, ("balance", "rewrite"), verify=verify)
     if effort == "medium":
         return run_script(aig, DEFAULT_SCRIPT, verify=verify)
-    # Cleaned once: later rounds start from a pass's output, which
-    # ``cleanup`` would copy node for node.
-    best = aig.cleanup()
+    return _iterate(aig.cleanup(), verify, max_rounds)
+
+
+def _iterate(best: Aig, verify: bool, max_rounds: int) -> Aig:
+    """The default script rerun on an already clean ``best`` while it shrinks.
+
+    Only the caller cleans: every later round starts from a pass's output,
+    which ``cleanup`` would copy node for node.
+    """
     for _ in range(max_rounds):
         candidate = _run_passes(best, DEFAULT_SCRIPT, verify, best)
         if candidate.num_ands >= best.num_ands:
@@ -170,9 +176,7 @@ def optimize_with_report(aig: Aig, effort: str = "medium", verify: bool = False)
         script = DEFAULT_SCRIPT
     result = run_script(aig, script, verify=verify, report=report)
     if effort == "high":
-        improved = optimize(result, effort="high", verify=verify)
-        if improved.num_ands < result.num_ands:
-            result = improved
+        result = _iterate(result, verify, max_rounds=4)
     report.nodes_after = result.num_ands
     report.depth_after = result.depth()
     report.script = list(script)

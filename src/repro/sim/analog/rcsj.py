@@ -8,9 +8,10 @@ shunted junction (RCSJ) equation
     C (Phi0/2pi) d2(phi)/dt2 + (1/R) (Phi0/2pi) d(phi)/dt + Ic sin(phi) = I(t)
 
 over networks of junctions, inductors and bias current sources.
-:meth:`JjCircuit.simulate` compiles the network into flat tables once and
+:meth:`JjCircuit.simulate` compiles the network into flat tables and
+generates its right-hand side from them as straight-line Python, then
 integrates it with the adaptive Dormand–Prince 5(4) pair of
-:mod:`repro.sim.analog.rk45`, a list-based port of SciPy's RK45 (same
+:mod:`repro.sim.analog.rk45`, a plain-Python port of SciPy's RK45 (same
 steps, same samples), so the simulator imports neither numpy nor SciPy.
 Error control is unit-consistent:
 phases are held to ``PHASE_ATOL`` rad and phase velocities to ``PHASE_ATOL``
@@ -175,25 +176,11 @@ class JjCircuit:
             for j in (by_node[node] for node in order)
         ]
 
-        def derivatives(t: float, state: Sequence[float]) -> List[float]:
-            # Slot -1 of ``phases`` and ``currents`` is ground: phase 0,
-            # and whatever current flows into it is dropped.
-            phases, velocities = [*state[:n], 0.0], [*state[n:]]
-            currents = bias + [0.0]
-            for k, waveform in driven:
-                currents[k] += waveform(t)
-            for a, b, conductance in inductors:
-                branch = conductance * (phases[a] - phases[b])
-                currents[a] -= branch
-                currents[b] += branch
-            return velocities + [
-                (currents[k] - critical * math.sin(phases[k]) - damping * velocities[k]) * inverse_mass
-                for k, (critical, damping, inverse_mass) in enumerate(junctions)
-            ]
+        derivatives = _compile_derivatives(bias, driven, inductors, junctions)
 
         state0 = [0.0] * (2 * n)
         if initial_phases is not None:
-            phases0 = [float(phase) for phase in initial_phases][:n]
+            phases0 = [float(phase) for phase in initial_phases]
             if len(phases0) != n:
                 raise ValueError(f"initial_phases needs {n} values, got {len(phases0)}")
             state0[:n] = phases0
@@ -210,6 +197,52 @@ class JjCircuit:
         )
         phases = {node: solution.y[index_of[node]] for node in order}
         return JjWaveforms(times=solution.t, phases=phases)
+
+
+def _compile_derivatives(
+    bias: Sequence[float],
+    driven: Sequence[Tuple[int, Callable[[float], float]]],
+    inductors: Sequence[Tuple[int, int, float]],
+    junctions: Sequence[Tuple[float, float, float]],
+) -> Callable[[float, Sequence[float]], List[float]]:
+    """``derivatives(t, state)`` of a compiled network, as straight-line code.
+
+    The state is ``n`` node phases ``p{k}`` followed by their velocities
+    ``v{k}``.  Node ``k`` starts from its bias current ``c{k}``, adds its
+    driven sources in order, then each inductor in order moves its branch
+    current between its two ends; an end at index -1 is ground, whose
+    phase is 0.0 and whose current is dropped.  Every constant is a name
+    in the code's namespace, never a literal, so any float value (inf and
+    nan included) gives the same arithmetic as the tables themselves.
+    """
+    n = len(junctions)
+    namespace: Dict[str, object] = {"sin": math.sin}
+    lines = [
+        "def derivatives(t, state):",
+        f"    [{', '.join([f'p{k}' for k in range(n)] + [f'v{k}' for k in range(n)])}] = state",
+    ]
+    for k, current in enumerate(bias):
+        namespace[f"bias{k}"] = current
+        lines.append(f"    c{k} = bias{k}")
+    for j, (k, waveform) in enumerate(driven):
+        namespace[f"waveform{j}"] = waveform
+        lines.append(f"    c{k} += waveform{j}(t)")
+    for j, (a, b, conductance) in enumerate(inductors):
+        namespace[f"conductance{j}"] = conductance
+        phase_a = f"p{a}" if a >= 0 else "0.0"
+        phase_b = f"p{b}" if b >= 0 else "0.0"
+        lines.append(f"    branch = conductance{j} * ({phase_a} - {phase_b})")
+        if a >= 0:
+            lines.append(f"    c{a} -= branch")
+        if b >= 0:
+            lines.append(f"    c{b} += branch")
+    accelerations = []
+    for k, (critical, damping, inverse_mass) in enumerate(junctions):
+        namespace.update({f"critical{k}": critical, f"damping{k}": damping, f"inverse_mass{k}": inverse_mass})
+        accelerations.append(f"(c{k} - critical{k} * sin(p{k}) - damping{k} * v{k}) * inverse_mass{k}")
+    lines.append(f"    return [{', '.join([f'v{k}' for k in range(n)] + accelerations)}]")
+    exec(compile("\n".join(lines) + "\n", "<rcsj derivatives>", "exec"), namespace)
+    return namespace["derivatives"]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Dormand–Prince 5(4) integration on Python lists.
+"""Dormand–Prince 5(4) integration in plain Python, without numpy.
 
 A port of SciPy's ``solve_ivp(method="RK45")`` for what the RCSJ simulator
 asks of it: forward integration, output sampled at ``t_eval``, a
@@ -12,14 +12,18 @@ step sequence and the ``nfev`` count equal SciPy's for the same problem.
 Unlike SciPy, a step that falls below ``min_step`` raises
 :class:`StepSizeError` instead of returning the samples reached so far.
 
-The six stage combinations are written out term by term: the state has a
-handful of components, and a generic loop over coefficient rows would
-cost more than the arithmetic.
+The step loop is straight-line code generated once per state length
+(:func:`_step_loop`): every component is a local variable and every stage
+sum is written out term by term, so a step builds no list but the
+arguments of ``fun``.  The state has a handful of components, and loops
+over them (or over coefficient rows) would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import sys
 from typing import Callable, List, NamedTuple, Sequence, Union
 
@@ -121,13 +125,24 @@ def solve_ivp(
 
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
-    nfev = 2
-    sqrt_n = n ** 0.5
-    samples: List[List[float]] = []
-    next_sample, num_samples = 0, len(t_eval)
+    samples, nfev = _step_loop(n)(fun, t, t_bound, y, f, h_abs, max_step, rtol, atol, t_eval)
+    return Solution(t_eval, samples, 2 + nfev)
 
+
+#: The step loop of :func:`solve_ivp`, before expansion by :func:`_expand`.
+#: Components are spelled with ``{i}``: each ``<<...>>`` becomes the
+#: comma-joined row of its ``n`` copies, and any other line holding ``{i}``
+#: is repeated once per component.
+_STEP_LOOP = """\
+def integrate(fun, t, t_bound, y, f, h_abs, max_step, rtol, atol, t_eval):
+    [<<y{i}>>] = y
+    [<<k1_{i}>>] = f
+    [<<tol{i}>>] = atol
+    out{i} = []
+    nfev = 0
+    next_sample, num_samples = 0, len(t_eval)
     while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        min_step = 10 * abs(nextafter(t, inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -141,32 +156,22 @@ def solve_ivp(
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            k1 = f
-            k2 = fun(t + C2 * h, [v + (A21 * a) * h for v, a in zip(y, k1)])
-            k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h for v, a, b in zip(y, k1, k2)])
-            k4 = fun(t + C4 * h, [
-                v + (A41 * a + A42 * b + A43 * c) * h for v, a, b, c in zip(y, k1, k2, k3)
+            [<<k2_{i}>>] = fun(t + C2 * h, [<<y{i} + (A21 * k1_{i}) * h>>])
+            [<<k3_{i}>>] = fun(t + C3 * h, [<<y{i} + (A31 * k1_{i} + A32 * k2_{i}) * h>>])
+            [<<k4_{i}>>] = fun(t + C4 * h, [
+                <<y{i} + (A41 * k1_{i} + A42 * k2_{i} + A43 * k3_{i}) * h>>
             ])
-            k5 = fun(t + C5 * h, [
-                v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+            [<<k5_{i}>>] = fun(t + C5 * h, [
+                <<y{i} + (A51 * k1_{i} + A52 * k2_{i} + A53 * k3_{i} + A54 * k4_{i}) * h>>
             ])
-            k6 = fun(t + h, [
-                v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            [<<k6_{i}>>] = fun(t + h, [
+                <<y{i} + (A61 * k1_{i} + A62 * k2_{i} + A63 * k3_{i} + A64 * k4_{i} + A65 * k5_{i}) * h>>
             ])
-            y_new = [
-                v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
-                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = fun(t_new, y_new)
+            y_new{i} = y{i} + h * (B1 * k1_{i} + B3 * k3_{i} + B4 * k4_{i} + B5 * k5_{i} + B6 * k6_{i})
+            [<<k7_{i}>>] = fun(t_new, [<<y_new{i}>>])
             nfev += 6
-            scaled = [
-                (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * k) * h
-                / (tol + max(abs(v), abs(w)) * rtol)
-                for v, w, tol, a, c, d, e, g, k in zip(y, y_new, atol, k1, k3, k4, k5, k6, k7)
-            ]
-            error_norm = math.sqrt(sum([s * s for s in scaled])) / sqrt_n
+            s{i} = (E1 * k1_{i} + E3 * k3_{i} + E4 * k4_{i} + E5 * k5_{i} + E6 * k6_{i} + E7 * k7_{i}) * h / (tol{i} + max(abs(y{i}), abs(y_new{i})) * rtol)
+            error_norm = sqrt(sum((<<s{i} * s{i}>>,))) / sqrt_n
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -182,28 +187,52 @@ def solve_ivp(
         if next_sample < num_samples and t_eval[next_sample] <= t_new:
             # Quartic interpolant over [t, t_new]:
             # y(x) = y + h * (k1 x + q2 x^2 + q3 x^3 + q4 x^4), x = (s - t) / h.
-            q2 = [
-                P12 * a + P32 * c + P42 * d + P52 * e + P62 * g + P72 * k
-                for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
-            ]
-            q3 = [
-                P13 * a + P33 * c + P43 * d + P53 * e + P63 * g + P73 * k
-                for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
-            ]
-            q4 = [
-                P14 * a + P34 * c + P44 * d + P54 * e + P64 * g + P74 * k
-                for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
-            ]
+            q2_{i} = P12 * k1_{i} + P32 * k3_{i} + P42 * k4_{i} + P52 * k5_{i} + P62 * k6_{i} + P72 * k7_{i}
+            q3_{i} = P13 * k1_{i} + P33 * k3_{i} + P43 * k4_{i} + P53 * k5_{i} + P63 * k6_{i} + P73 * k7_{i}
+            q4_{i} = P14 * k1_{i} + P34 * k3_{i} + P44 * k4_{i} + P54 * k5_{i} + P64 * k6_{i} + P74 * k7_{i}
             while next_sample < num_samples and t_eval[next_sample] <= t_new:
                 x = (t_eval[next_sample] - t) / h
                 x2 = x * x
                 x3 = x2 * x
                 x4 = x3 * x
-                samples.append([
-                    v + h * (a * x + b * x2 + c * x3 + d * x4)
-                    for v, a, b, c, d in zip(y, k1, q2, q3, q4)
-                ])
+                out{i}.append(y{i} + h * (k1_{i} * x + q2_{i} * x2 + q3_{i} * x3 + q4_{i} * x4))
                 next_sample += 1
-        t, y, f = t_new, y_new, k7
+        t = t_new
+        [<<y{i}>>] = [<<y_new{i}>>]
+        [<<k1_{i}>>] = [<<k7_{i}>>]
+    return [<<out{i}>>], nfev
+"""
 
-    return Solution(t_eval, [list(row) for row in zip(*samples)] or [[] for _ in y], nfev)
+
+def _expand(template: str, n: int) -> str:
+    """Write out ``template`` for ``n`` components (see :data:`_STEP_LOOP`)."""
+
+    def row(match: "re.Match[str]") -> str:
+        return ", ".join(match[1].replace("{i}", str(i)) for i in range(n))
+
+    lines = []
+    for line in template.splitlines(keepends=True):
+        if "<<" in line:
+            lines.append(re.sub(r"<<(.*?)>>", row, line))
+        elif "{i}" in line:
+            lines.extend(line.replace("{i}", str(i)) for i in range(n))
+        else:
+            lines.append(line)
+    return "".join(lines)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_loop(n: int) -> Callable:
+    """The step loop of :func:`solve_ivp`, compiled for an ``n``-component state.
+
+    The error norm adds its squares with ``sum``, as :func:`_rms` does:
+    Python 3.12 changed how ``sum`` adds floats, so ``s0 * s0 + ...``
+    written out would round differently there.
+    """
+    namespace = {name: value for name, value in globals().items() if name.isupper()}
+    namespace.update(
+        StepSizeError=StepSizeError, nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt,
+        sqrt_n=n ** 0.5,
+    )
+    exec(compile(_expand(_STEP_LOOP, n), f"<rk45 step loop, n={n}>", "exec"), namespace)
+    return namespace["integrate"]

@@ -12,10 +12,11 @@ cubes than the gain test allows (c1908's parity-like cones), raises a
 count.
 """
 
-from repro.aig import Aig, network_to_aig, optimize, rework
+from repro.aig import Aig, network_to_aig, optimize, optimize_with_report, rework
 from repro.aig.scripts import DEFAULT_SCRIPT, PASSES
 from repro.aig.sop import factored_form_cost
 from repro.circuits.registry import build
+from repro.core.flowgraph import design_fingerprint
 
 #: ``(pass, mffc_size calls, factored_form_cost misses)`` per resynthesis
 #: pass, in script order; a circuit lists the passes it gates.
@@ -65,11 +66,17 @@ def test_resynthesis_work_stays_at_or_below_ceilings(monkeypatch):
             assert misses <= misses_max, f"{circuit} {name}: {misses} factorings (ceiling {misses_max})"
 
 
+#: ``design_fingerprint`` of c880 after high-effort ``aig-opt``.
+C880_HIGH_FINGERPRINT = "dff4a8f8743813f8e45885f3b3d92c4175950583f22347334dbadde89a3490a6"
+
+
 def test_high_effort_cleans_its_input_once(monkeypatch):
-    """``optimize(effort="high")`` copies the DAG once, not once per round.
+    """High-effort ``aig-opt`` copies the DAG once, not once per round.
 
     The other calls come from the resynthesis passes themselves.  On
-    c880 that makes 10; re-cleaning each round's input made 12.
+    c880 that makes 10, for ``optimize`` and ``optimize_with_report``
+    alike; re-cleaning each round's input made 12, and
+    ``optimize_with_report`` re-cleaning its first round's result made 11.
     """
     calls = []
     real = Aig.cleanup
@@ -80,5 +87,12 @@ def test_high_effort_cleans_its_input_once(monkeypatch):
 
     aig = network_to_aig(build("c880", "quick"))
     monkeypatch.setattr(Aig, "cleanup", counting_cleanup)
-    optimize(aig, effort="high")
-    assert len(calls) <= 10, f"{len(calls)} cleanup calls (ceiling 10)"
+    runs = {
+        "optimize": lambda: optimize(aig, effort="high"),
+        "optimize_with_report": lambda: optimize_with_report(aig, effort="high")[0],
+    }
+    for name, run in runs.items():
+        calls.clear()
+        result = run()
+        assert len(calls) <= 10, f"{name}: {len(calls)} cleanup calls (ceiling 10)"
+        assert design_fingerprint(result) == C880_HIGH_FINGERPRINT, name

@@ -6,8 +6,8 @@ per-net pulse kernel therefore compiles its plan without numpy and runs
 batches below ``soa.NUMPY_MIN_TRAIN`` pulses per stimulus train (the
 256-pattern verify batches included) on Python lists, and the golden
 AIG simulation decides its backend from level widths computed without
-numpy.  The RCSJ simulator integrates on Python lists too
-(``sim.analog.rk45``), so ``repro run figure2_3``, which takes ~0.35 s
+numpy.  The RCSJ simulator integrates in plain Python too
+(``sim.analog.rk45``), so ``repro run figure2_3``, which takes ~0.25 s
 and peaks at ~21 MB, loads neither numpy nor scipy (they would add
 ~0.5 s and ~65 MB).
 Each check runs in a fresh interpreter, where ``sys.modules`` shows

@@ -210,6 +210,66 @@ def analog_scenarios():
     return _analog_scenarios()
 
 
+def _assert_steps_of_scipy_rk45(ours, reference, components, name):
+    """``ours`` took scipy's steps: equal ``nfev`` and sample times, and
+    the first ``components`` rows within 1e-10 of scipy's."""
+    import numpy as np
+
+    assert reference.status == 0, name
+    assert ours.nfev == reference.nfev, name
+    assert list(ours.t) == reference.t.tolist(), name
+    error = np.abs(np.array(ours.y[:components]) - reference.y[:components]).max()
+    assert error <= 1e-10, (name, error)
+
+
+def _scipy_rk45_twins(monkeypatch):
+    """Make every RCSJ integration also run scipy's RK45 on the same problem;
+    the returned list collects ``(ours, scipy's, junction count)``."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    from repro.sim.analog import rcsj
+
+    solve_ivp = rcsj.solve_ivp
+    runs = []
+
+    def both(fun, t_span, y0, **kwargs):
+        ours = solve_ivp(fun, t_span, y0, **kwargs)
+        reference = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+        runs.append((ours, reference, len(y0) // 2))
+        return ours
+
+    monkeypatch.setattr(rcsj, "solve_ivp", both)
+    return runs
+
+
+def _characterize_jtl(num_stages):
+    from repro.sim.analog import characterize_jtl
+
+    return characterize_jtl(num_stages)
+
+
+def _inductor_to_ground(critical=100e-6, inductance=4e-12, bias=50e-6):
+    """One biased junction shunted to ground (node -1) by an inductor."""
+    from repro.sim.analog.rcsj import CurrentSource, Inductor, JjCircuit, Junction
+
+    circuit = JjCircuit(1)
+    circuit.add_junction(Junction(0, critical_current=critical))
+    circuit.add_inductor(Inductor(-1, 0, inductance))
+    circuit.add_source(CurrentSource(0, amplitude=bias))
+    return circuit
+
+
+def _driven_inductor_to_ground():
+    """:func:`_inductor_to_ground` with an inductor from its node to ground
+    on either side and an SFQ pulse driven in: exercises both ground ends."""
+    from repro.sim.analog.rcsj import CurrentSource, Inductor, sfq_pulse_train
+
+    circuit = _inductor_to_ground()
+    circuit.add_inductor(Inductor(0, -1, 20e-12))
+    circuit.add_source(CurrentSource(0, waveform=sfq_pulse_train([30e-12])))
+    return circuit.simulate(duration=100e-12)
+
+
 class TestAnalogModel:
     def test_figure2_3_outputs_are_pinned(self, analog_scenarios):
         for name, (pulses, delay) in ANALOG_EXPECTED.items():
@@ -237,29 +297,100 @@ class TestAnalogModel:
     def test_list_rk45_takes_the_steps_of_scipy_rk45(self, monkeypatch):
         """The list port is scipy's RK45 step for step: equal ``nfev`` and
         the same samples on every ``figure2_3`` scenario."""
-        import numpy as np
-        from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-        from repro.sim.analog import rcsj
-
-        solve_ivp = rcsj.solve_ivp
-        runs = []
-
-        def both(fun, t_span, y0, **kwargs):
-            ours = solve_ivp(fun, t_span, y0, **kwargs)
-            reference = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
-            runs.append((ours, reference, len(y0) // 2))
-            return ours
-
-        monkeypatch.setattr(rcsj, "solve_ivp", both)
+        runs = _scipy_rk45_twins(monkeypatch)
         _analog_scenarios()
         assert len(runs) == len(ANALOG_EXPECTED)
         for name, (ours, reference, n) in zip(ANALOG_EXPECTED, runs):
-            assert reference.status == 0, name
-            assert ours.nfev == reference.nfev, name
-            assert list(ours.t) == reference.t.tolist(), name
-            phase_error = np.abs(np.array(ours.y[:n]) - reference.y[:n]).max()
-            assert phase_error <= 1e-10, (name, phase_error)
+            _assert_steps_of_scipy_rk45(ours, reference, n, name)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: _characterize_jtl(1),
+            lambda: _characterize_jtl(5),
+            _driven_inductor_to_ground,
+        ],
+        ids=["jtl1-n2", "jtl5-n10", "inductor-to-ground-n2"],
+    )
+    def test_rk45_takes_the_steps_of_scipy_rk45_at_other_state_lengths(self, monkeypatch, run):
+        """The step loop is generated per state length: hold the lengths
+        ``figure2_3`` does not reach, and ground-ended inductors, to scipy."""
+        runs = _scipy_rk45_twins(monkeypatch)
+        run()
+        assert len(runs) == 1
+        ours, reference, n = runs[0]
+        _assert_steps_of_scipy_rk45(ours, reference, n, "phases")
+
+    def test_rk45_takes_the_steps_of_scipy_rk45_on_a_plain_ode(self):
+        """A forced, damped oscillator with a third, decaying component:
+        an odd state length and a right-hand side that is no RCSJ network."""
+        import math
+
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        from repro.sim.analog.rk45 import solve_ivp
+
+        def fun(t, y):
+            return [y[1], -y[0] - 0.3 * y[1] + math.cos(2.0 * t), -0.5 * y[2] + 0.1 * y[0]]
+
+        kwargs = dict(t_eval=[0.05 * k for k in range(401)], max_step=0.4, rtol=1e-8, atol=[1e-10, 1e-10, 1e-12])
+        ours = solve_ivp(fun, (0.0, 20.0), [1.0, 0.0, 2.0], **kwargs)
+        reference = scipy_solve_ivp(fun, (0.0, 20.0), [1.0, 0.0, 2.0], method="RK45", **kwargs)
+        _assert_steps_of_scipy_rk45(ours, reference, 3, "plain ode")
+
+    def test_generated_rhs_is_the_rcsj_equation(self, monkeypatch):
+        """The generated right-hand side equals the RCSJ equation written
+        out from the circuit's parts, with driven sources, node-to-node
+        inductors and inductors to ground at either end."""
+        import math
+        import random
+
+        from repro.sim.analog import drive, droc_cell, rcsj
+        from repro.sim.analog.rcsj import PHI0_BAR, Inductor
+
+        cell = droc_cell()
+        drive(cell, {"data": [20e-12], "clk": [25e-12, 40e-12]})
+        circuit = cell.circuit
+        circuit.add_inductor(Inductor(-1, 0, 6e-12))
+        circuit.add_inductor(Inductor(2, -1, 9e-12))
+        functions = []
+
+        def capture(fun, *args, **kwargs):
+            functions.append(fun)
+            return solve_ivp(fun, *args, **kwargs)
+
+        solve_ivp = rcsj.solve_ivp
+        monkeypatch.setattr(rcsj, "solve_ivp", capture)
+        circuit.simulate(duration=1e-12)
+        (derivatives,) = functions
+
+        n = circuit.num_nodes
+        junctions = sorted(circuit.junctions, key=lambda junction: junction.node)
+        rng = random.Random(3)
+        for _ in range(20):
+            t = rng.uniform(0.0, 60e-12)
+            state = [rng.uniform(-7.0, 7.0) for _ in range(n)] + [rng.uniform(-1e12, 1e12) for _ in range(n)]
+            phase = [*state[:n], 0.0]
+            current = [sum(source.current(t) for source in circuit.sources if source.node == k) for k in range(n)]
+            current.append(0.0)
+            for inductor in circuit.inductors:
+                branch = PHI0_BAR / inductor.inductance * (phase[inductor.node_a] - phase[inductor.node_b])
+                current[inductor.node_a] -= branch
+                current[inductor.node_b] += branch
+            expected = state[n:] + [
+                (current[k] - j.critical_current * math.sin(phase[k]) - PHI0_BAR / j.resistance * state[n + k])
+                / (j.capacitance * PHI0_BAR)
+                for k, j in enumerate(junctions)
+            ]
+            assert derivatives(t, state) == pytest.approx(expected, rel=1e-12, abs=1e-3)
+
+    def test_initial_phases_must_have_one_value_per_node(self):
+        from repro.sim.analog import jtl_chain
+
+        circuit = jtl_chain(3).circuit
+        for phases in ([0.0] * 2, [0.0] * 4):
+            with pytest.raises(ValueError, match="initial_phases needs 3 values, got"):
+                circuit.simulate(duration=10e-12, initial_phases=phases)
 
     @pytest.mark.parametrize("duration", [100e-12, 150e-12, 200e-12, 300e-12])
     def test_sample_times_equal_numpy_arange(self, duration):
@@ -306,13 +437,10 @@ class TestAnalogModel:
         settles where Ic sin(phi) + Phi0_bar phi / L equals the bias."""
         import math
 
-        from repro.sim.analog.rcsj import PHI0_BAR, CurrentSource, Inductor, JjCircuit, Junction
+        from repro.sim.analog.rcsj import PHI0_BAR
 
         critical, inductance, bias = 100e-6, 4e-12, 50e-6
-        circuit = JjCircuit(1)
-        circuit.add_junction(Junction(0, critical_current=critical))
-        circuit.add_inductor(Inductor(-1, 0, inductance))
-        circuit.add_source(CurrentSource(0, amplitude=bias))
+        circuit = _inductor_to_ground(critical, inductance, bias)
         low, high = 0.0, math.pi / 2
         for _ in range(60):
             mid = (low + high) / 2
