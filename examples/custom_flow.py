@@ -1,4 +1,4 @@
-"""Compose, observe and extend the staged synthesis flow.
+"""Compose, time and extend the staged synthesis flow.
 
 Run with::
 
@@ -9,8 +9,9 @@ The xSFQ flow is an ordered composition of named stages registered in
 sequential -> report``).  This example shows the pass-manager features in
 turn:
 
-1. run the default flow with a timing observer and print the per-stage
-   progress table (the same table ``repro run --stage-timing`` shows);
+1. run the default flow and print the per-stage rows the run recorded
+   in ``FlowState.stage_rows`` (the rows ``repro run --stage-timing``
+   folds into its table);
 2. derive a variant flow (``with_options``) and watch the stage cache
    reuse the expensive post-``aig-opt`` AIG instead of re-optimising;
 3. register a *custom* stage with ``repro.register_stage`` and splice it
@@ -32,14 +33,15 @@ def main() -> None:
     net = repro.build_circuit("c880", "quick")
 
     # ------------------------------------------------------------------
-    # 1. The default flow, observed stage by stage
+    # 1. The default flow, timed stage by stage
     # ------------------------------------------------------------------
-    print("=== 1. Default flow with a timing observer ===")
-    timing = repro.TimingObserver()
+    print("=== 1. Default flow, one row per stage ===")
     flow = repro.Flow.default()
-    result = flow.run(net, observers=(timing,))
-    print(timing.table())
-    print(f"total {timing.total_seconds():.3f}s -> {result.jj_count()} JJs\n")
+    state = flow.run_state(net)
+    result = state.result
+    print(render_stage_table(state.stage_rows))
+    total = sum(row["seconds"] for row in state.stage_rows)
+    print(f"total {total:.3f}s -> {result.jj_count()} JJs\n")
 
     # ------------------------------------------------------------------
     # 2. A polarity variant reuses the cached optimised AIG
@@ -48,10 +50,9 @@ def main() -> None:
     cache = repro.get_stage_cache()
     hits_before = cache.hits
     variant = flow.with_options("polarity", mode="positive")
-    events = []
-    variant_result = variant.run(repro.build_circuit("c880", "quick"),
-                                 observers=(events.append,))
-    reused = [e.stage for e in events if e.from_cache]
+    variant_state = variant.run_state(repro.build_circuit("c880", "quick"))
+    variant_result = variant_state.result
+    reused = [row["stage"] for row in variant_state.stage_rows if row["cached"]]
     print(f"stages served from cache : {reused}")
     print(f"stage-cache hits         : {cache.hits - hits_before}")
     print(f"positive-only polarity   : {variant_result.jj_count()} JJs "

@@ -61,8 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Stage",
         "STAGES",
         "StageCache",
-        "StageEvent",
-        "TimingObserver",
         "register_stage",
         "get_stage_cache",
         "set_stage_cache",

@@ -3,8 +3,8 @@
 Public API highlights:
 
 * :class:`repro.core.flowgraph.Flow` — the composable staged pipeline
-  (registered stages, observers, stage-level caching) behind the
-  backwards-compatible :func:`repro.core.flow.synthesize_xsfq` shim
+  (registered stages, per-stage timing rows, stage-level caching) behind
+  the backwards-compatible :func:`repro.core.flow.synthesize_xsfq` shim
   (network/AIG in, mapped xSFQ netlist + component breakdown out);
 * :class:`repro.core.cells.XsfqLibrary` — the standard-cell library of
   Table 2 (with/without PTL interfaces);
@@ -43,10 +43,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".flow": ("FlowOptions", "XsfqSynthesisResult", "synthesize_xsfq"),
     ".flowgraph": (
         "DEFAULT_STAGE_ORDER", "FLOW_VARIANTS", "Flow", "FlowError", "FlowState",
-        "Stage", "STAGES", "StageCache", "StageEvent", "TimingObserver",
-        "design_fingerprint", "flow_variant", "flow_variant_names", "get_stage_cache",
-        "register_flow_variant", "register_stage", "render_stage_table",
-        "set_stage_cache",
+        "Stage", "STAGES", "StageCache", "design_fingerprint", "flow_variant",
+        "flow_variant_names", "get_stage_cache", "register_flow_variant",
+        "register_stage", "render_stage_table", "set_stage_cache",
     ),
     ".liberty": (
         "LibertyCell", "parse_liberty", "read_liberty", "save_liberty", "write_liberty",

@@ -22,10 +22,9 @@ The building blocks:
   :meth:`~Flow.signature` — the ordered stage names with their fully
   merged options — is the canonical cache identity used by
   :mod:`repro.eval.engine`.
-* **Observers** — stages emit structured :class:`StageEvent`s
-  (timing, node counts, cell/JJ counts) to registered observers;
-  :class:`TimingObserver` collects them into the per-stage table the
-  CLI renders under ``repro run --stage-timing``.
+* **Stage rows** — every run appends one ``{"stage", "seconds",
+  "cached"}`` row per stage to :attr:`FlowState.stage_rows`; the eval
+  engine stores them in each record for ``repro run --stage-timing``.
 * :class:`StageCache` — stage-level memoisation.  States at cacheable
   stage boundaries (``frontend``, ``aig-opt``) are keyed on the input
   fingerprint plus the signature *prefix*, so a cached post-``aig-opt``
@@ -90,8 +89,6 @@ __all__ = [
     "resolve_stage",
     "render_stage_table",
     "StageCache",
-    "StageEvent",
-    "TimingObserver",
     "design_fingerprint",
     "get_stage_cache",
     "set_stage_cache",
@@ -135,6 +132,9 @@ class FlowState:
     #: How many stages of the producing flow have already executed;
     #: lets :meth:`Flow.resume` continue a partial run where it stopped.
     stage_index: int = 0
+    #: One ``{"stage", "seconds", "cached"}`` row per stage run so far;
+    #: stages restored from the stage cache read ``cached: True``.
+    stage_rows: List[Dict[str, object]] = field(default_factory=list)
 
     @classmethod
     def initial(
@@ -152,6 +152,7 @@ class FlowState:
             source_stats=dict(self.source_stats),
             metrics=dict(self.metrics),
             artifacts=dict(self.artifacts),
+            stage_rows=list(self.stage_rows),
         )
 
     def snapshot(self) -> "FlowState":
@@ -161,9 +162,12 @@ class FlowState:
         (or mutated by) a caller, and drops the source-network reference —
         cached prefixes end at AIG-producing stages, so downstream stages
         never need it and large input netlists are not pinned in memory.
+        The stage rows are dropped too: a restored prefix reads as cached,
+        never with the producing run's seconds.
         """
         state = self.copy()
         state.network = None
+        state.stage_rows = []
         if state.aig is not None:
             state.aig = state.aig.copy()
         return state
@@ -175,19 +179,14 @@ class FlowState:
             )
         return self.aig
 
-    def summary(self) -> Dict[str, object]:
-        """Small structured snapshot used by stage events and observers."""
-        info: Dict[str, object] = {}
-        if self.aig is not None:
-            info["aig_ands"] = self.aig.num_ands
-            info["aig_depth"] = self.aig.depth()
-        if self.analysis is not None:
-            info["rails"] = self.analysis.num_cells
-        if self.netlist is not None:
-            info["cells"] = self.netlist.num_logic_cells
-            info["splitters"] = self.netlist.num_splitters
-            info["jj"] = self.netlist.jj_count()
-        return info
+    def require_result(self) -> XsfqSynthesisResult:
+        if self.result is None:
+            ran = [row["stage"] for row in self.stage_rows]
+            raise FlowError(
+                "flow produced no XsfqSynthesisResult; append a 'report' stage "
+                f"(stages ran: {ran})"
+            )
+        return self.result
 
 
 # ---------------------------------------------------------------------------
@@ -466,94 +465,19 @@ for _pass_name in PASSES:
     STAGES.setdefault(_pass_name, _aig_pass_stage(_pass_name))
 
 
-# ---------------------------------------------------------------------------
-# Observers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StageEvent:
-    """Structured before/after record emitted around every stage execution."""
-
-    flow: str
-    stage: str
-    index: int
-    seconds: float
-    before: Dict[str, object] = field(default_factory=dict)
-    after: Dict[str, object] = field(default_factory=dict)
-    #: True when the stage was skipped because a cached prefix covered it.
-    from_cache: bool = False
-
-
-Observer = Union[Callable[[StageEvent], None], object]
-
-
-def _notify_start(observers: Sequence[Observer], stage: str, index: int, state: FlowState) -> None:
-    for obs in observers:
-        hook = getattr(obs, "on_stage_start", None)
-        if hook is not None:
-            hook(stage, index, state)
-
-
-def _notify_end(observers: Sequence[Observer], event: StageEvent) -> None:
-    for obs in observers:
-        hook = getattr(obs, "on_stage_end", None)
-        if hook is not None:
-            hook(event)
-        elif callable(obs):
-            obs(event)
-
-
-class TimingObserver:
-    """Collects stage events into the per-stage progress/timing table."""
-
-    def __init__(self) -> None:
-        self.events: List[StageEvent] = []
-
-    def on_stage_end(self, event: StageEvent) -> None:
-        self.events.append(event)
-
-    def rows(self) -> List[Dict[str, object]]:
-        """JSON-friendly per-stage rows (stored in cached records)."""
-        return [
-            {
-                "stage": e.stage,
-                "seconds": e.seconds,
-                "cached": e.from_cache,
-                "aig_ands": e.after.get("aig_ands"),
-                "cells": e.after.get("cells"),
-                "jj": e.after.get("jj"),
-            }
-            for e in self.events
-        ]
-
-    def total_seconds(self) -> float:
-        return sum(e.seconds for e in self.events)
-
-    def table(self) -> str:
-        """Render the collected events as a text table."""
-        return render_stage_table(self.rows())
-
-
 def render_stage_table(rows: Iterable[Mapping[str, object]]) -> str:
-    """Format per-stage timing rows (``TimingObserver.rows`` layout)."""
+    """Format per-stage rows (:attr:`FlowState.stage_rows`) as a text table."""
     from .report import format_table
-
-    def cell(value: object) -> object:
-        return "-" if value is None else value
 
     body = [
         [
             row["stage"],
             f"{float(row.get('seconds', 0.0)):.4f}",
             "cached" if row.get("cached") else "run",
-            cell(row.get("aig_ands")),
-            cell(row.get("cells")),
-            cell(row.get("jj")),
         ]
         for row in rows
     ]
-    return format_table(["Stage", "Seconds", "Source", "AIG ANDs", "Cells", "#JJ"], body)
+    return format_table(["Stage", "Seconds", "Source"], body)
 
 
 # ---------------------------------------------------------------------------
@@ -883,20 +807,21 @@ class Flow:
         self,
         design: Union[LogicNetwork, Aig, FlowState],
         name: Optional[str] = None,
-        observers: Sequence[Observer] = (),
         stage_cache: Optional[StageCache] = None,
         use_stage_cache: bool = True,
         until: Optional[str] = None,
     ) -> FlowState:
         """Execute the flow and return the final :class:`FlowState`.
 
+        The state's ``stage_rows`` gain one row per stage: its wall
+        seconds, or ``cached: True`` for a prefix restored from the stage
+        cache.  A resumed state keeps the rows of the stages it already ran.
+
         Args:
             design: Input network/AIG, or an existing :class:`FlowState`
                 (e.g. one returned with ``until=...``) to resume from —
                 its ``stage_index`` records how far it already ran.
             name: Optional result name override.
-            observers: Objects receiving stage events (``on_stage_start``
-                / ``on_stage_end`` methods, or a plain callable).
             stage_cache: Stage memo to consult/populate; defaults to the
                 process-wide cache from :func:`get_stage_cache`.
             use_stage_cache: Disable memoisation entirely when False.
@@ -911,11 +836,11 @@ class Flow:
         fingerprint = self._fingerprint_for(state, use_stage_cache and start_index == 0)
         if fingerprint is not None:
             state, start_index = self._restore_cached_prefix(
-                state, signature, stop_index, cache, fingerprint, name, observers
+                state, signature, stop_index, cache, fingerprint, name
             )
 
         for index in range(start_index, stop_index):
-            state = self._run_stage(state, index, observers)
+            state = self._run_stage(state, index)
             stage = resolve_stage(self.stages[index][0])
             if fingerprint is not None and stage.cacheable:
                 key = StageCache.prefix_key(fingerprint, signature[: index + 1])
@@ -966,10 +891,8 @@ class Flow:
         cache: StageCache,
         fingerprint: str,
         name: Optional[str],
-        observers: Sequence[Observer],
     ) -> Tuple[FlowState, int]:
         """Resume from the longest cached prefix ending at a cacheable stage."""
-        start_index = 0
         # Structurally identical designs share cached prefixes regardless of
         # their name, so re-apply the current design's name on restore.
         desired_name = name or state.name
@@ -982,92 +905,47 @@ class Flow:
                     cached.name = desired_name
                     if cached.aig is not None:
                         cached.aig.name = desired_name
-                state = cached
-                start_index = index
-                break
-        for index in range(start_index if observers else 0):
-            _notify_end(
-                observers,
-                StageEvent(
-                    flow=state.name,
-                    stage=self.stages[index][0],
-                    index=index,
-                    seconds=0.0,
-                    before={},
-                    after=state.summary() if index == start_index - 1 else {},
-                    from_cache=True,
-                ),
-            )
-        return state, start_index
+                cached.stage_rows = [
+                    {"stage": stage_name, "seconds": 0.0, "cached": True}
+                    for stage_name, _ in self.stages[:index]
+                ]
+                return cached, index
+        return state, 0
 
-    def _run_stage(
-        self, state: FlowState, index: int, observers: Sequence[Observer]
-    ) -> FlowState:
-        """Execute one stage with its merged options, emitting events."""
+    def _run_stage(self, state: FlowState, index: int) -> FlowState:
+        """Execute one stage with its merged options and record its row."""
         stage_name, overrides = self.stages[index]
         stage = resolve_stage(stage_name)
         merged = dict(stage.defaults)
         merged.update(overrides)
-        if not observers:
-            # No consumers: skip event assembly (state.summary() walks the
-            # full AIG/netlist, a real cost on every unobserved synthesis).
-            state = stage.run(state, merged)
-            state.stage_index = index + 1
-            return state
-        _notify_start(observers, stage_name, index, state)
-        before = state.summary()
         started = time.perf_counter()
         state = stage.run(state, merged)
         seconds = time.perf_counter() - started
         state.stage_index = index + 1
-        _notify_end(
-            observers,
-            StageEvent(
-                flow=state.name,
-                stage=stage_name,
-                index=index,
-                seconds=seconds,
-                before=before,
-                after=state.summary(),
-            ),
-        )
+        state.stage_rows.append({"stage": stage_name, "seconds": seconds, "cached": False})
         return state
 
     def run(
         self,
         design: Union[LogicNetwork, Aig, FlowState],
         name: Optional[str] = None,
-        observers: Sequence[Observer] = (),
         stage_cache: Optional[StageCache] = None,
         use_stage_cache: bool = True,
     ) -> XsfqSynthesisResult:
         """Execute the flow end to end and return the synthesis result."""
-        state = self.run_state(
-            design,
-            name=name,
-            observers=observers,
-            stage_cache=stage_cache,
-            use_stage_cache=use_stage_cache,
-        )
-        if state.result is None:
-            raise FlowError(
-                "flow produced no XsfqSynthesisResult; append a 'report' stage "
-                f"(stages ran: {self.stage_names()})"
-            )
-        return state.result
+        return self.run_state(
+            design, name=name, stage_cache=stage_cache, use_stage_cache=use_stage_cache
+        ).require_result()
 
     def resume(
-        self,
-        state: FlowState,
-        observers: Sequence[Observer] = (),
-        stage_cache: Optional[StageCache] = None,
+        self, state: FlowState, stage_cache: Optional[StageCache] = None
     ) -> FlowState:
         """Run the remaining stages on a mid-flow state from ``until=...``.
 
         The state's ``stage_index`` records where the partial run stopped,
         so already-executed stages are skipped, not re-run.
         """
-        return self.run_state(state, observers=observers, stage_cache=stage_cache)
+        return self.run_state(state, stage_cache=stage_cache)
 
 
 # ---------------------------------------------------------------------------

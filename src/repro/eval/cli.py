@@ -20,7 +20,7 @@ their synthesis jobs through the parallel runner with the shared
 content-addressed result cache (``--cache-dir`` / ``REPRO_CACHE_DIR``,
 ``--no-cache`` to disable), prints the paper-style tables, with
 ``--stage-timing`` also the per-stage (frontend / aig-opt / polarity /
-map / ...) observer timing table, and with ``--save DIR`` emits
+map / ...) timing table, and with ``--save DIR`` emits
 machine-readable JSON + CSV per experiment.  ``repro list`` additionally
 shows which experiments share a cached ``aig-opt`` stage prefix (the
 stage cache reuses the optimised AIG across them).
@@ -172,7 +172,7 @@ def _run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--save", default=None, metavar="DIR",
                      help="also write <experiment>-<scale>.json/.csv into DIR")
     cmd.add_argument("--stage-timing", action="store_true",
-                     help="print the per-stage observer timing table "
+                     help="print the per-stage timing table "
                           "(frontend, aig-opt, polarity, map, ...)")
 
 

@@ -113,29 +113,23 @@ class SynthesisJob:
 
     def flow(self) -> core.Flow:
         """Reconstruct the runnable flow this job describes."""
-        if self.stages:
-            flow = core.Flow.from_signature(self.stages)
-            if self.options:
-                flow.options = core.FlowOptions.from_dict(dict(self.options))
-            return flow
-        return core.Flow.from_options(self.flow_options())
+        flow = core.Flow.from_signature(self.stages)
+        if self.options:
+            flow.options = core.FlowOptions.from_dict(dict(self.options))
+        return flow
 
     def flow_options(self) -> core.FlowOptions:
         """The equivalent ``FlowOptions`` (raises for hand-composed flows)."""
         if not self.options:
-            if self.stages:
-                raise ValueError(
-                    "job was built from a hand-composed Flow with no "
-                    "FlowOptions equivalent; use job.flow() instead"
-                )
-            return core.FlowOptions()
+            raise ValueError(
+                "job was built from a hand-composed Flow with no "
+                "FlowOptions equivalent; use job.flow() instead"
+            )
         return core.FlowOptions.from_dict(dict(self.options))
 
     def signature(self) -> StageSignature:
-        """The flow signature (computed from options for legacy jobs)."""
-        if self.stages:
-            return self.stages
-        return core.Flow.from_options(dict(self.options)).signature()
+        """The flow signature: the job's ``stages``."""
+        return self.stages
 
     def signature_prefix(self, until: str = "aig-opt") -> Tuple[object, ...]:
         """Hashable identity of this job's work up to stage ``until``.
@@ -212,18 +206,15 @@ def synthesis_record(job: SynthesisJob) -> Dict[str, object]:
 
     info = circuit_info(job.circuit)
     network = build_circuit(job.circuit, job.scale)
-    timing = core.TimingObserver()
-    result = job.flow().run(
-        network, observers=(timing,), stage_cache=core.get_stage_cache()
-    )
-    record = result.metrics()
+    state = job.flow().run_state(network, stage_cache=core.get_stage_cache())
+    record = state.require_result().metrics()
     record.update(job.to_dict())
     record["kind"] = info.kind
     record["suite"] = info.suite
     record["num_flipflops"] = len(network.latches)
     # The one wall clock a cached record keeps: these rows are the only
     # way stage times get out of worker processes to `--stage-timing`.
-    record["stages"] = timing.rows()
+    record["stages"] = state.stage_rows
     record["baseline_name"] = ""
     record["baseline_jj"] = None
     record["baseline_jj_clocked"] = None

@@ -87,14 +87,27 @@ class CurrentSource:
         return self.amplitude
 
 
+#: ``math.exp`` of any argument below this is exactly 0.0 (the smallest
+#: subnormal double is ``exp(-745.13...)``).
+_EXP_UNDERFLOW = -745.2
+
+
 def sfq_pulse_train(times: Sequence[float], amplitude: float = 250e-6, width: float = 4e-12) -> Callable[[float], float]:
-    """Gaussian current pulses approximating incoming SFQ pulses."""
+    """Gaussian current pulses approximating incoming SFQ pulses.
+
+    A pulse whose exponent underflows adds exactly 0.0, so it is skipped
+    without calling ``math.exp``; every sample stays bit-identical.
+    """
     spread = 2.0 * (width / 2.355) ** 2
+    # A non-finite amplitude times an underflowed 0.0 is NaN: skip nothing.
+    cutoff = _EXP_UNDERFLOW if math.isfinite(amplitude) else -math.inf
 
     def waveform(t: float) -> float:
         total = 0.0
         for center in times:
-            total += amplitude * math.exp(-((t - center) ** 2) / spread)
+            arg = -((t - center) ** 2) / spread
+            if not arg < cutoff:  # a NaN argument still propagates
+                total += amplitude * math.exp(arg)
         return total
 
     return waveform

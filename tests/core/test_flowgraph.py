@@ -12,12 +12,11 @@ from repro.core import (
     FlowState,
     STAGES,
     StageCache,
-    TimingObserver,
     design_fingerprint,
     register_stage,
     synthesize_xsfq,
 )
-from repro.core.flowgraph import DEFAULT_STAGE_ORDER, resolve_stage
+from repro.core.flowgraph import DEFAULT_STAGE_ORDER, render_stage_table, resolve_stage
 
 # Small circuits covering all three design kinds (combinational EPFL-ish,
 # combinational ISCAS85-ish, sequential ISCAS89-ish).
@@ -209,12 +208,15 @@ def test_resume_continues_without_rerunning_prefix():
     cache = fresh_cache()
     state = flow.run_state(build_circuit("ctrl", "quick"), until="aig-opt", stage_cache=cache)
     ands_after_opt = state.aig.num_ands
-    timing = TimingObserver()
-    done = flow.resume(state, observers=(timing,), stage_cache=cache)
+    done = flow.resume(state, stage_cache=cache)
     assert done.result is not None
     assert done.result.aig.num_ands == ands_after_opt
-    # Only the remaining stages ran.
-    assert [e.stage for e in timing.events] == ["pipeline", "polarity", "map", "sequential", "report"]
+    # The resumed state keeps its prefix rows; only the remaining stages ran.
+    assert done.stage_rows[:2] == state.stage_rows
+    assert [row["stage"] for row in done.stage_rows[2:]] == [
+        "pipeline", "polarity", "map", "sequential", "report",
+    ]
+    assert not any(row["cached"] for row in done.stage_rows)
     # And the resumed result matches a straight-through run.
     assert done.result.metrics() == Flow.default().run(
         build_circuit("ctrl", "quick"), stage_cache=fresh_cache()
@@ -222,43 +224,29 @@ def test_resume_continues_without_rerunning_prefix():
 
 
 # ---------------------------------------------------------------------------
-# Observers
+# Stage rows
 # ---------------------------------------------------------------------------
 
 
-def test_observers_receive_structured_events():
-    timing = TimingObserver()
-    seen = []
-
-    class Watcher:
-        def on_stage_start(self, stage, index, state):
-            seen.append(("start", stage, index))
-
-        def on_stage_end(self, event):
-            seen.append(("end", event.stage, event.index))
-
-    Flow.default().run(
-        build_circuit("ctrl", "quick"),
-        observers=(timing, Watcher()),
-        stage_cache=fresh_cache(),
-    )
-    assert [e.stage for e in timing.events] == list(DEFAULT_STAGE_ORDER)
-    assert all(e.seconds >= 0.0 for e in timing.events)
-    # Node/cell/JJ counts appear once produced.
-    assert timing.events[1].after["aig_ands"] >= 1
-    assert timing.events[-1].after["jj"] > 0
-    assert seen[0] == ("start", "frontend", 0)
-    assert seen[-1] == ("end", "report", len(DEFAULT_STAGE_ORDER) - 1)
-    table = timing.table()
+def test_run_records_one_row_per_stage():
+    state = Flow.default().run_state(build_circuit("ctrl", "quick"), stage_cache=fresh_cache())
+    assert [row["stage"] for row in state.stage_rows] == list(DEFAULT_STAGE_ORDER)
+    assert all(set(row) == {"stage", "seconds", "cached"} for row in state.stage_rows)
+    assert all(row["seconds"] >= 0.0 and not row["cached"] for row in state.stage_rows)
+    table = render_stage_table(state.stage_rows)
     assert "aig-opt" in table and "Seconds" in table
 
 
-def test_plain_callable_observer():
-    events = []
-    Flow.default().run(
-        build_circuit("ctrl", "quick"), observers=(events.append,), stage_cache=fresh_cache()
+def test_copies_own_their_rows_and_snapshots_drop_them():
+    state = Flow.default().run_state(
+        build_circuit("ctrl", "quick"), until="aig-opt", stage_cache=fresh_cache()
     )
-    assert [e.stage for e in events] == list(DEFAULT_STAGE_ORDER)
+    assert [row["stage"] for row in state.stage_rows] == ["frontend", "aig-opt"]
+    copied = state.copy()
+    assert copied.stage_rows == state.stage_rows
+    assert copied.stage_rows is not state.stage_rows
+    # A stage-cache entry never carries the producing run's seconds.
+    assert state.snapshot().stage_rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +267,12 @@ def test_polarity_variants_share_aig_opt_prefix():
     base = Flow.from_options(FlowOptions(effort="low"))
     base.run(build_circuit("ctrl", "quick"), stage_cache=cache)
     assert cache.hits == 0
-    hits_events = []
     variant = base.with_options("polarity", mode="positive")
-    variant.run(
-        build_circuit("ctrl", "quick"),
-        observers=(hits_events.append,),
-        stage_cache=cache,
-    )
+    state = variant.run_state(build_circuit("ctrl", "quick"), stage_cache=cache)
     assert cache.hits == 1  # resumed from the cached post-aig-opt state
-    cached_stages = [e.stage for e in hits_events if e.from_cache]
-    assert cached_stages == ["frontend", "aig-opt"]
+    cached = [row for row in state.stage_rows if row["cached"]]
+    assert [row["stage"] for row in cached] == ["frontend", "aig-opt"]
+    assert all(row["seconds"] == 0.0 for row in cached)
 
 
 def test_different_effort_shares_only_frontend_prefix():
@@ -296,14 +280,13 @@ def test_different_effort_shares_only_frontend_prefix():
     Flow.from_options(FlowOptions(effort="none")).run(
         build_circuit("ctrl", "quick"), stage_cache=cache
     )
-    events = []
-    Flow.from_options(FlowOptions(effort="low")).run(
-        build_circuit("ctrl", "quick"), observers=(events.append,), stage_cache=cache
+    state = Flow.from_options(FlowOptions(effort="low")).run_state(
+        build_circuit("ctrl", "quick"), stage_cache=cache
     )
     # The network->AIG conversion is reused, but the differing aig-opt
     # options force a fresh optimisation run.
-    cached = [e.stage for e in events if e.from_cache]
-    executed = [e.stage for e in events if not e.from_cache]
+    cached = [row["stage"] for row in state.stage_rows if row["cached"]]
+    executed = [row["stage"] for row in state.stage_rows if not row["cached"]]
     assert cached == ["frontend"]
     assert "aig-opt" in executed
 

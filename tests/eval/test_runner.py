@@ -119,6 +119,34 @@ def test_record_carries_flow_signature_and_stage_timings():
     assert all(row["seconds"] >= 0.0 for row in stage_rows)
 
 
+def test_record_walks_the_result_once(monkeypatch):
+    """Stage rows cost no AIG or netlist walks: a c880 record computes the
+    AIG depth once and the JJ count twice, all in ``result.metrics()``."""
+    from repro.aig import Aig
+    from repro.core import XsfqNetlist
+
+    calls = {"depth": 0, "jj_count": 0}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Aig, "depth")
+    counting(XsfqNetlist, "jj_count")
+    previous = set_stage_cache(StageCache())
+    try:
+        record = synthesis_record(SynthesisJob.create("c880", "quick"))
+    finally:
+        set_stage_cache(previous)
+    assert not any(row["cached"] for row in record["stages"])
+    assert calls == {"depth": 1, "jj_count": 2}
+
+
 # ---------------------------------------------------------------------------
 # Stage-level memoisation across flow variants
 # ---------------------------------------------------------------------------

@@ -496,6 +496,35 @@ class TestAnalogModel:
         empty, loaded = characterize_droc()
         assert loaded.output_pulses > empty.output_pulses
 
+    def test_pulse_train_skips_only_exact_zero_terms(self, monkeypatch):
+        """A pulse whose exponent underflows adds exactly 0.0: the train skips
+        its ``math.exp`` and every sample stays the bits of the full sum."""
+        import math
+
+        from repro.sim.analog.rcsj import sfq_pulse_train
+
+        times = [10e-12, 30e-12, 500e-12]
+        spread = 2.0 * (4e-12 / 2.355) ** 2
+
+        def full_sum(t, amplitude):
+            total = 0.0
+            for center in times:
+                total += amplitude * math.exp(-((t - center) ** 2) / spread)
+            return total
+
+        samples = [k * 1e-13 for k in range(-200, 6000, 7)]
+        samples += [-math.inf, math.inf, math.nan]
+        for amplitude in (250e-6, -250e-6, 0.0, math.inf, math.nan):
+            train = sfq_pulse_train(times, amplitude=amplitude)
+            for t in samples:
+                assert repr(train(t)) == repr(full_sum(t, amplitude)), (amplitude, t)
+
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        sfq_pulse_train(times)(20e-12)
+        assert len(calls) == 2  # the pulse at 500 ps is 480 ps away
+
     def test_quiescent_circuit_emits_no_pulses(self):
         from repro.sim.analog import jtl_chain
 
